@@ -2,10 +2,6 @@
 Block Krylov solvers for complex symmetric linear systems with
 multiple right-hand sides, with Matrix Market I/O, seeded problem
 generators and a benchmark CLI.
-
-The compute kernels run on numba by default with a pure-numpy
-fallback; select with the CSKRYLOV_BACKEND environment variable or
-`set_backend` / `use_backend`.
 """
 
 from .core_la import (
@@ -19,7 +15,6 @@ from .core_la import (
     t_gram,
     thin_qr,
 )
-from .kernels import available_backends, get_backend, set_backend, use_backend
 from .mm_io import MatrixMarketHeader, read_matrix_market, write_matrix_market
 from .oracle import KINDS, ProblemSpec, direct_solve, gen_problem, gen_rhs
 from .solvers import (
@@ -49,10 +44,6 @@ __all__ = [
     "solve_small",
     "fro_norm",
     "axpy_block",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "MatrixMarketHeader",
     "read_matrix_market",
     "write_matrix_market",

@@ -3,8 +3,8 @@ Benchmark harness: load or generate a problem, run selected solvers,
 report iterations / TRR / CPU per solver, optionally dump residual
 histories.
 
-Report determinism contract: for fixed (matrix, p, tol, seed, solver,
-backend) the CSV report and history files are byte-identical across
+Report determinism contract: for fixed (matrix, p, tol, seed, solver)
+the CSV report and history files are byte-identical across
 invocations, except the cpu column. TRR and history values are printed
 with repr(), the shortest decimal that round-trips the double, so
 parsing a report back recovers the exact floats.
@@ -266,97 +266,6 @@ def emit_history(result, stream):
         stream.write(f"{i},{h!r}\n")
 
 
-def _bench_backends(args):
-    """Time every solver under every available backend and check that
-    their residual histories agree."""
-    name, m, b = _load_problem(args)
-    if not check_complex_symmetric(m):
-        raise ValueError(
-            f"matrix {name!r} failed check_complex_symmetric; the solvers "
-            "require A equal to its unconjugated transpose"
-        )
-    solver_names = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    for s in solver_names:
-        if s not in SOLVERS:
-            raise ValueError(
-                f"unknown solver {s!r}; available: {', '.join(SOLVERS)}"
-            )
-    cfg = SolverConfig(tol=args.tol, max_iter=args.maxit)
-    backends = kernels.available_backends()
-    repeat = max(1, args.repeat)
-    timings = {}
-    histories = {}
-    ok = True
-    for backend in backends:
-        with kernels.use_backend(backend):
-            SOLVERS[solver_names[0]](m, b, None, cfg)  # warm the kernels
-            for s in solver_names:
-                best = None
-                for _ in range(repeat):
-                    res = SOLVERS[s](m, b, None, cfg)
-                    best = res.elapsed if best is None else min(best, res.elapsed)
-                timings[backend, s] = (best, res.iterations, res.status)
-                histories[backend, s] = res.history
-                ok = ok and res.status == "converged"
-    out = sys.stdout
-    out.write(
-        f"backend comparison: matrix={name} n={m.n} p={b.shape[1]} "
-        f"tol={args.tol!r} best of {repeat}\n"
-    )
-    header = (
-        ["solver"]
-        + [f"{be} s" for be in backends]
-        + [f"{backends[0]} speedup", "history dev"]
-    )
-    rows = []
-    base = backends[0]
-    for s in solver_names:
-        cells = [s]
-        for be in backends:
-            cells.append(f"{timings[be, s][0]:.6f}")
-        if len(backends) > 1:
-            t0 = timings[base, s][0]
-            t1 = timings[backends[1], s][0]
-            cells.append(f"{t1 / t0:.2f}x" if t0 > 0 else "n/a")
-            ha = np.asarray(histories[base, s])
-            hb = np.asarray(histories[backends[1], s])
-            k = min(ha.size, hb.size)
-            dev = float(
-                np.max(np.abs(ha[:k] - hb[:k]) / np.maximum(np.abs(ha[:k]), 1e-300))
-            )
-            cells.append(f"{dev:.2e}")
-        else:
-            cells.extend(["n/a", "n/a"])
-        rows.append(cells)
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    out.write("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |\n")
-    out.write("|" + "|".join("-" * (w + 2) for w in widths) + "|\n")
-    for r in rows:
-        out.write("| " + " | ".join(c.ljust(w) for c, w in zip(r, widths)) + " |\n")
-    return 0 if ok else 1
-
-
-def _add_problem_args(p):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--matrix", help="Matrix Market file to load")
-    src.add_argument("--gen", choices=KINDS, help="generate a seeded problem")
-    p.add_argument("--n", type=int, default=None, help="order for --gen")
-    p.add_argument(
-        "--density", type=float, default=0.05, help="fill fraction for --gen"
-    )
-    p.add_argument("--p", type=int, default=1, help="number of right-hand sides")
-    p.add_argument(
-        "--solvers",
-        default=",".join(SOLVERS),
-        help="comma list of solvers to run (default: all)",
-    )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument(
-        "--maxit", type=int, default=None, help="iteration cap (default: n)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="RHS / generator seed")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cskrylov",
@@ -364,10 +273,24 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run solvers on one problem")
-    _add_problem_args(solve)
+    src = solve.add_mutually_exclusive_group(required=True)
+    src.add_argument("--matrix", help="Matrix Market file to load")
+    src.add_argument("--gen", choices=KINDS, help="generate a seeded problem")
+    solve.add_argument("--n", type=int, default=None, help="order for --gen")
     solve.add_argument(
-        "--x0", choices=["zero"], default="zero", help="initial guess policy"
+        "--density", type=float, default=0.05, help="fill fraction for --gen"
     )
+    solve.add_argument("--p", type=int, default=1, help="number of right-hand sides")
+    solve.add_argument(
+        "--solvers",
+        default=",".join(SOLVERS),
+        help="comma list of solvers to run (default: all)",
+    )
+    solve.add_argument("--tol", type=float, default=1e-10)
+    solve.add_argument(
+        "--maxit", type=int, default=None, help="iteration cap (default: n)"
+    )
+    solve.add_argument("--seed", type=int, default=0, help="RHS / generator seed")
     solve.add_argument(
         "--norm-ref",
         choices=["rhs", "r0"],
@@ -388,13 +311,6 @@ def _build_parser():
         action="store_true",
         help="run solvers concurrently (timings unreliable, flagged in report)",
     )
-    bench = sub.add_parser(
-        "bench-backends", help="time every solver under every compute backend"
-    )
-    _add_problem_args(bench)
-    bench.add_argument(
-        "--repeat", type=int, default=3, help="timed repetitions per solver"
-    )
     return parser
 
 
@@ -402,11 +318,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bench-backends":
-            if args.matrix is None and args.n is None:
-                args.n = 1000
-                args.density = 0.02
-            return _bench_backends(args)
         report = run_benchmark(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -68,10 +68,10 @@ def _as_small(c, name="coefficient matrix"):
 class ComplexSymmetricMatrix:
     """Square operator A with A == A^T, stored as CSR or dense.
 
-    Use `from_coo` or `from_dense` to construct. The symmetry of the
-    stored entries is verified lazily and cached; matrices that fail the
-    check can still be held (file parsers accept general input) but the
-    solvers refuse them.
+    Use `from_coo` or `from_dense` to construct. The finiteness and the
+    symmetry of the stored entries are verified lazily and cached;
+    matrices that fail either check can still be held (file parsers
+    accept general input) but the solvers refuse them.
 
     Attributes
     ----------
@@ -87,6 +87,7 @@ class ComplexSymmetricMatrix:
         if n < 1:
             raise ValueError("matrix order must be >= 1")
         self.n = int(n)
+        self._finite = None
         self._symmetric = None
         if dense is not None:
             if row_ptr is not None or col_idx is not None or values is not None:
@@ -168,15 +169,26 @@ class ComplexSymmetricMatrix:
             raise ValueError(f"dense matrix must be square, got {values.shape}")
         return cls(values.shape[0], dense=values)
 
+    def _csr_rows(self):
+        """Row index of every stored CSR entry, in storage order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
+
     def _csr_transpose_parts(self):
         """CSR arrays of A^T, with explicit zeros dropped from both sides."""
         keep = self.values != 0
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
-        rows = rows[keep]
+        rows = self._csr_rows()[keep]
         cols = self.col_idx[keep]
         vals = self.values[keep]
         order = np.lexsort((rows, cols))
         return rows, cols, vals, order
+
+    @property
+    def is_finite(self):
+        """True iff no stored entry is NaN or infinite."""
+        if self._finite is None:
+            stored = self.dense if self.storage == "dense" else self.values
+            self._finite = bool(np.isfinite(stored).all())
+        return self._finite
 
     @property
     def is_symmetric(self):
@@ -213,9 +225,7 @@ class ComplexSymmetricMatrix:
         if self.storage == "dense":
             return self.dense.copy()
         out = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.n):
-            sl = slice(self.row_ptr[i], self.row_ptr[i + 1])
-            out[i, self.col_idx[sl]] = self.values[sl]
+        out[self._csr_rows(), self.col_idx] = self.values
         return out
 
     def __repr__(self):

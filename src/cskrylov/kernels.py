@@ -1,35 +1,19 @@
 """
-Low-level numerical kernels with switchable numba/numpy backends.
+Low-level numerical kernels, vectorized numpy.
 
-Every kernel exists in two functionally equivalent implementations: a
-numba-compiled one with explicit sequential loops, and a vectorized
-pure-numpy fallback. The active backend is chosen at import time (numba
-when importable, numpy otherwise), can be forced with the environment
-variable ``CSKRYLOV_BACKEND=numba|numpy``, and can be switched at runtime
-with `set_backend` / `use_backend`.
-
-Within one backend, every reduction runs in a fixed sequential order, so
-repeated runs produce bitwise-identical results. The two backends agree
-to rounding error but not bitwise (BLAS reductions order sums differently
-than the explicit loops).
+Each kernel writes its result into a caller-supplied ``out`` array (or
+returns a scalar), so callers can reuse workspaces. Repeated calls on
+the same inputs in one process produce bitwise-identical results.
 
 All block vectors are expected as Fortran-ordered complex128 arrays
 (one right-hand side per column); small p-by-p matrices are C-ordered
-complex128. Callers in `core_la` normalize layouts before dispatching.
+complex128. Callers in `core_la` normalize layouts before calling.
 """
-
-import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "csr_block_matvec",
     "dense_block_matvec",
     "t_gram",
@@ -38,167 +22,14 @@ __all__ = [
     "thin_qr",
 ]
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        return decorator if not args or callable(args[0]) else decorator
+def get_backend():
+    """Name of the kernel implementation, reported in benchmark output."""
+    return "numpy"
 
 
-# =============================================================================
-# numba kernels (explicit loops, fixed evaluation order)
-# =============================================================================
-
-
-@njit(cache=True, nogil=True)
-def _csr_block_matvec_numba(row_ptr, col_idx, values, v, out):
-    n, p = out.shape
-    for i in range(n):
-        for j in range(p):
-            out[i, j] = 0.0 + 0.0j
-        for t in range(row_ptr[i], row_ptr[i + 1]):
-            k = col_idx[t]
-            a = values[t]
-            for j in range(p):
-                out[i, j] += a * v[k, j]
-
-
-@njit(cache=True, nogil=True)
-def _dense_block_matvec_numba(a, v, out):
-    n, p = out.shape
-    for i in range(n):
-        for j in range(p):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * v[k, j]
-            out[i, j] = acc
-
-
-@njit(cache=True, nogil=True)
-def _t_gram_numba(v, w, out):
-    n = v.shape[0]
-    pv = v.shape[1]
-    pw = w.shape[1]
-    for ja in range(pv):
-        for jb in range(pw):
-            acc = 0.0 + 0.0j
-            for i in range(n):
-                # bilinear form: no conjugation
-                acc += v[i, ja] * w[i, jb]
-            out[ja, jb] = acc
-
-
-@njit(cache=True, nogil=True)
-def _axpy_block_numba(x, y, c, out):
-    n, p = out.shape
-    q = y.shape[1]
-    for i in range(n):
-        for jb in range(p):
-            acc = x[i, jb]
-            for ja in range(q):
-                acc += y[i, ja] * c[ja, jb]
-            out[i, jb] = acc
-
-
-@njit(cache=True, nogil=True)
-def _fro_norm_numba(v):
-    n, p = v.shape
-    s = 0.0
-    for j in range(p):
-        for i in range(n):
-            z = v[i, j]
-            s += z.real * z.real + z.imag * z.imag
-    return math.sqrt(s)
-
-
-@njit(cache=True, nogil=True)
-def _thin_qr_numba(w, q, xi):
-    """Householder QR of an n-by-p block, n >= p.
-
-    Writes the economy factor Q (conjugate-orthonormal columns) into `q`
-    and the upper-triangular xi (real nonnegative diagonal) into `xi`.
-    """
-    n, p = w.shape
-    a = w.copy()
-    betas = np.zeros(p)
-    for k in range(p):
-        # column norm below the diagonal
-        s = 0.0
-        for i in range(k, n):
-            z = a[i, k]
-            s += z.real * z.real + z.imag * z.imag
-        normx = math.sqrt(s)
-        if normx > 0.0:
-            alpha = a[k, k]
-            aa = abs(alpha)
-            if aa > 0.0:
-                phase = alpha / aa
-            else:
-                phase = 1.0 + 0.0j
-            a[k, k] += phase * normx
-            vv = 0.0
-            for i in range(k, n):
-                z = a[i, k]
-                vv += z.real * z.real + z.imag * z.imag
-            beta = 2.0 / vv
-            betas[k] = beta
-            for j in range(k + 1, p):
-                dot = 0.0 + 0.0j
-                for i in range(k, n):
-                    dot += a[i, k].conjugate() * a[i, j]
-                dot *= beta
-                for i in range(k, n):
-                    a[i, j] -= dot * a[i, k]
-            xi[k, k] = -phase * normx
-        else:
-            betas[k] = 0.0
-            xi[k, k] = 0.0 + 0.0j
-    for k in range(p):
-        for j in range(k + 1, p):
-            xi[k, j] = a[k, j]
-    # accumulate q = H_0 ... H_{p-1} E_p
-    for i in range(n):
-        for j in range(p):
-            q[i, j] = 0.0 + 0.0j
-    for j in range(p):
-        q[j, j] = 1.0 + 0.0j
-    for k in range(p - 1, -1, -1):
-        if betas[k] == 0.0:
-            continue
-        for j in range(p):
-            dot = 0.0 + 0.0j
-            for i in range(k, n):
-                dot += a[i, k].conjugate() * q[i, j]
-            dot *= betas[k]
-            for i in range(k, n):
-                q[i, j] -= dot * a[i, k]
-    # make the diagonal of xi real nonnegative by a unit-modulus column scaling
-    for k in range(p):
-        d = xi[k, k]
-        ad = abs(d)
-        if ad > 0.0:
-            s = d / ad
-            cs = s.conjugate()
-            for j in range(k, p):
-                xi[k, j] *= cs
-            for i in range(n):
-                q[i, k] *= s
-        xi[k, k] = ad + 0.0j
-
-
-# =============================================================================
-# numpy fallbacks (vectorized)
-# =============================================================================
-
-
-def _csr_block_matvec_numpy(row_ptr, col_idx, values, v, out):
+def csr_block_matvec(row_ptr, col_idx, values, v, out):
+    """out <- A @ v for CSR-stored A; rows accumulate in index order."""
     contrib = values[:, None] * v[col_idx, :]
     counts = np.diff(row_ptr)
     nonempty = counts > 0
@@ -209,23 +40,29 @@ def _csr_block_matvec_numpy(row_ptr, col_idx, values, v, out):
         out[nonempty] = np.add.reduceat(contrib, starts, axis=0)
 
 
-def _dense_block_matvec_numpy(a, v, out):
+def dense_block_matvec(a, v, out):
+    """out <- a @ v for a dense square a."""
     out[:] = a @ v
 
 
-def _t_gram_numpy(v, w, out):
+def t_gram(v, w, out):
+    """out <- v^T @ w, the unconjugated bilinear Gram product."""
     out[:] = v.T @ w
 
 
-def _axpy_block_numpy(x, y, c, out):
+def axpy_block(x, y, c, out):
+    """out <- x + y @ c."""
     out[:] = x + y @ c
 
 
-def _fro_norm_numpy(v):
+def fro_norm(v):
+    """Frobenius norm: sqrt of the sum of squared entry moduli."""
     return float(np.linalg.norm(v))
 
 
-def _thin_qr_numpy(w, q, xi):
+def thin_qr(w, q, xi):
+    """Economy QR of n-by-p w: q conjugate-orthonormal, xi upper triangular
+    with real nonnegative diagonal, q @ xi == w."""
     qf, r = np.linalg.qr(w, mode="reduced")
     d = np.diagonal(r).copy()
     ad = np.abs(d)
@@ -233,106 +70,3 @@ def _thin_qr_numpy(w, q, xi):
     q[:] = qf * scale[None, :]
     xi[:] = np.conj(scale)[:, None] * r
     np.fill_diagonal(xi, ad)
-
-
-# =============================================================================
-# backend registry and dispatch
-# =============================================================================
-
-_BACKENDS = {
-    "numpy": {
-        "csr_block_matvec": _csr_block_matvec_numpy,
-        "dense_block_matvec": _dense_block_matvec_numpy,
-        "t_gram": _t_gram_numpy,
-        "axpy_block": _axpy_block_numpy,
-        "fro_norm": _fro_norm_numpy,
-        "thin_qr": _thin_qr_numpy,
-    }
-}
-
-if HAS_NUMBA:
-    _BACKENDS["numba"] = {
-        "csr_block_matvec": _csr_block_matvec_numba,
-        "dense_block_matvec": _dense_block_matvec_numba,
-        "t_gram": _t_gram_numba,
-        "axpy_block": _axpy_block_numba,
-        "fro_norm": _fro_norm_numba,
-        "thin_qr": _thin_qr_numba,
-    }
-
-
-def _initial_backend():
-    env = os.environ.get("CSKRYLOV_BACKEND", "").strip().lower()
-    if env:
-        if env not in _BACKENDS:
-            raise ImportError(
-                f"CSKRYLOV_BACKEND={env!r} is not available; "
-                f"choose one of {sorted(_BACKENDS)}"
-            )
-        return env
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_active = _initial_backend()
-
-
-def available_backends():
-    """Names of the kernel backends usable in this process."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend():
-    """Name of the currently active kernel backend."""
-    return _active
-
-
-def set_backend(name):
-    """Select the kernel backend by name ('numba' or 'numpy')."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
-        )
-    _active = name
-
-
-@contextmanager
-def use_backend(name):
-    """Context manager that temporarily activates the named backend."""
-    previous = _active
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def csr_block_matvec(row_ptr, col_idx, values, v, out):
-    """out <- A @ v for CSR-stored A; rows accumulate in index order."""
-    _BACKENDS[_active]["csr_block_matvec"](row_ptr, col_idx, values, v, out)
-
-
-def dense_block_matvec(a, v, out):
-    """out <- a @ v for a dense square a."""
-    _BACKENDS[_active]["dense_block_matvec"](a, v, out)
-
-
-def t_gram(v, w, out):
-    """out <- v^T @ w, the unconjugated bilinear Gram product."""
-    _BACKENDS[_active]["t_gram"](v, w, out)
-
-
-def axpy_block(x, y, c, out):
-    """out <- x + y @ c."""
-    _BACKENDS[_active]["axpy_block"](x, y, c, out)
-
-
-def fro_norm(v):
-    """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    return _BACKENDS[_active]["fro_norm"](v)
-
-
-def thin_qr(w, q, xi):
-    """Economy QR of n-by-p w: q conjugate-orthonormal, xi upper triangular
-    with real nonnegative diagonal, q @ xi == w."""
-    _BACKENDS[_active]["thin_qr"](w, q, xi)

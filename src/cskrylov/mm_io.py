@@ -285,7 +285,7 @@ def write_matrix_market(m, dest, comments=()):
     if not m.is_symmetric:
         raise ValueError("refusing to write a non-symmetric matrix as symmetric")
     if m.storage == "csr":
-        rows = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.row_ptr))
+        rows = m._csr_rows()
         cols = m.col_idx
         vals = m.values
     else:

@@ -172,7 +172,20 @@ class SolveResult:
 
 
 def check_complex_symmetric(a):
-    """True iff the operator equals its unconjugated transpose exactly."""
+    """True iff the operator equals its unconjugated transpose exactly.
+
+    Raises
+    ------
+    ValueError
+        If the operator stores NaN or infinite entries. No symmetry
+        verdict is given for them: NaN never equals itself, so exact
+        comparison would report a symmetric operator as asymmetric.
+    """
+    if not a.is_finite:
+        raise ValueError(
+            "operator has non-finite entries (NaN or Inf); these methods "
+            "require a finite operator"
+        )
     return a.is_symmetric
 
 

@@ -1,20 +1,10 @@
 """Shared test fixtures and helpers."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
-
-# Whether the numba package is installed, found without importing it and
-# independently of `cskrylov.kernels.HAS_NUMBA`, so that the tests can check
-# the library's own detection against it.
-NUMBA_INSTALLED = importlib.util.find_spec("numba") is not None
-
-requires_numba = pytest.mark.skipif(
-    not NUMBA_INSTALLED, reason="numba is not installed"
-)
 
 
 def fixture_path(name: str) -> Path:

@@ -1,11 +1,7 @@
-"""Benchmark CLI: reports, history files, exit codes, backend comparison."""
+"""Benchmark CLI: reports, history files, exit codes."""
 
-import numpy as np
 import pytest
 
-from conftest import requires_numba
-
-from cskrylov import bench_cli
 from cskrylov.bench_cli import (
     format_report_md,
     main,
@@ -36,9 +32,11 @@ class TestSolveCommand:
         _, text = _solve(tmp_path)
         meta = text.splitlines()[0]
         assert meta.startswith("# matrix=diagdominant n=30 nnz=")
-        for token in ("p=2", "tol=1e-10", "seed=3", "norm_ref=rhs", "parallel=0"):
+        for token in (
+            "p=2", "tol=1e-10", "seed=3", "norm_ref=rhs", "backend=numpy",
+            "parallel=0",
+        ):
             assert token in meta
-        assert "backend=" in meta
 
     def test_report_round_trips_and_repeats(self, tmp_path):
         _, text1 = _solve(tmp_path, name="r1.csv")
@@ -146,6 +144,19 @@ class TestExitCodes:
         assert code == 2
         assert "check_complex_symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix_refused(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex symmetric\n"
+            f"2 2 2\n1 1 {bad} 0.0\n2 2 1.0 0.0\n"
+        )
+        code = main(["solve", "--matrix", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite entries" in err
+        assert "check_complex_symmetric" not in err
+
     def test_bad_kind_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--gen", "hilbert", "--n", "10"])
@@ -178,25 +189,3 @@ class TestReportHelpers:
         _, text = _solve(tmp_path)
         md = format_report_md(parse_report_csv(text))
         assert md.count("|") > 10
-
-
-class TestBenchBackends:
-    @requires_numba
-    def test_compares_both_backends(self, capsys):
-        code = main(
-            ["bench-backends", "--gen", "diagonal", "--n", "40", "--p", "2",
-             "--repeat", "1"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend comparison" in out
-        assert "numba s" in out and "numpy s" in out
-        assert "history dev" in out
-
-    def test_solver_subset_smoke(self, capsys):
-        code = main(
-            ["bench-backends", "--gen", "diagonal", "--n", "20", "--p", "1",
-             "--solvers", "bl_cocg", "--repeat", "1"]
-        )
-        assert code == 0
-        assert "bl_cocg" in capsys.readouterr().out

@@ -1,23 +1,18 @@
-"""Backend registry: numba/numpy selection and cross-backend agreement.
+"""Kernels: reference formulas, edge cases, QR factor properties and
+bitwise determinism of the one (numpy) implementation.
 
-numba is optional: the library uses it when it is installed and falls back
-to numpy otherwise. The numba-only tests (the ``[numba]`` parameters and the
-cross-backend comparison) carry `requires_numba` and skip with "numba is not
-installed" where it is missing; the detection test runs everywhere.
+The tests that take an ``impl`` parameter run once, on the implementation
+that `kernels.get_backend` names; the parameter keeps their test IDs
+(``[numpy]``) the same as when a second implementation existed, so runs
+stay comparable across versions.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import NUMBA_INSTALLED, requires_numba
-
 from cskrylov import kernels
 
-BACKENDS = [pytest.param("numba", marks=requires_numba), "numpy"]
+IMPLS = [kernels.get_backend()]
 
 
 def _rand_block(n, p, seed):
@@ -25,54 +20,6 @@ def _rand_block(n, p, seed):
     return np.asfortranarray(
         rng.uniform(-1, 1, (n, p)) + 1j * rng.uniform(-1, 1, (n, p))
     )
-
-
-def test_numba_is_available_here():
-    # numba is used exactly when it is installed; a broken install that the
-    # module silently falls back from fails here
-    assert kernels.HAS_NUMBA == NUMBA_INSTALLED
-    expected = ("numba", "numpy") if NUMBA_INSTALLED else ("numpy",)
-    assert kernels.available_backends() == expected
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.set_backend("fortran")
-
-
-def test_use_backend_restores_on_exit():
-    before = kernels.get_backend()
-    with kernels.use_backend("numpy"):
-        assert kernels.get_backend() == "numpy"
-    assert kernels.get_backend() == before
-    with pytest.raises(RuntimeError):
-        with kernels.use_backend("numpy"):
-            raise RuntimeError("boom")
-    assert kernels.get_backend() == before
-
-
-def test_env_var_selects_backend():
-    env = dict(os.environ, CSKRYLOV_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import cskrylov; print(cskrylov.get_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown_backend():
-    env = dict(os.environ, CSKRYLOV_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import cskrylov"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "CSKRYLOV_BACKEND" in out.stderr
 
 
 def _run_all_kernels(n=40, p=3, seed=42):
@@ -118,10 +65,9 @@ def _run_all_kernels(n=40, p=3, seed=42):
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kernels_match_reference_formulas(backend):
-    with kernels.use_backend(backend):
-        r = _run_all_kernels()
+@pytest.mark.parametrize("impl", IMPLS)
+def test_kernels_match_reference_formulas(impl):
+    r = _run_all_kernels()
     np.testing.assert_allclose(r["csr_matvec"], r["_sparse"] @ r["_v"], atol=1e-13)
     np.testing.assert_allclose(r["dense_matvec"], r["_dense"] @ r["_v"], atol=1e-13)
     np.testing.assert_allclose(r["t_gram"], r["_v"].T @ r["_w"], atol=1e-13)
@@ -130,53 +76,40 @@ def test_kernels_match_reference_formulas(backend):
     np.testing.assert_allclose(r["qr_q"] @ r["qr_xi"], r["_v"], atol=1e-13)
 
 
-@requires_numba
-def test_backends_agree_to_rounding():
-    with kernels.use_backend("numba"):
-        a = _run_all_kernels()
-    with kernels.use_backend("numpy"):
-        b = _run_all_kernels()
-    for key in ("csr_matvec", "dense_matvec", "t_gram", "axpy", "fro", "qr_q", "qr_xi"):
-        np.testing.assert_allclose(a[key], b[key], rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_csr_matvec_handles_empty_rows(backend):
+@pytest.mark.parametrize("impl", IMPLS)
+def test_csr_matvec_handles_empty_rows(impl):
     # rows 0 and 2 store nothing; reductions must not bleed across rows
     row_ptr = np.array([0, 0, 2, 2, 3], dtype=np.int64)
     col_idx = np.array([0, 3, 1], dtype=np.int64)
     values = np.array([2.0, 1j, -1.0], dtype=np.complex128)
     v = np.asfortranarray(np.arange(1, 9, dtype=np.complex128).reshape(4, 2))
     out = np.empty((4, 2), dtype=np.complex128, order="F")
-    with kernels.use_backend(backend):
-        kernels.csr_block_matvec(row_ptr, col_idx, values, v, out)
+    kernels.csr_block_matvec(row_ptr, col_idx, values, v, out)
     dense = np.zeros((4, 4), dtype=np.complex128)
     dense[1, 0], dense[1, 3], dense[3, 1] = 2.0, 1j, -1.0
     np.testing.assert_array_equal(out, dense @ v)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_thin_qr_hand_case_per_backend(backend):
+@pytest.mark.parametrize("impl", IMPLS)
+def test_thin_qr_hand_case_per_backend(impl):
     w = np.array([[3.0], [4.0j]], order="F")
     q = np.empty((2, 1), dtype=np.complex128, order="F")
     xi = np.zeros((1, 1), dtype=np.complex128)
-    with kernels.use_backend(backend):
-        kernels.thin_qr(w, q, xi)
+    kernels.thin_qr(w, q, xi)
     np.testing.assert_allclose(xi, [[5.0]], atol=1e-15)
     np.testing.assert_allclose(q, [[0.6], [0.8j]], atol=1e-15)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("seed", range(50))
-def test_thin_qr_properties_both_backends(backend, seed):
+def test_thin_qr_properties_both_backends(impl, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
     p = int(rng.integers(1, min(n, 6) + 1))
     w = _rand_block(n, p, seed + 500)
     q = np.empty((n, p), dtype=np.complex128, order="F")
     xi = np.zeros((p, p), dtype=np.complex128)
-    with kernels.use_backend(backend):
-        kernels.thin_qr(w, q, xi)
+    kernels.thin_qr(w, q, xi)
     np.testing.assert_allclose(q @ xi, w, atol=1e-13)
     np.testing.assert_allclose(np.conj(q.T) @ q, np.eye(p), atol=1e-13)
     d = np.diagonal(xi)
@@ -185,9 +118,7 @@ def test_thin_qr_properties_both_backends(backend, seed):
 
 
 def test_kernel_determinism_within_backend():
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            a = _run_all_kernels(seed=7)
-            b = _run_all_kernels(seed=7)
-        for key in ("csr_matvec", "t_gram", "axpy", "fro", "qr_q", "qr_xi"):
-            np.testing.assert_array_equal(a[key], b[key])
+    a = _run_all_kernels(seed=7)
+    b = _run_all_kernels(seed=7)
+    for key in ("csr_matvec", "t_gram", "axpy", "fro", "qr_q", "qr_xi"):
+        np.testing.assert_array_equal(a[key], b[key])

@@ -1,11 +1,18 @@
 """Solver contracts: convergence, statuses, observers, determinism."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cskrylov
 from cskrylov.core_la import ComplexSymmetricMatrix, fro_norm, t_gram
 from cskrylov.oracle import ProblemSpec, direct_solve, gen_problem, gen_rhs
 from cskrylov.solvers import (
@@ -51,6 +58,23 @@ class TestInputValidation:
         a = ComplexSymmetricMatrix.from_dense([[1, 2], [0, 1]])
         b = np.ones((2, 1), dtype=complex)
         with pytest.raises(ValueError, match="check_complex_symmetric"):
+            solver(a, b)
+
+    @pytest.mark.parametrize("name,solver", ALL)
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_operator(self, name, solver, storage, bad):
+        # a symmetric pair of bad entries: the diagnosis must name the
+        # non-finite entries, not an asymmetry (NaN != NaN)
+        d = np.eye(3, dtype=complex)
+        d[0, 1] = d[1, 0] = bad
+        if storage == "dense":
+            a = ComplexSymmetricMatrix.from_dense(d)
+        else:
+            rows, cols = np.nonzero(d)
+            a = ComplexSymmetricMatrix.from_coo(3, rows, cols, d[rows, cols])
+        b = np.ones((3, 1), dtype=complex)
+        with pytest.raises(ValueError, match="non-finite entries"):
             solver(a, b)
 
     def test_rejects_one_dimensional_rhs(self):
@@ -322,6 +346,41 @@ class TestDeterminism:
         np.testing.assert_array_equal(r1.x, r2.x)
 
 
+    def test_bitwise_repeatability_under_blas_threads(self):
+        # each child solves twice with every solver; both runs in one
+        # process must match bit for bit whatever the BLAS thread count
+        child = textwrap.dedent(
+            """
+            import hashlib, json
+            from cskrylov import SOLVERS, ProblemSpec, gen_problem
+            a, b = gen_problem(ProblemSpec(
+                n=2000, p=8, kind="diagdominant", density=1e-3, seed=11))
+            def digest(res):
+                h = hashlib.sha256(repr(res.history).encode())
+                h.update(res.x.tobytes())
+                return h.hexdigest()
+            print(json.dumps({name: [digest(fn(a, b)) for _ in range(2)]
+                              for name, fn in SOLVERS.items()}))
+            """
+        )
+        src = str(Path(cskrylov.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", child],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            digests = json.loads(out.stdout)
+            assert list(digests) == list(SOLVERS)
+            for name, (first, second) in digests.items():
+                assert first == second, f"{name} under {threads} BLAS threads"
+
+
 class TestTrueRelativeResidual:
     def test_zero_x_gives_zero_exactly(self):
         a, b = _problem(seed=0)
@@ -359,3 +418,23 @@ class TestSymmetryCheck:
     def test_true_on_real_symmetric(self):
         a, _ = gen_problem(ProblemSpec(n=20, p=1, kind="realspd", seed=1))
         assert check_complex_symmetric(a)
+
+    def test_non_finite_raises_instead_of_a_verdict(self):
+        a = ComplexSymmetricMatrix.from_dense([[np.nan, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            check_complex_symmetric(a)
+
+    def test_finiteness_scanned_once_per_matrix(self, monkeypatch):
+        a, b = _problem(seed=2)
+        scans = []
+        isfinite = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            if x is a.values:
+                scans.append(1)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        bl_cocg(a, b)
+        bl_cocr_rq(a, b)
+        assert len(scans) == 1
