@@ -89,6 +89,7 @@ class ComplexSymmetricMatrix:
         self.n = int(n)
         self._finite = None
         self._symmetric = None
+        self._sparse = None
         if dense is not None:
             if row_ptr is not None or col_idx is not None or values is not None:
                 raise ValueError("pass either CSR arrays or a dense array, not both")
@@ -205,6 +206,22 @@ class ComplexSymmetricMatrix:
                 )
         return self._symmetric
 
+    def _scipy_csr(self):
+        """scipy.sparse view of the CSR arrays, built on first use.
+
+        scipy is imported here, not at module level, so that loading,
+        generating and checking matrices and dense solves never load it.
+        Threads that race on the first call each build an identical
+        handle, so the race is harmless.
+        """
+        if self._sparse is None:
+            import scipy.sparse
+
+            self._sparse = scipy.sparse.csr_array(
+                (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
+            )
+        return self._sparse
+
     def matvec(self, v):
         """Return A @ v for an (n, p) block vector v."""
         v = _as_block(v)
@@ -215,7 +232,7 @@ class ComplexSymmetricMatrix:
             )
         out = np.empty(v.shape, dtype=np.complex128, order="F")
         if self.storage == "csr":
-            kernels.csr_block_matvec(self.row_ptr, self.col_idx, self.values, v, out)
+            kernels.csr_block_matvec(self._scipy_csr(), v, out)
         else:
             kernels.dense_block_matvec(self.dense, v, out)
         return out

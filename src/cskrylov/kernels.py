@@ -1,5 +1,6 @@
 """
-Low-level numerical kernels, vectorized numpy.
+Low-level numerical kernels: vectorized numpy, and scipy.sparse for the
+CSR product.
 
 Each kernel writes its result into a caller-supplied ``out`` array (or
 returns a scalar), so callers can reuse workspaces. Repeated calls on
@@ -28,16 +29,10 @@ def get_backend():
     return "numpy"
 
 
-def csr_block_matvec(row_ptr, col_idx, values, v, out):
-    """out <- A @ v for CSR-stored A; rows accumulate in index order."""
-    contrib = values[:, None] * v[col_idx, :]
-    counts = np.diff(row_ptr)
-    nonempty = counts > 0
-    out[:] = 0.0
-    starts = row_ptr[:-1][nonempty]
-    if starts.size:
-        # reduceat would misreport empty rows, so reduce nonempty segments only
-        out[nonempty] = np.add.reduceat(contrib, starts, axis=0)
+def csr_block_matvec(csr, v, out):
+    """out <- csr @ v for a scipy.sparse CSR array; rows accumulate in
+    index order."""
+    out[:] = csr @ v
 
 
 def dense_block_matvec(a, v, out):
@@ -51,8 +46,9 @@ def t_gram(v, w, out):
 
 
 def axpy_block(x, y, c, out):
-    """out <- x + y @ c."""
-    out[:] = x + y @ c
+    """out <- x + y @ c, with no temporaries; out must not overlap x."""
+    np.matmul(y, c, out=out)
+    out += x
 
 
 def fro_norm(v):

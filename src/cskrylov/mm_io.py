@@ -279,9 +279,15 @@ def write_matrix_market(m, dest, comments=()):
     Raises
     ------
     ValueError
-        If the matrix is not complex symmetric (the lower-triangle
-        encoding would silently drop information otherwise).
+        If the matrix has NaN or infinite entries, or is not complex
+        symmetric (the lower-triangle encoding would silently drop
+        information otherwise). Finiteness is checked first: NaN never
+        equals itself, so the symmetry check would misreport it.
     """
+    if not m.is_finite:
+        raise ValueError(
+            "matrix has non-finite entries (NaN or Inf); refusing to write it"
+        )
     if not m.is_symmetric:
         raise ValueError("refusing to write a non-symmetric matrix as symmetric")
     if m.storage == "csr":

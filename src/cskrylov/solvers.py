@@ -315,13 +315,13 @@ def bl_cocg(a, b, x0=None, cfg=None):
     if done:
         return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0, cfg)
     p_dir = r.copy(order="F")
+    rr = t_gram(r, r)
     converged = False
     breakdown = None
     iterations = 0
     for m in range(max_iter):
         _observe(cfg, m, {"X": x, "R": r, "P": p_dir})
         ap = block_matvec(a, p_dir)
-        rr = t_gram(r, r)
         try:
             alpha = solve_small(t_gram(p_dir, ap), rr, cfg.breakdown_pivot_floor)
         except BreakdownError as e:
@@ -337,16 +337,15 @@ def bl_cocg(a, b, x0=None, cfg=None):
         if h <= cfg.tol:
             converged = True
             break
+        rr_new = t_gram(r_new, r_new)
         try:
-            beta = solve_small(
-                rr, t_gram(r_new, r_new), cfg.breakdown_pivot_floor
-            )
+            beta = solve_small(rr, rr_new, cfg.breakdown_pivot_floor)
         except BreakdownError as e:
             breakdown = BreakdownInfo("R^T R", m, e.pivot_index, e.pivot_magnitude)
             r = r_new
             break
         p_dir = axpy_block(r_new, p_dir, beta)
-        r = r_new
+        r, rr = r_new, rr_new
     return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
 
 
@@ -425,6 +424,7 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
     fac = thin_qr(r0)
     q, xi = fac.q, fac.xi
     s = q.copy(order="F")
+    qq = t_gram(q, q)
     warned = _xi_rank_check(xi, False)
     # history[0] is the plain residual ratio; ||xi||/ref takes over once
     # the factored recurrence produces xi_1
@@ -435,7 +435,6 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
     for m in range(max_iter):
         _observe(cfg, m, {"X": x, "Q": q, "S": s, "xi": xi})
         as_ = block_matvec(a, s)
-        qq = t_gram(q, q)
         try:
             alpha_p = solve_small(t_gram(s, as_), qq, cfg.breakdown_pivot_floor)
         except BreakdownError as e:
@@ -455,15 +454,14 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
             break
         # a converged block is all noise; rank only matters while iterating
         warned = _xi_rank_check(xi, warned)
+        qq_new = t_gram(q_new, q_new)
         try:
-            beta_p = solve_small(
-                qq, tau.T @ t_gram(q_new, q_new), cfg.breakdown_pivot_floor
-            )
+            beta_p = solve_small(qq, tau.T @ qq_new, cfg.breakdown_pivot_floor)
         except BreakdownError as e:
             breakdown = BreakdownInfo("Q^T Q", m, e.pivot_index, e.pivot_magnitude)
             break
         s = axpy_block(q_new, s, beta_p)
-        q = q_new
+        q, qq = q_new, qq_new
     return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
 
 

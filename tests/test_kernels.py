@@ -9,6 +9,7 @@ stay comparable across versions.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cskrylov import kernels
 
@@ -39,8 +40,9 @@ def _run_all_kernels(n=40, p=3, seed=42):
     c = np.ascontiguousarray(_rand_block(p, p, seed + 3))
 
     out = {}
+    csr = scipy.sparse.csr_array((values, col_idx, row_ptr), shape=(n, n))
     y = np.empty((n, p), dtype=np.complex128, order="F")
-    kernels.csr_block_matvec(row_ptr, col_idx, values, v, y)
+    kernels.csr_block_matvec(csr, v, y)
     out["csr_matvec"] = y
     y2 = np.empty((n, p), dtype=np.complex128, order="F")
     kernels.dense_block_matvec(np.ascontiguousarray(dense), v, y2)
@@ -76,18 +78,31 @@ def test_kernels_match_reference_formulas(impl):
     np.testing.assert_allclose(r["qr_q"] @ r["qr_xi"], r["_v"], atol=1e-13)
 
 
+def _csr_matvec(row_ptr, col_idx, values, v):
+    n = len(row_ptr) - 1
+    csr = scipy.sparse.csr_array(
+        (
+            np.asarray(values, dtype=np.complex128),
+            np.asarray(col_idx, dtype=np.int64),
+            np.asarray(row_ptr, dtype=np.int64),
+        ),
+        shape=(n, n),
+    )
+    out = np.full(v.shape, np.nan, dtype=np.complex128, order="F")
+    kernels.csr_block_matvec(csr, v, out)
+    return out
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 def test_csr_matvec_handles_empty_rows(impl):
     # rows 0 and 2 store nothing; reductions must not bleed across rows
-    row_ptr = np.array([0, 0, 2, 2, 3], dtype=np.int64)
-    col_idx = np.array([0, 3, 1], dtype=np.int64)
-    values = np.array([2.0, 1j, -1.0], dtype=np.complex128)
     v = np.asfortranarray(np.arange(1, 9, dtype=np.complex128).reshape(4, 2))
-    out = np.empty((4, 2), dtype=np.complex128, order="F")
-    kernels.csr_block_matvec(row_ptr, col_idx, values, v, out)
+    out = _csr_matvec([0, 0, 2, 2, 3], [0, 3, 1], [2.0, 1j, -1.0], v)
     dense = np.zeros((4, 4), dtype=np.complex128)
     dense[1, 0], dense[1, 3], dense[3, 1] = 2.0, 1j, -1.0
     np.testing.assert_array_equal(out, dense @ v)
+    # a matrix that stores nothing at all maps every block to zero
+    np.testing.assert_array_equal(_csr_matvec([0] * 5, [], [], v), np.zeros((4, 2)))
 
 
 @pytest.mark.parametrize("impl", IMPLS)

@@ -213,6 +213,21 @@ class TestWriter:
         with pytest.raises(ValueError, match="refusing to write"):
             write_matrix_market(m, io.StringIO())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_refuses_non_finite(self, storage, bad):
+        # a NaN must not read as asymmetry, and an Inf must not be written
+        from cskrylov.core_la import ComplexSymmetricMatrix
+
+        if storage == "csr":
+            m = ComplexSymmetricMatrix.from_coo(2, [0, 1], [0, 1], [bad, 1.0])
+        else:
+            m = ComplexSymmetricMatrix.from_dense([[bad, 0.0], [0.0, 1.0]])
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"non-finite entries \(NaN or Inf\)"):
+            write_matrix_market(m, buf)
+        assert buf.getvalue() == ""
+
     def test_exact_output_layout(self):
         _, m = _read(f"{BANNER}\n2 2 2\n1 1 1.0 0.0\n2 1 0.0 1.0\n")
         buf = io.StringIO()

@@ -438,3 +438,68 @@ class TestSymmetryCheck:
         bl_cocg(a, b)
         bl_cocr_rq(a, b)
         assert len(scans) == 1
+
+
+class TestScipyLoading:
+    def test_scipy_loaded_only_by_a_csr_product(self):
+        # loading, generating, checking and dense solves stay scipy-free;
+        # the first CSR product is what imports scipy.sparse
+        child = textwrap.dedent(
+            """
+            import json, sys
+            import numpy as np
+            loaded = lambda: "scipy" in sys.modules
+            seen = {}
+            import cskrylov
+            seen["import"] = loaded()
+            from cskrylov import ComplexSymmetricMatrix, ProblemSpec, gen_problem
+            from cskrylov.mm_io import read_matrix_market
+            _, m = read_matrix_market(sys.argv[1])
+            seen["read"] = loaded()
+            a, b = gen_problem(ProblemSpec(n=40, p=3, kind="diagdominant", seed=3))
+            cskrylov.check_complex_symmetric(a)
+            seen["generate_and_check"] = loaded()
+            dense = ComplexSymmetricMatrix.from_dense(a.to_dense())
+            for solve in cskrylov.SOLVERS.values():
+                assert solve(dense, b).converged
+            seen["dense_solves"] = loaded()
+            m.matvec(np.ones((m.n, 1)))
+            seen["csr_matvec"] = loaded()
+            print(json.dumps(seen))
+            """
+        )
+        src = str(Path(cskrylov.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fixture = Path(__file__).parent / "fixtures" / "young1c.mtx"
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(fixture)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {
+            "import": False,
+            "read": False,
+            "generate_and_check": False,
+            "dense_solves": False,
+            "csr_matvec": True,
+        }
+
+    def test_sparse_handle_built_once_per_matrix(self, monkeypatch):
+        import scipy.sparse
+
+        a, b = _problem(seed=2)
+        builds = []
+        csr_array = scipy.sparse.csr_array
+
+        def counting(arg, *args, **kwargs):
+            if arg[0] is a.values:
+                builds.append(1)
+            return csr_array(arg, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", counting)
+        bl_cocg(a, b)
+        bl_cocr_rq(a, b)
+        assert len(builds) == 1
