@@ -125,6 +125,9 @@ def run_benchmark(args):
         norm_reference=args.norm_ref,
         record_history=True,
     )
+    # one untimed product builds the CSR product handle (and imports
+    # scipy.sparse), so no solver's cpu time is charged for it
+    m.matvec(b[:, :1])
 
     def _run(s):
         return SOLVERS[s](m, b, None, cfg)

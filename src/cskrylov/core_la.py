@@ -7,9 +7,11 @@ Block vectors (residuals, search directions, solutions) are plain numpy
 arrays of shape (n, p), complex128, Fortran order: each column is one
 right-hand side. Small coefficient matrices are (p, p) complex128 arrays.
 The matrices of interest are complex symmetric, A == A^T but A != A^H,
-so the Gram products used throughout are the unconjugated bilinear form
-V^T W, which can vanish on nonzero inputs; Cholesky and the Hermitian
-machinery of standard libraries do not apply.
+so the Gram products of the recurrences are the unconjugated bilinear
+form V^T W, which can vanish on nonzero inputs; Cholesky and the
+Hermitian machinery of standard libraries do not apply to them. The
+thin QR is the exception: its Q is orthonormal in the Hermitian sense
+(Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 """
 
 from dataclasses import dataclass
@@ -118,12 +120,17 @@ class ComplexSymmetricMatrix:
             raise ValueError("row_ptr, col_idx and values are inconsistent")
         if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= self.n):
             raise ValueError("column index out of range")
-        for i in range(self.n):
-            cols = col_idx[row_ptr[i] : row_ptr[i + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(
-                    f"column indices must increase strictly within row {i}"
-                )
+        # entry k is out of order when col_idx[k + 1] <= col_idx[k] and
+        # entry k + 1 does not start a new row
+        unordered = np.diff(col_idx) <= 0
+        starts = row_ptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < col_idx.size)] - 1] = False
+        if unordered.any():
+            k = int(np.argmax(unordered))
+            row = int(np.searchsorted(row_ptr, k, side="right")) - 1
+            raise ValueError(
+                f"column indices must increase strictly within row {row}"
+            )
         self.storage = "csr"
         self.row_ptr = row_ptr
         self.col_idx = col_idx
@@ -305,12 +312,16 @@ def t_gram(v, w):
 
 
 def thin_qr(w):
-    """Economy Householder QR of an (n, p) block with n >= p.
+    """Economy QR of an (n, p) block with n >= p.
 
-    The factor diagonal sign is fixed: columns of q are phase-scaled so
-    that xi has a real nonnegative diagonal, making factorizations
-    reproducible. Rank deficiency is not deflated; it shows up as (near)
-    zero diagonal entries of xi for consumers to act on.
+    A single column is normalized; wider blocks are factored by
+    CholeskyQR2, or by Householder QR when the block is too
+    ill-conditioned or too near rank deficiency for CholeskyQR2 (see
+    `kernels.thin_qr`). Either way xi has a real nonnegative diagonal,
+    which makes the factors unique for full-rank input and
+    factorizations reproducible. Rank deficiency is not deflated; it
+    shows up as (near) zero diagonal entries of xi for consumers to act
+    on.
 
     Parameters
     ----------

@@ -1,5 +1,6 @@
 """Shared test fixtures and helpers."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,16 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / name
+
+
+def child_env(**extra):
+    """Environment for a child Python process that imports the same
+    cskrylov package as the tests, installed or not."""
+    import cskrylov
+
+    src = str(Path(cskrylov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def require_fixture(name: str) -> Path:
@@ -34,3 +45,20 @@ def young1c():
 
     _, matrix = read_matrix_market(require_fixture("young1c.mtx"))
     return matrix
+
+
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """Shapes of the blocks that `kernels.thin_qr` hands to its Householder
+    fallback during the test."""
+    from cskrylov import kernels
+
+    calls = []
+    householder = kernels._householder_qr
+
+    def counting(w, q, xi):
+        calls.append(w.shape)
+        householder(w, q, xi)
+
+    monkeypatch.setattr(kernels, "_householder_qr", counting)
+    return calls

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from conftest import require_fixture
+from conftest import child_env, require_fixture
 from scalar_reference import scalar_cocg, scalar_cocr
 
 from cskrylov.core_la import ComplexSymmetricMatrix, fro_norm, t_gram
@@ -253,7 +253,7 @@ def test_criterion_09_cli_byte_determinism(tmp_path):
             "--gen", "diagdominant", "--n", "50", "--p", "4", "--seed", "7",
             "--out", str(out), "--history-dir", str(hist),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         outputs.append((out, hist))
 

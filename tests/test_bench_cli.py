@@ -101,6 +101,20 @@ class TestSolveCommand:
         assert report.n == 841
         assert report.rows[0].status == "converged"
 
+    def test_csr_handle_built_before_the_first_solver(self, tmp_path, monkeypatch):
+        # the one-off scipy import and handle build stay out of cpu times
+        seen = []
+        solve = SOLVERS["bl_cocg"]
+
+        def checking(a, b, x0, cfg):
+            seen.append(a._sparse is not None)
+            return solve(a, b, x0, cfg)
+
+        monkeypatch.setitem(SOLVERS, "bl_cocg", checking)
+        code, _ = _solve(tmp_path, extra=["--solvers", "bl_cocg"])
+        assert code == 0
+        assert seen == [True]
+
     def test_parallel_matches_sequential(self, tmp_path):
         _, seq = _solve(tmp_path, name="seq.csv")
         code, par = _solve(tmp_path, extra=["--parallel"], name="par.csv")

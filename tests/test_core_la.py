@@ -57,6 +57,31 @@ class TestComplexSymmetricMatrix:
         with pytest.raises(ValueError, match="inconsistent"):
             ComplexSymmetricMatrix(2, row_ptr=[0, 1, 3], col_idx=[0, 1], values=[1, 1])
 
+    @pytest.mark.parametrize(
+        "row_ptr,col_idx,row",
+        [
+            # rows 1 (decreasing) and 3 (repeated column) are bad; row 2 is empty
+            ([0, 1, 3, 3, 5], [2, 3, 1, 2, 2], 1),
+            # empty row 0, ordered row 1, then a bad last row
+            ([0, 0, 2, 4, 4], [0, 1, 3, 2], 2),
+        ],
+    )
+    def test_column_order_error_names_first_bad_row(self, row_ptr, col_idx, row):
+        with pytest.raises(
+            ValueError, match=f"column indices must increase strictly within row {row}$"
+        ):
+            ComplexSymmetricMatrix(
+                4, row_ptr=row_ptr, col_idx=col_idx, values=np.ones(len(col_idx))
+            )
+
+    def test_column_index_may_drop_across_rows(self):
+        # 2 -> 0 across rows 0 and 2, with the empty row 1 between them
+        m = ComplexSymmetricMatrix(
+            3, row_ptr=[0, 2, 2, 4], col_idx=[1, 2, 0, 2], values=[1, 2, 3, 4]
+        )
+        expected = np.array([[0, 1, 2], [0, 0, 0], [3, 0, 4]], dtype=complex)
+        np.testing.assert_array_equal(m.to_dense(), expected)
+
     def test_dense_and_csr_disjoint(self):
         with pytest.raises(ValueError, match="not both"):
             ComplexSymmetricMatrix(
@@ -134,7 +159,7 @@ class TestThinQr:
         np.testing.assert_allclose(fac.q, [[0.6], [0.8j]], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_factor_properties(self, seed):
+    def test_factor_properties(self, seed, householder_calls):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         p = int(rng.integers(1, min(n, 8) + 1))
@@ -147,6 +172,42 @@ class TestThinQr:
         assert np.allclose(np.tril(fac.xi, -1), 0.0, atol=1e-15)
         d = np.diagonal(fac.xi)
         assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
+        assert householder_calls == []
+
+    @pytest.mark.parametrize("block", ["cond_1e10", "dependent"])
+    def test_householder_fallback(self, block, householder_calls):
+        w = _rand_block(30, 2, 9)
+        if block == "cond_1e10":
+            w[:, 1] *= 1e-10
+        else:
+            w[:, 1] = w[:, 0]
+        fac = thin_qr(w)
+        assert householder_calls == [(30, 2)]
+        np.testing.assert_allclose(fac.q @ fac.xi, w, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            np.conj(fac.q.T) @ fac.q, np.eye(2), rtol=0, atol=1e-13
+        )
+        assert fac.xi[1, 0] == 0.0
+        d = np.diagonal(fac.xi)
+        assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
+
+    def test_single_column_is_normalized(self, householder_calls):
+        w = np.array([[1.0 - 2.0j], [2.0j], [4.0]], order="F")
+        fac = thin_qr(w)
+        assert householder_calls == []
+        np.testing.assert_array_equal(fac.xi, [[5.0]])
+        np.testing.assert_array_equal(fac.q, w / 5.0)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170, 1e170])
+    def test_single_column_without_a_finite_norm(self, scale, householder_calls):
+        # zero, underflowing and overflowing squared norms go to Householder,
+        # which scales its norm; a zero column gets q = e_1 and xi = 0
+        w = np.array([[3.0 * scale], [4.0j * scale]], order="F")
+        fac = thin_qr(w)
+        assert householder_calls == [(2, 1)]
+        np.testing.assert_allclose(fac.xi, [[5.0 * scale]], rtol=1e-15, atol=0)
+        q = [[0.6], [0.8j]] if scale else [[1.0], [0.0]]
+        np.testing.assert_allclose(fac.q, q, rtol=0, atol=1e-15)
 
     def test_rank_deficient_input(self):
         w = _rand_block(10, 1, 3)

@@ -117,7 +117,7 @@ def test_thin_qr_hand_case_per_backend(impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("seed", range(50))
-def test_thin_qr_properties_both_backends(impl, seed):
+def test_thin_qr_properties_both_backends(impl, seed, householder_calls):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
     p = int(rng.integers(1, min(n, 6) + 1))
@@ -130,6 +130,8 @@ def test_thin_qr_properties_both_backends(impl, seed):
     d = np.diagonal(xi)
     assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
     assert np.allclose(np.tril(xi, -1), 0.0, atol=1e-15)
+    # well-conditioned blocks never need the Householder fallback
+    assert householder_calls == []
 
 
 def test_kernel_determinism_within_backend():

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import textwrap
@@ -11,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
-import cskrylov
 from cskrylov.core_la import ComplexSymmetricMatrix, fro_norm, t_gram
 from cskrylov.oracle import ProblemSpec, direct_solve, gen_problem, gen_rhs
 from cskrylov.solvers import (
@@ -363,13 +362,10 @@ class TestDeterminism:
                               for name, fn in SOLVERS.items()}))
             """
         )
-        src = str(Path(cskrylov.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
             out = subprocess.run(
                 [sys.executable, "-c", child],
-                env=env,
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -468,12 +464,10 @@ class TestScipyLoading:
             print(json.dumps(seen))
             """
         )
-        src = str(Path(cskrylov.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         fixture = Path(__file__).parent / "fixtures" / "young1c.mtx"
         out = subprocess.run(
             [sys.executable, "-c", child, str(fixture)],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=120,
