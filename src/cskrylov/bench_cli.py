@@ -119,12 +119,7 @@ def run_benchmark(args):
             raise ValueError(
                 f"unknown solver {s!r}; available: {', '.join(SOLVERS)}"
             )
-    cfg = SolverConfig(
-        tol=args.tol,
-        max_iter=args.maxit,
-        norm_reference=args.norm_ref,
-        record_history=True,
-    )
+    cfg = SolverConfig(tol=args.tol, max_iter=args.maxit, norm_reference=args.norm_ref)
     # one untimed product builds the CSR product handle (and imports
     # scipy.sparse), so no solver's cpu time is charged for it
     m.matvec(b[:, :1])

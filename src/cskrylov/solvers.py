@@ -2,19 +2,24 @@
 Block Krylov solvers for complex symmetric systems with multiple
 right-hand sides.
 
-Four methods solve A X = B where A equals its unconjugated transpose
-(A == A^T, A != A^H) and B holds p right-hand sides as columns:
+Two recurrences (COCG, COCR), plain or residual-factored, solve
+A X = B where A equals its unconjugated transpose (A == A^T, A != A^H)
+and B holds p right-hand sides as columns:
 
 - ``bl_cocg``: block conjugate-orthogonal conjugate gradient. The
   residual blocks stay mutually conjugate-orthogonal (R_i^T R_j = O)
   and the search blocks conjugate-A-orthogonal (P_i^T A P_j = O).
 - ``bl_cocr``: block conjugate-orthogonal conjugate residual, the
   A-orthogonality counterpart (R_i^T A R_j = O, (AP_i)^T (AP_j) = O).
-- ``bl_cocg_rq`` / ``bl_cocr_rq``: the same recurrences rewritten so
-  each residual block is kept QR-factored, R_m = Q_m xi_m. Working
-  with the orthonormal Q_m preserves the linear independence of the
-  residual columns, which is what degrades first in the plain methods,
-  and the residual norm falls out for free as ||xi_m||_F.
+- ``bl_cocg_rq`` / ``bl_cocr_rq``: the same recurrences with each
+  residual block kept QR-factored, R_m = Q_m xi_m. Working with the
+  orthonormal Q_m preserves the linear independence of the residual
+  columns, which is what degrades first in the plain methods, and the
+  residual norm falls out for free as ||xi_m||_F.
+
+Each recurrence is written once (`_cocg`, `_cocr`); the plain method
+is its unfactored case, Q_m = R_m and xi_m = tau_m = I, with the
+products by those identities skipped rather than taken.
 
 Every method applies the operator exactly once per iteration after
 setup. Convergence is declared on the recursive residual; the true
@@ -78,10 +83,6 @@ class SolverConfig:
     norm_reference : str
         "rhs" normalizes residuals by ||B||_F, "r0" by ||R_0||_F.
         They coincide when x0 is zero.
-    record_history : bool
-        False keeps only the first and last history entries.
-    breakdown_pivot_floor : float
-        Relative pivot threshold handed to the small Gram solves.
     observer : callable or None
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
@@ -93,8 +94,6 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: Optional[int] = None
     norm_reference: str = "rhs"
-    record_history: bool = True
-    breakdown_pivot_floor: float = 1e-14
     observer: Optional[Callable] = None
 
     def __post_init__(self):
@@ -210,9 +209,9 @@ def true_relative_residual(a, b, x):
 
 
 def _setup(a, b, x0, cfg):
-    """Validation and initial residual shared by all solvers.
+    """Validation and initial residual shared by both recurrences.
 
-    Returns (cfg, x, r0, ref, h0, max_iter, done) where done flags an
+    Returns (cfg, b, x, r0, ref, h0, max_iter, done) where done flags an
     immediate exit: the initial residual already meets tol, is exactly
     zero, or is not finite.
     """
@@ -250,29 +249,34 @@ def _setup(a, b, x0, cfg):
     return cfg, b, x, r0, ref, h0, max_iter, done
 
 
-def _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg):
-    """TRR recomputation, history trimming, result assembly."""
-    trr = true_relative_residual(a, b, x)
-    if not cfg.record_history and len(history) > 2:
-        history = [history[0], history[-1]]
+def _finalize(a, b, x, iterations, converged, history, breakdown, t0):
+    """TRR recomputation and result assembly."""
     return SolveResult(
         x=x,
         iterations=iterations,
         converged=converged,
-        trr=trr,
+        trr=true_relative_residual(a, b, x),
         history=history,
         breakdown=breakdown,
         elapsed=time.perf_counter() - t0,
     )
 
 
-def _observe(cfg, m, state):
+def _observe(cfg, m, keys, blocks, xi):
+    """Hand the observer this iteration's blocks by symbol, xi last."""
     if cfg.observer is not None:
+        state = dict(zip(keys, blocks))
+        if xi is not None:
+            state["xi"] = xi
         cfg.observer(m, state)
 
 
 def _xi_rank_check(xi, warned):
-    """Warn once per run when xi's diagonal spans more than _RANK_FLOOR."""
+    """Warn once per run when xi's diagonal spans more than _RANK_FLOOR.
+
+    Called from a recurrence loop only, so that the warning points at
+    the caller of the public solver.
+    """
     d = np.abs(np.diag(xi))
     top = d.max()
     if not warned and top > 0.0 and d.min() < _RANK_FLOOR * top:
@@ -280,10 +284,136 @@ def _xi_rank_check(xi, warned):
             f"residual block lost numerical rank: smallest xi diagonal is "
             f"{d.min():.3e} against largest {top:.3e}",
             RankLossWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return True
     return warned
+
+
+def _factor(r, factored):
+    """(Q_0, xi_0) of the initial residual; unfactored, (R_0, None)."""
+    if not factored:
+        return r, None
+    fac = thin_qr(r)
+    return fac.q, fac.xi
+
+
+def _advance(x, s, q, w, alpha, xi, ref):
+    """The solution and residual step both recurrences share.
+
+    X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
+    as Q_{m+1} tau_{m+1}, giving xi_{m+1} = tau_{m+1} xi_m. Unfactored
+    (xi is None) the residual Q_m - W alpha is Q_{m+1} itself: no QR is
+    taken and no product with xi or tau is formed.
+
+    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ref),
+    with tau and xi None when unfactored.
+    """
+    x = axpy_block(x, s, alpha if xi is None else alpha @ xi)
+    q = axpy_block(q, w, -alpha)
+    if xi is None:
+        return x, q, None, None, fro_norm(q) / ref
+    fac = thin_qr(q)
+    xi = fac.xi @ xi
+    return x, fac.q, fac.xi, xi, fro_norm(xi) / ref
+
+
+def _cocg(a, b, x0, cfg, factored):
+    """Block COCG on R_m = Q_m xi_m, or on R_m itself when not factored.
+
+    In the factored form the search block is S_m and the Grams are
+    S^T A S and Q^T Q; unfactored they are named P^T A P and R^T R.
+    The Gram Q^T Q of one iteration is reused in the next, so each
+    iteration forms two Gram products.
+    """
+    t0 = time.perf_counter()
+    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
+    history = [h0]
+    if done:
+        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0)
+    q, xi = _factor(r, factored)
+    warned = factored and _xi_rank_check(xi, False)
+    keys = ("X", "Q", "S") if factored else ("X", "R", "P")
+    grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
+    s = q.copy(order="F")
+    qq = t_gram(q, q)
+    converged, breakdown, iterations = False, None, 0
+    for m in range(max_iter):
+        _observe(cfg, m, keys, (x, q, s), xi)
+        as_ = block_matvec(a, s)
+        try:
+            alpha = solve_small(t_gram(s, as_), qq)
+        except BreakdownError as e:
+            breakdown = BreakdownInfo(grams[0], m, e.pivot_index, e.pivot_magnitude)
+            break
+        x, q_new, tau, xi, h = _advance(x, s, q, as_, alpha, xi, ref)
+        history.append(h)
+        iterations = m + 1
+        if not math.isfinite(h) or h <= cfg.tol:
+            converged = h <= cfg.tol
+            break
+        # a converged block is all noise; rank only matters while iterating
+        if factored:
+            warned = _xi_rank_check(xi, warned)
+        qq_new = t_gram(q_new, q_new)
+        try:
+            beta = solve_small(qq, tau.T @ qq_new if factored else qq_new)
+        except BreakdownError as e:
+            breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
+            break
+        s = axpy_block(q_new, s, beta)
+        q, qq = q_new, qq_new
+    return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
+
+
+def _cocr(a, b, x0, cfg, factored):
+    """Block COCR on R_m = Q_m xi_m, or on R_m itself when not factored.
+
+    V_m = A Q_m is the one operator application per iteration, and
+    U_m = A S_m advances by recurrence. The right-hand side of the alpha
+    system and the matrix of the beta system is Q^T V (R^T V unfactored);
+    see `bl_cocr_rq` for why not Q^T U.
+    """
+    t0 = time.perf_counter()
+    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
+    history = [h0]
+    if done:
+        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0)
+    q, xi = _factor(r, factored)
+    warned = factored and _xi_rank_check(xi, False)
+    keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
+    s = q.copy(order="F")
+    v = block_matvec(a, q)
+    u = v.copy(order="F")
+    qv = t_gram(q, v)
+    converged, breakdown, iterations = False, None, 0
+    for m in range(max_iter):
+        _observe(cfg, m, keys, (x, q, s, u, v), xi)
+        try:
+            alpha = solve_small(t_gram(u, u), qv)
+        except BreakdownError as e:
+            breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
+            break
+        x, q_new, tau, xi, h = _advance(x, s, q, u, alpha, xi, ref)
+        history.append(h)
+        iterations = m + 1
+        if not math.isfinite(h) or h <= cfg.tol:
+            converged = h <= cfg.tol
+            break
+        if factored:
+            warned = _xi_rank_check(xi, warned)
+        v_new = block_matvec(a, q_new)
+        qv_new = t_gram(q_new, v_new)
+        try:
+            beta = solve_small(qv, tau.T @ qv_new if factored else qv_new)
+        except BreakdownError as e:
+            system = "Q^T V" if factored else "R^T V"
+            breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
+            break
+        s = axpy_block(q_new, s, beta)
+        u = axpy_block(v_new, u, beta)
+        q, v, qv = q_new, v_new, qv_new
+    return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
 
 
 def bl_cocg(a, b, x0=None, cfg=None):
@@ -309,44 +439,7 @@ def bl_cocg(a, b, x0=None, cfg=None):
     -------
     SolveResult
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    history = [h0]
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0, cfg)
-    p_dir = r.copy(order="F")
-    rr = t_gram(r, r)
-    converged = False
-    breakdown = None
-    iterations = 0
-    for m in range(max_iter):
-        _observe(cfg, m, {"X": x, "R": r, "P": p_dir})
-        ap = block_matvec(a, p_dir)
-        try:
-            alpha = solve_small(t_gram(p_dir, ap), rr, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("P^T A P", m, e.pivot_index, e.pivot_magnitude)
-            break
-        x = axpy_block(x, p_dir, alpha)
-        r_new = axpy_block(r, ap, -alpha)
-        h = fro_norm(r_new) / ref
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h):
-            break
-        if h <= cfg.tol:
-            converged = True
-            break
-        rr_new = t_gram(r_new, r_new)
-        try:
-            beta = solve_small(rr, rr_new, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("R^T R", m, e.pivot_index, e.pivot_magnitude)
-            r = r_new
-            break
-        p_dir = axpy_block(r_new, p_dir, beta)
-        r, rr = r_new, rr_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
+    return _cocg(a, b, x0, cfg, factored=False)
 
 
 def bl_cocr(a, b, x0=None, cfg=None):
@@ -360,47 +453,7 @@ def bl_cocr(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    history = [h0]
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0, cfg)
-    p_dir = r.copy(order="F")
-    v = block_matvec(a, r)
-    u = v.copy(order="F")
-    rv = t_gram(r, v)
-    converged = False
-    breakdown = None
-    iterations = 0
-    for m in range(max_iter):
-        _observe(cfg, m, {"X": x, "R": r, "P": p_dir, "U": u, "V": v})
-        try:
-            alpha = solve_small(t_gram(u, u), rv, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
-            break
-        x = axpy_block(x, p_dir, alpha)
-        r_new = axpy_block(r, u, -alpha)
-        h = fro_norm(r_new) / ref
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h):
-            break
-        if h <= cfg.tol:
-            converged = True
-            break
-        v_new = block_matvec(a, r_new)
-        rv_new = t_gram(r_new, v_new)
-        try:
-            beta = solve_small(rv, rv_new, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("R^T V", m, e.pivot_index, e.pivot_magnitude)
-            r = r_new
-            break
-        p_dir = axpy_block(r_new, p_dir, beta)
-        u = axpy_block(v_new, u, beta)
-        r, v, rv = r_new, v_new, rv_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
+    return _cocr(a, b, x0, cfg, factored=False)
 
 
 def bl_cocg_rq(a, b, x0=None, cfg=None):
@@ -417,52 +470,7 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r0, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, [h0], None, t0, cfg)
-    fac = thin_qr(r0)
-    q, xi = fac.q, fac.xi
-    s = q.copy(order="F")
-    qq = t_gram(q, q)
-    warned = _xi_rank_check(xi, False)
-    # history[0] is the plain residual ratio; ||xi||/ref takes over once
-    # the factored recurrence produces xi_1
-    history = [h0]
-    converged = False
-    breakdown = None
-    iterations = 0
-    for m in range(max_iter):
-        _observe(cfg, m, {"X": x, "Q": q, "S": s, "xi": xi})
-        as_ = block_matvec(a, s)
-        try:
-            alpha_p = solve_small(t_gram(s, as_), qq, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("S^T A S", m, e.pivot_index, e.pivot_magnitude)
-            break
-        x = axpy_block(x, s, alpha_p @ xi)
-        fac = thin_qr(axpy_block(q, as_, -alpha_p))
-        q_new, tau = fac.q, fac.xi
-        xi = tau @ xi
-        h = fro_norm(xi) / ref
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h):
-            break
-        if h <= cfg.tol:
-            converged = True
-            break
-        # a converged block is all noise; rank only matters while iterating
-        warned = _xi_rank_check(xi, warned)
-        qq_new = t_gram(q_new, q_new)
-        try:
-            beta_p = solve_small(qq, tau.T @ qq_new, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("Q^T Q", m, e.pivot_index, e.pivot_magnitude)
-            break
-        s = axpy_block(q_new, s, beta_p)
-        q, qq = q_new, qq_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
+    return _cocg(a, b, x0, cfg, factored=True)
 
 
 def bl_cocr_rq(a, b, x0=None, cfg=None):
@@ -485,52 +493,7 @@ def bl_cocr_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r0, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, [h0], None, t0, cfg)
-    fac = thin_qr(r0)
-    q, xi = fac.q, fac.xi
-    s = q.copy(order="F")
-    v = block_matvec(a, q)
-    u = v.copy(order="F")
-    warned = _xi_rank_check(xi, False)
-    history = [h0]
-    converged = False
-    breakdown = None
-    iterations = 0
-    qv = t_gram(q, v)
-    for m in range(max_iter):
-        _observe(cfg, m, {"X": x, "Q": q, "S": s, "U": u, "V": v, "xi": xi})
-        try:
-            alpha_p = solve_small(t_gram(u, u), qv, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
-            break
-        x = axpy_block(x, s, alpha_p @ xi)
-        fac = thin_qr(axpy_block(q, u, -alpha_p))
-        q_new, tau = fac.q, fac.xi
-        xi = tau @ xi
-        h = fro_norm(xi) / ref
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h):
-            break
-        if h <= cfg.tol:
-            converged = True
-            break
-        warned = _xi_rank_check(xi, warned)
-        v_new = block_matvec(a, q_new)
-        qv_new = t_gram(q_new, v_new)
-        try:
-            beta_p = solve_small(qv, tau.T @ qv_new, cfg.breakdown_pivot_floor)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("Q^T V", m, e.pivot_index, e.pivot_magnitude)
-            break
-        s = axpy_block(q_new, s, beta_p)
-        u = axpy_block(v_new, u, beta_p)
-        q, v, qv = q_new, v_new, qv_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0, cfg)
+    return _cocr(a, b, x0, cfg, factored=True)
 
 
 # benchmark-facing registry; insertion order is the default run order
