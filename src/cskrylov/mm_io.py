@@ -10,11 +10,26 @@ full storage on read; the writer emits coordinate complex symmetric
 (lower triangle only) with 17 significant digits so a write/read cycle
 reproduces the matrix exactly.
 
+Entries have one parse path: numpy's C text reader (np.loadtxt, "%"
+comments) over the entry section, with Fortran D exponents mapped to E.
+The per-entry rules then run as checks over whole arrays: the entry
+count, index bounds, the stored triangle of each symmetry and, with
+1-based indices, duplicates. When loadtxt fails, when it would split the
+section into lines or comments differently from str.splitlines (a "%"
+after the values, a lone carriage return, a form feed), or when a check
+fails, a diagnosis-only line scan finds the first entry line the format
+rejects and raises its message. The scan converts tokens with int() and
+float() and builds no matrix, so the reader accepts exactly the files a
+line-by-line reader accepts, with the same messages.
+
 Strictness notes: duplicate coordinate entries are rejected rather than
 summed (a corrupt download should fail loudly), and pattern files are
 rejected outright since they carry no values to solve with.
 """
 
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,18 +58,38 @@ class MatrixMarketHeader:
     symmetry: str
 
 
-def _source_text(source):
-    """Pull the full text out of a path, byte string or file object."""
+# str.splitlines() ends a line at any of these; loadtxt only at \n and \r\n
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x85")
+_EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
+
+
+def _source(source):
+    """The file as text and as bytes, one byte per character.
+
+    Bytes are decoded as latin-1, which never fails; MM files are ASCII
+    anyway. A text source beyond latin-1 gets "?" in the bytes for each
+    such character: loadtxt skips it in a comment and rejects it in an
+    entry, which sends that entry to the line scan of the text.
+    """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     elif isinstance(source, bytes):
         data = source
     else:
         data = source.read()
-    if isinstance(data, bytes):
-        # latin-1 never fails and MM files are ASCII anyway
-        data = data.decode("latin-1")
-    return data
+    if isinstance(data, str):
+        return data, data.encode("latin-1", "replace")
+    return data.decode("latin-1"), data
+
+
+def _lines(text, pos):
+    """Yield (line, end) from pos on, split where str.splitlines splits."""
+    while pos < len(text):
+        m = _LINE.match(text, pos)
+        pos = m.end()
+        yield m.group(1), pos
 
 
 def _fortran_float(tok):
@@ -84,14 +119,14 @@ def _parse_banner(line):
 
 
 def _entry_value(tokens, field, line):
-    """Decode the value part of an entry line (everything after indices)."""
+    """Check the value part of an entry line (everything after indices)."""
     if field == "complex":
         if len(tokens) != 2:
             raise ValueError(f"complex entry needs two values: {line!r}")
-        return complex(_fortran_float(tokens[0]), _fortran_float(tokens[1]))
-    if len(tokens) != 1:
+    elif len(tokens) != 1:
         raise ValueError(f"{field} entry needs one value: {line!r}")
-    return complex(_fortran_float(tokens[0]), 0.0)
+    for tok in tokens:
+        _fortran_float(tok)
 
 
 def read_matrix_market(source):
@@ -117,74 +152,42 @@ def read_matrix_market(source):
         Malformed banner, pattern field, bad size line, entry count
         mismatch, out-of-bounds or duplicate indices, non-square shape.
     """
-    text = _source_text(source)
-    lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos == len(lines):
+    text, data = _source(source)
+    lines = _lines(text, 0)
+    for line, pos in lines:
+        if line.strip():
+            break
+    else:
         raise ValueError("empty input, no banner line")
-    header = _parse_banner(lines[pos])
-    pos += 1
+    header = _parse_banner(line)
     if header.field == "pattern":
         raise ValueError("pattern matrices carry no values and cannot be solved")
-    while pos < len(lines) and (
-        not lines[pos].strip() or lines[pos].lstrip().startswith("%")
-    ):
-        pos += 1
-    if pos == len(lines):
+    for line, pos in lines:
+        if line.strip() and not line.lstrip().startswith("%"):
+            break
+    else:
         raise ValueError("missing size line")
     if header.format == "coordinate":
-        matrix = _coordinate_matrix(lines, pos, header)
+        matrix = _coordinate_matrix(text, data, pos, header, line)
     else:
-        matrix = _array_matrix(lines, pos, header)
+        matrix = _array_matrix(text, data, pos, header, line)
     return header, matrix
 
 
-def _coordinate_matrix(lines, pos, header):
-    size_tokens = lines[pos].split()
-    pos += 1
+def _coordinate_matrix(text, data, pos, header, size_line):
+    size_tokens = size_line.split()
     if len(size_tokens) != 3:
         raise ValueError(
-            f"coordinate size line needs 'rows cols nnz': {lines[pos - 1]!r}"
+            f"coordinate size line needs 'rows cols nnz': {size_line!r}"
         )
     nrows, ncols, nnz = (int(t) for t in size_tokens)
     if nrows != ncols:
         raise ValueError(f"only square matrices are supported, got {nrows}x{ncols}")
     n = nrows
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.complex128)
-    got = 0
-    for line in lines[pos:]:
-        if not line.strip() or line.lstrip().startswith("%"):
-            continue
-        if got >= nnz:
-            raise ValueError(
-                f"entry count mismatch: size line declares {nnz}, file has more"
-            )
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ValueError(f"bad entry line: {line!r}")
-        i, j = int(tokens[0]), int(tokens[1])
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"index ({i}, {j}) out of bounds for order {n}")
-        if header.symmetry in ("symmetric", "hermitian") and i < j:
-            raise ValueError(
-                f"{header.symmetry} storage must keep row >= col, got ({i}, {j})"
-            )
-        if header.symmetry == "skew-symmetric" and i <= j:
-            raise ValueError(
-                f"skew-symmetric storage must keep row > col, got ({i}, {j})"
-            )
-        rows[got] = i - 1
-        cols[got] = j - 1
-        vals[got] = _entry_value(tokens[2:], header.field, line)
-        got += 1
-    if got != nnz:
-        raise ValueError(
-            f"entry count mismatch: size line declares {nnz}, file has {got}"
-        )
+    table = _entries(text, data, pos, header, n, vals)
+    rows = table["i"] - 1
+    cols = table["j"] - 1
     if nnz:
         order = np.lexsort((cols, rows))
         srows, scols = rows[order], cols[order]
@@ -207,13 +210,10 @@ def _coordinate_matrix(lines, pos, header):
     return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
 
 
-def _array_matrix(lines, pos, header):
-    size_tokens = lines[pos].split()
-    pos += 1
+def _array_matrix(text, data, pos, header, size_line):
+    size_tokens = size_line.split()
     if len(size_tokens) != 2:
-        raise ValueError(
-            f"array size line needs 'rows cols': {lines[pos - 1]!r}"
-        )
+        raise ValueError(f"array size line needs 'rows cols': {size_line!r}")
     nrows, ncols = (int(t) for t in size_tokens)
     if nrows != ncols:
         raise ValueError(f"only square matrices are supported, got {nrows}x{ncols}")
@@ -225,33 +225,16 @@ def _array_matrix(lines, pos, header):
     else:
         expected = n * (n + 1) // 2
     values = np.empty(expected, dtype=np.complex128)
-    got = 0
-    for line in lines[pos:]:
-        if not line.strip() or line.lstrip().startswith("%"):
-            continue
-        if got >= expected:
-            raise ValueError(
-                f"entry count mismatch: array needs {expected} values, file has more"
-            )
-        values[got] = _entry_value(line.split(), header.field, line)
-        got += 1
-    if got != expected:
-        raise ValueError(
-            f"entry count mismatch: array needs {expected} values, file has {got}"
-        )
+    _entries(text, data, pos, header, n, values)
     dense = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    # array data runs down columns
-    for j in range(n):
-        if header.symmetry == "general":
-            i0 = 0
-        elif header.symmetry == "skew-symmetric":
-            i0 = j + 1
-        else:
-            i0 = j
-        for i in range(i0, n):
-            dense[i, j] = values[k]
-            k += 1
+    # array data runs down columns; packed storage keeps the lower
+    # triangle, whose column-major order is the row-major order of the
+    # upper triangle's transpose
+    if header.symmetry == "general":
+        dense[:] = values.reshape(n, n).T
+    else:
+        cols, rows = np.triu_indices(n, k=int(header.symmetry == "skew-symmetric"))
+        dense[rows, cols] = values
     if header.symmetry == "symmetric":
         dense = dense + dense.T - np.diag(np.diag(dense))
     elif header.symmetry == "skew-symmetric":
@@ -259,6 +242,149 @@ def _array_matrix(lines, pos, header):
     elif header.symmetry == "hermitian":
         dense = dense + np.conj(dense.T) - np.diag(np.diag(dense))
     return ComplexSymmetricMatrix.from_dense(dense)
+
+
+def _entries(text, data, pos, header, n, values):
+    """Parse the entry section that starts at pos into values.
+
+    Returns the parsed table, with int64 fields i and j (the 1-based
+    indices) for coordinate files. When loadtxt cannot read the section
+    as the line scan would, or an entry breaks a rule, _diagnose raises
+    the line scan's message.
+    """
+    fields = []
+    if header.format == "coordinate":
+        fields += [("i", np.int64), ("j", np.int64)]
+    fields.append(("re", np.float64))
+    if header.field == "complex":
+        fields.append(("im", np.float64))
+    dtype = np.dtype(fields)
+    table = None
+    if _loadtxt_splits_alike(data, pos):
+        try:
+            table = _loadtxt(data, pos, dtype)
+        except ValueError:
+            pass
+    if table is None or not _entries_hold(table, header, n, values.size):
+        _diagnose(text, pos, header, n, values.size)
+        # the line scan accepted the section: it holds breaks or spellings
+        # that only str.splitlines, int() and float() read
+        table = _loadtxt(_ascii_spelling(text[pos:]), 0, dtype)
+    values.real = table["re"]
+    values.imag = table["im"] if header.field == "complex" else 0.0
+    return table
+
+
+def _loadtxt_splits_alike(data, pos):
+    """True if loadtxt splits data[pos:] into the lines the line scan sees.
+
+    loadtxt ends lines only at \n and \r\n, and takes a "%" anywhere as
+    the start of a comment; the line scan ends lines at every
+    str.splitlines break and takes only a line that starts with "%" as
+    a comment.
+    """
+    if any(data.find(c, pos) >= 0 for c in _OTHER_BREAKS):
+        return False
+    lone_cr = data.find(b"\r", pos) >= 0 and (
+        data.count(b"\r", pos) != data.count(b"\r\n", pos)
+    )
+    if lone_cr:
+        return False
+    start = data.find(b"%", pos)
+    while start >= 0:
+        if data[max(data.rfind(b"\n", pos, start) + 1, pos) : start].strip(b" \t"):
+            return False
+        end = data.find(b"\n", start)
+        start = data.find(b"%", end) if end >= 0 else -1
+    return True
+
+
+def _loadtxt(data, pos, dtype):
+    """Parse data[pos:] with numpy's C reader, D exponents read as E."""
+    if data.find(b"D", pos) >= 0 or data.find(b"d", pos) >= 0:
+        data, pos = data[pos:].translate(_EXPONENTS), 0
+    stream = io.BytesIO(data)
+    stream.seek(pos)
+    with warnings.catch_warnings():
+        # an empty section is the entry count check's to report
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(
+            stream, dtype=dtype, comments="%", encoding="latin-1", ndmin=1
+        )
+
+
+def _entries_hold(table, header, n, count):
+    """True if the parsed entries pass the line scan's rules."""
+    if len(table) != count:
+        return False
+    if header.format != "coordinate":
+        return True
+    i, j = table["i"], table["j"]
+    if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
+        return False
+    if header.symmetry in ("symmetric", "hermitian"):
+        return not np.any(i < j)
+    if header.symmetry == "skew-symmetric":
+        return not np.any(i <= j)
+    return True
+
+
+def _diagnose(text, pos, header, n, count):
+    """Raise the error of the first entry line the format rejects.
+
+    Scans the entry section line by line, converting each token with
+    int() and float(), and builds nothing. Returns only if every line
+    passes and the entry count matches.
+    """
+    if header.format == "coordinate":
+        declared = f"size line declares {count}"
+    else:
+        declared = f"array needs {count} values"
+    got = 0
+    for line, _ in _lines(text, pos):
+        if not line.strip() or line.lstrip().startswith("%"):
+            continue
+        if got >= count:
+            raise ValueError(f"entry count mismatch: {declared}, file has more")
+        tokens = line.split()
+        if header.format == "coordinate":
+            if len(tokens) < 2:
+                raise ValueError(f"bad entry line: {line!r}")
+            i, j = int(tokens[0]), int(tokens[1])
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"index ({i}, {j}) out of bounds for order {n}")
+            if header.symmetry in ("symmetric", "hermitian") and i < j:
+                raise ValueError(
+                    f"{header.symmetry} storage must keep row >= col, got ({i}, {j})"
+                )
+            if header.symmetry == "skew-symmetric" and i <= j:
+                raise ValueError(
+                    f"skew-symmetric storage must keep row > col, got ({i}, {j})"
+                )
+            tokens = tokens[2:]
+        _entry_value(tokens, header.field, line)
+        got += 1
+    if got != count:
+        raise ValueError(f"entry count mismatch: {declared}, file has {got}")
+
+
+def _ascii_spelling(text):
+    """Respell entries that the line scan accepted so that loadtxt reads them.
+
+    Every str.splitlines break becomes a newline, other whitespace a
+    blank, and each decimal digit its ASCII digit; digit-grouping
+    underscores go. int() and float() read every token to the same
+    value before and after.
+    """
+    table = {ord("_"): None}
+    for c in set(text):
+        if c in _BREAKS:
+            table[ord(c)] = "\n"
+        elif c.isspace():
+            table[ord(c)] = " "
+        elif c.isdecimal():
+            table[ord(c)] = str(int(c))
+    return text.translate(table).encode("latin-1", "replace")
 
 
 def write_matrix_market(m, dest, comments=()):
@@ -304,11 +430,11 @@ def write_matrix_market(m, dest, comments=()):
     out = ["%%MatrixMarket matrix coordinate complex symmetric"]
     out.extend(f"% {c}" if c else "%" for c in comments)
     out.append(f"{m.n} {m.n} {len(vals)}")
-    out.extend(
-        f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}"
-        for i, j, v in zip(rows, cols, vals)
-    )
-    text = "\n".join(out) + "\n"
+    # one format over the flattened entry columns; indices pass through
+    # float64 exactly, being far below 2**53
+    cells = np.column_stack((rows + 1, cols + 1, vals.real, vals.imag))
+    body = ("%d %d %.17g %.17g\n" * len(vals)) % tuple(cells.ravel().tolist())
+    text = "\n".join(out) + "\n" + body
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text)
     else:

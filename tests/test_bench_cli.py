@@ -158,6 +158,16 @@ class TestExitCodes:
         assert code == 2
         assert "check_complex_symmetric" in capsys.readouterr().err
 
+    def test_malformed_matrix_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex symmetric\n"
+            "2 2 3\n1 1 1.0 0.0\n2 1 1.0 0.0\n2 1 2.0 0.0\n"
+        )
+        code = main(["solve", "--matrix", str(path)])
+        assert code == 2
+        assert "error: duplicate entry at (2, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_matrix_refused(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.mtx"

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from mm_reference import read_matrix_market as reference_read
 
 from cskrylov.mm_io import read_matrix_market, write_matrix_market
 from cskrylov.oracle import ProblemSpec, gen_problem
@@ -158,6 +159,100 @@ class TestCoordinateErrors:
     def test_bad_numeric_token(self):
         with pytest.raises(ValueError, match="bad numeric token"):
             _read(f"{BANNER}\n1 1 1\n1 1 abc 0\n")
+
+
+def _outcome(read, source):
+    """What a reader makes of source: the matrix bits, or the error."""
+    try:
+        header, m = read(source)
+    except Exception as e:  # raw int() and numpy errors are outcomes too
+        return type(e), str(e)
+    arrays = (m.dense,) if m.storage == "dense" else (m.row_ptr, m.col_idx, m.values)
+    return (
+        (header.object, header.format, header.field, header.symmetry),
+        m.storage,
+        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+    )
+
+
+COORD = "%%MatrixMarket matrix coordinate"
+ARRAY = "%%MatrixMarket matrix array"
+LINE_READER_CASES = {
+    "fortran-exponents": f"{BANNER}\n2 2 2\n1 1 1.5D+03 -2.5d-01\n2 1 1d0 0D0\n",
+    "d-in-index": f"{BANNER}\n2 2 1\n2d0 1 1 0\n",
+    "tabs": f"{BANNER}\n2 2 2\n1\t1\t1.0\t0.0\n\t2 1 0.5\t\t-1 \n",
+    "crlf": f"{BANNER}\r\n% c\r\n2 2 2\r\n1 1 1 0\r\n2 1 0 1\r\n",
+    "lone-cr": f"{BANNER}\r2 2 2\r1 1 1 0\r2 1 0 1\r",
+    "form-feed-line-break": f"{BANNER}\n2 2 2\n1 1 1 0\x0c2 1 0 1\n",
+    "comments-and-blanks-between-entries": (
+        f"{BANNER}\n2 2 2\n\n% c\n1 1 1 0\n  \t\n  % c\n2 1 0 1\n% end\n"
+    ),
+    "percent-after-values": f"{BANNER}\n2 2 2\n1 1 1 0 % c\n2 1 0 1\n",
+    "percent-in-value": f"{BANNER}\n1 1 1\n1 1 1%0 0\n",
+    "plus-index": f"{BANNER}\n2 2 2\n+1 1 1 0\n2 +1 0 1\n",
+    "float-index": f"{BANNER}\n2 2 2\n1.0 1 1 0\n2 1 0 1\n",
+    "underscore-digits": f"{BANNER}\n2 2 2\n1 1 1_0.5 0\n2 1 0 1_0\n",
+    "special-values": f"{BANNER}\n2 2 2\n1 1 nan -inf\n2 1 Infinity 1e400\n",
+    "bad-numeric-token": f"{BANNER}\n1 1 1\n1 1 abc 0\n",
+    "missing-value": f"{BANNER}\n2 2 2\n1 1 1.0\n2 1 0 1\n",
+    "extra-value": f"{BANNER}\n2 2 2\n1 1 1 0\n2 1 0 1 2\n",
+    "missing-index": f"{BANNER}\n1 1 1\n1\n",
+    "out-of-range": f"{BANNER}\n2 2 2\n1 1 1 0\n3 1 0 1\n",
+    "upper-triangle": f"{BANNER}\n2 2 2\n1 1 1 0\n1 2 0 1\n",
+    "skew-diagonal": f"{COORD} real skew-symmetric\n2 2 1\n1 1 3\n",
+    "duplicate": f"{BANNER}\n2 2 3\n2 1 1 0\n1 1 1 0\n2 1 2 0\n",
+    "too-few": f"{BANNER}\n2 2 3\n1 1 1 0\n2 1 0 1\n",
+    "too-many": f"{BANNER}\n2 2 1\n1 1 1 0\n2 1 bad\n",
+    "negative-count": f"{BANNER}\n2 2 -1\n",
+    "negative-order": f"{COORD} real general\n-2 -2 1\n1 1 1\n",
+    "index-beyond-int64": f"{BANNER}\n2 2 1\n99999999999999999999 1 1 0\n",
+    "order-beyond-int64": f"{COORD} real general\n{10**20} {10**20} 2\n1 1 1\n2 1 2\n",
+    "no-entries": f"{BANNER}\n3 3 0\n% nothing\n",
+    "integer-field": f"{COORD} integer general\n2 2 3\n1 2 7\n2 1 -3\n2 2 4.5\n",
+    "hermitian": f"{COORD} complex hermitian\n2 2 2\n1 1 1 0\n2 1 1 2\n",
+    "array-general": f"{ARRAY} complex general\n2 2\n1 0\n2 1\n3 0\n4 -1\n",
+    "array-symmetric": f"{ARRAY} real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n",
+    "array-skew-symmetric": f"{ARRAY} integer skew-symmetric\n3 3\n1\n2\n3\n",
+    "array-hermitian": f"{ARRAY} complex hermitian\n2 2\n1 0\n2 1\n3 0\n",
+    "array-too-many": f"{ARRAY} real general\n1 1\n1\n2\n",
+    "array-two-values-in-real": f"{ARRAY} real general\n1 1\n1 2\n",
+}
+
+
+class TestAgainstLineReader:
+    """The reader against the frozen line-by-line reader in mm_reference."""
+
+    @pytest.mark.parametrize("text", LINE_READER_CASES.values(), ids=LINE_READER_CASES)
+    def test_same_outcome(self, text):
+        assert _outcome(read_matrix_market, text.encode()) == _outcome(
+            reference_read, text.encode()
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{BANNER}\n2 2 2\n1 1 1.5 -2\n% c\n2 1 0 1\n",
+            f"{ARRAY} real symmetric\n2 2\n1\n2\n3\n",
+        ],
+        ids=["coordinate", "array"],
+    )
+    def test_every_byte_anywhere_in_the_entries(self, text):
+        # loadtxt and str.splitlines/split disagree on some line breaks,
+        # separators and comment marks, so try every byte everywhere
+        data = text.encode()
+        after_size_line = data.index(b"\n", data.index(b"\n") + 1) + 1
+        for pos in range(after_size_line, len(data) + 1):
+            for byte in range(256):
+                mutated = data[:pos] + bytes([byte]) + data[pos:]
+                assert _outcome(read_matrix_market, mutated) == _outcome(
+                    reference_read, mutated
+                ), mutated
+
+    def test_text_source_beyond_latin1(self):
+        text = f"{BANNER}\n% \u4e2d\n1 1 1\n\u0661 1 2.\u0665 0\n"
+        assert _outcome(read_matrix_market, io.StringIO(text)) == _outcome(
+            reference_read, io.StringIO(text)
+        )
 
 
 class TestArrayRead:
