@@ -14,6 +14,8 @@ thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 """
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +349,15 @@ def solve_small(m, rhs, pivot_floor=1e-14):
     """Solve the p-by-p system M Z = RHS by LU with partial pivoting.
 
     The Gram matrices this solves are complex symmetric, not Hermitian,
-    so Cholesky is unsound and partial-pivoted LU is used instead.
+    so Cholesky is unsound and partial-pivoted LU is used instead. A
+    1-by-1 system is one complex division. Larger systems go to LAPACK
+    ``zgesv`` in the library numpy itself links (see `_zgesv`), which
+    picks each pivot by the largest |re| + |im| in its column, as
+    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, and
+    where LAPACK stops at an exact zero pivot that the floor lets
+    through (a NaN in M, or a floor of zero), a Python LU that picks
+    each pivot by the largest modulus runs instead. The two rules can
+    choose different rows, so their results may differ in the last bits.
 
     Parameters
     ----------
@@ -357,34 +367,103 @@ def solve_small(m, rhs, pivot_floor=1e-14):
         Right-hand sides, shape (p, k).
     pivot_floor : float
         Relative breakdown threshold: a pivot of magnitude below
-        pivot_floor * max|M| raises `BreakdownError`.
+        pivot_floor * max|M| raises `BreakdownError`. The pivots are the
+        diagonal of U in elimination order.
 
     Returns
     -------
     ndarray
-        Z with M @ Z = RHS, shape (p, k).
+        Z with M @ Z = RHS, shape (p, k). Non-finite when M or RHS has a
+        NaN entry; that raises no `BreakdownError`.
 
     Raises
     ------
     BreakdownError
         If the system is singular to the given threshold.
     """
-    a = _as_small(m, "m").copy()
-    b = np.ascontiguousarray(rhs, dtype=np.complex128)
+    a = _as_small(m, "m")
+    b = np.asarray(rhs, dtype=np.complex128)
     squeeze = b.ndim == 1
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match order {a.shape[0]}")
     if squeeze:
         b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs shape {rhs.shape} does not match order {a.shape[0]}")
-    b = b.copy()
-    p = a.shape[0]
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise BreakdownError(0, 0.0)
+    floor = pivot_floor * scale
+    if a.shape[0] == 1:
+        if scale < floor:
+            raise BreakdownError(0, scale)
+        z = b / a[0, 0]
+    else:
+        z = _lapack_solve(a, b, floor) if _zgesv() is not None else None
+        if z is None:
+            z = _python_solve(a, b, floor)
+    return z[:, 0] if squeeze else z
+
+
+# (symbol, LAPACK integer type) in the order tried: the scipy-openblas
+# wheels of numpy export 64-bit-integer LAPACK under a prefix and suffix
+_ZGESV_SYMBOLS = (
+    ("scipy_zgesv_64_", ctypes.c_int64),
+    ("zgesv_64_", ctypes.c_int64),
+    ("zgesv_", ctypes.c_int32),
+)
+
+
+@functools.cache
+def _zgesv():
+    """LAPACK zgesv and its integer type, or None where it cannot be found.
+
+    The symbol is looked up through numpy's own linear-algebra extension,
+    whose dependencies include the LAPACK numpy links, so it adds no
+    library to the process and shares numpy's BLAS threads.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name, int_t in _ZGESV_SYMBOLS:
+        try:
+            fn = lib[name]
+        except AttributeError:
+            continue
+        ip = ctypes.POINTER(int_t)
+        vp = ctypes.c_void_p
+        fn.argtypes = [ip, ip, vp, ip, ip, vp, ip, ip]
+        fn.restype = None
+        return fn, int_t
+    return None
+
+
+def _lapack_solve(a, b, floor):
+    """Z for M Z = B by zgesv, or None if zgesv stopped at an exact zero
+    pivot below no floor; it then leaves B unsolved."""
+    fn, int_t = _zgesv()
+    p, k = b.shape
+    lu = np.array(a, order="F")
+    z = np.array(b, order="F")
+    ipiv = (int_t * p)()
+    n, nrhs, info = int_t(p), int_t(k), int_t(0)
+    fn(n, nrhs, lu.ctypes.data, n, ipiv, z.ctypes.data, n, info)
+    for i, mag in enumerate(np.abs(lu.diagonal()).tolist()):
+        if mag < floor:
+            raise BreakdownError(i, mag)
+    return None if info.value else z
+
+
+def _python_solve(a, b, floor):
+    """Z for M Z = B by an LU that pivots on the largest modulus."""
+    a = a.copy()
+    b = b.copy()
+    p = a.shape[0]
     for k in range(p):
         piv = k + int(np.argmax(np.abs(a[k:, k])))
         mag = float(np.abs(a[piv, k]))
-        if mag < pivot_floor * scale:
+        if mag < floor:
             raise BreakdownError(k, mag)
         if piv != k:
             a[[k, piv], :] = a[[piv, k], :]
@@ -396,7 +475,7 @@ def solve_small(m, rhs, pivot_floor=1e-14):
     z = np.empty_like(b)
     for k in range(p - 1, -1, -1):
         z[k, :] = (b[k, :] - a[k, k + 1 :] @ z[k + 1 :, :]) / a[k, k]
-    return z[:, 0] if squeeze else z
+    return z
 
 
 def fro_norm(v):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cskrylov import core_la
 from cskrylov.core_la import (
     BreakdownError,
     ComplexSymmetricMatrix,
@@ -222,20 +223,45 @@ class TestThinQr:
 
 
 class TestSolveSmall:
+    """Cases on the default path: LAPACK zgesv wherever numpy exposes it
+    (see `test_lapack_binding_resolves_under_scipy_openblas`)."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference(self, seed):
+        # LU with partial pivoting is backward stable: the error stays
+        # within a small multiple of p * cond(M) * eps, and cond(M) < 1e3
+        # on these draws, so 1e-12 relative to max|Z| leaves a wide margin
         rng = np.random.default_rng(seed)
-        p = int(rng.integers(1, 7))
-        m = rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p))
-        rhs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
-        z = solve_small(m, rhs)
-        np.testing.assert_allclose(z, np.linalg.solve(m, rhs), rtol=0, atol=1e-12)
+        for p in (1, 2, 8, 32):
+            for symmetric in (False, True):
+                m = rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p))
+                if symmetric:
+                    m = m + m.T
+                rhs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
+                ref = np.linalg.solve(m, rhs)
+                z = solve_small(m, rhs)
+                np.testing.assert_allclose(
+                    z, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                    err_msg=f"p={p} symmetric={symmetric}",
+                )
 
     def test_needs_pivoting(self):
         # zero leading pivot, solvable only by row exchange
         m = np.array([[0, 1], [1, 0]], dtype=complex)
         rhs = np.array([2.0, 3.0], dtype=complex)
         np.testing.assert_allclose(solve_small(m, rhs), [3.0, 2.0], atol=1e-15)
+
+    def test_pivot_rules_disagree(self):
+        # the largest modulus in column 0 is in row 0 (3 > |2 + 2i|), the
+        # largest |re| + |im| in row 1 (3 < 4): the Python LU and LAPACK
+        # eliminate with different pivots and must both solve the system
+        m = np.array([[3, 1], [2 + 2j, 5]], dtype=complex)
+        col = m[:, 0]
+        assert np.argmax(np.abs(col)) != np.argmax(np.abs(col.real) + np.abs(col.imag))
+        rhs = np.array([[1, 2j], [-1j, 1]], dtype=complex)
+        np.testing.assert_allclose(
+            solve_small(m, rhs), np.linalg.solve(m, rhs), rtol=0, atol=1e-15
+        )
 
     def test_one_dimensional_rhs_round_trips(self):
         z = solve_small(np.eye(2, dtype=complex), np.array([1.0, 2.0j]))
@@ -247,7 +273,22 @@ class TestSolveSmall:
         with pytest.raises(BreakdownError) as exc:
             solve_small(m, np.ones(2, dtype=complex))
         assert exc.value.pivot_index == 1
-        assert exc.value.pivot_magnitude < 1e-14
+        assert exc.value.pivot_magnitude == 0.0
+
+    @pytest.mark.parametrize(
+        "m,index",
+        [
+            # whichever rule picks the rows, these pivots vanish exactly:
+            # the third of a rank-2 matrix, the second and third of a rank-1
+            ([[2, 1, 3], [1, 1, 2], [1, 0, 1]], 2),
+            ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 1),
+        ],
+    )
+    def test_breakdown_names_the_first_small_pivot(self, m, index):
+        with pytest.raises(BreakdownError) as exc:
+            solve_small(np.array(m, dtype=complex), np.ones((3, 1), dtype=complex))
+        assert exc.value.pivot_index == index
+        assert exc.value.pivot_magnitude == 0.0
 
     def test_zero_matrix_raises_breakdown(self):
         with pytest.raises(BreakdownError) as exc:
@@ -255,17 +296,70 @@ class TestSolveSmall:
         assert exc.value.pivot_index == 0
         assert exc.value.pivot_magnitude == 0.0
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[np.nan]],
+            [[1, np.nan], [1, 1]],
+            # LAPACK itself stops at the exact zero pivot of this one and
+            # leaves the right-hand side as it was, finite
+            [[0, 1], [np.nan, 1]],
+        ],
+    )
+    def test_nan_matrix_gives_non_finite_solution(self, m):
+        m = np.array(m, dtype=complex)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = solve_small(m, np.ones(m.shape[0], dtype=complex))
+        assert not np.isfinite(z).all()
+
+    def test_zero_floor_lets_an_exact_zero_pivot_through(self):
+        m = np.ones((2, 2), dtype=complex)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = solve_small(m, np.array([1, 2], dtype=complex), pivot_floor=0.0)
+        assert not np.isfinite(z).all()
+
+    def test_one_by_one_is_the_lu_division(self):
+        rng = np.random.default_rng(3)
+        m = rng.uniform(-1, 1, (1, 1)) + 1j * rng.uniform(-1, 1, (1, 1))
+        rhs = rng.uniform(-1, 1, (1, 5)) + 1j * rng.uniform(-1, 1, (1, 5))
+        rhs[0, 0] = -0.0
+        np.testing.assert_array_equal(
+            solve_small(m, rhs), core_la._python_solve(m, rhs, 0.0)
+        )
+
     def test_rhs_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            solve_small(np.eye(2, dtype=complex), np.ones(3, dtype=complex))
+        for rhs in (np.ones(3, dtype=complex), [1, 2, 3], [[1, 2, 3]]):
+            with pytest.raises(ValueError, match="does not match"):
+                solve_small(np.eye(2, dtype=complex), rhs)
 
     def test_inputs_not_mutated(self):
-        m = np.array([[2, 1], [1, 2]], dtype=complex)
-        rhs = np.ones((2, 1), dtype=complex)
-        m0, rhs0 = m.copy(), rhs.copy()
-        solve_small(m, rhs)
-        np.testing.assert_array_equal(m, m0)
-        np.testing.assert_array_equal(rhs, rhs0)
+        # complex128 C-order M and RHS of either order pass the conversions
+        # uncopied, so the solve itself must copy before LAPACK writes
+        for order in ("C", "F"):
+            m = np.array([[2, 1j, 0], [1j, 2, 1], [0, 1, 3]], dtype=complex, order=order)
+            for rhs in (np.ones(3, dtype=complex), np.ones((3, 2), dtype=complex, order=order)):
+                m0, rhs0 = m.copy(), rhs.copy()
+                solve_small(m, rhs)
+                np.testing.assert_array_equal(m, m0)
+                np.testing.assert_array_equal(rhs, rhs0)
+
+
+class TestSolveSmallPythonLU(TestSolveSmall):
+    """Every `TestSolveSmall` case again, on the Python LU that runs where
+    numpy exposes no LAPACK zgesv."""
+
+    @pytest.fixture(autouse=True)
+    def _without_lapack(self, monkeypatch):
+        monkeypatch.setattr(core_la, "_zgesv", lambda: None)
+
+
+def test_lapack_binding_resolves_under_scipy_openblas():
+    # a build that names scipy-openblas as its LAPACK exports zgesv; if
+    # the lookup failed there, every solve would quietly take the Python LU
+    lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
+    assert core_la._zgesv() is not None
 
 
 class TestBlockOps:
