@@ -404,11 +404,13 @@ def solve_small(m, rhs, pivot_floor=1e-14):
 
 
 # (symbol, LAPACK integer type) in the order tried: the scipy-openblas
-# wheels of numpy export 64-bit-integer LAPACK under a prefix and suffix
+# wheels of numpy export 64-bit-integer LAPACK under a prefix and suffix.
+# The unsuffixed name says nothing of its integer width, which is taken
+# from numpy's build report instead (None: ask the report)
 _ZGESV_SYMBOLS = (
     ("scipy_zgesv_64_", ctypes.c_int64),
     ("zgesv_64_", ctypes.c_int64),
-    ("zgesv_", ctypes.c_int32),
+    ("zgesv_", None),
 )
 
 
@@ -426,7 +428,39 @@ def _zgesv():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
+    return _bind_zgesv(lib, _lapack_report())
+
+
+def _lapack_report():
+    """numpy's build report on the LAPACK it links, {} where it has none."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        return {}
+
+
+def _report_int_type(lapack):
+    """The integer type of an OpenBLAS LAPACK as numpy's build report
+    gives it, or None where the report shows no OpenBLAS configuration
+    and so cannot confirm the width."""
+    config = lapack.get("openblas configuration", "")
+    if not config.startswith("OpenBLAS"):
+        return None
+    return ctypes.c_int64 if "USE64BITINT" in config.split() else ctypes.c_int32
+
+
+def _bind_zgesv(lib, lapack):
+    """zgesv from `lib` and its integer type, typed for ctypes, or None.
+
+    A symbol whose integer width is unknown is skipped: calling an
+    int64 LAPACK with int32 arguments would read past them and write
+    pivots past the end of their array.
+    """
     for name, int_t in _ZGESV_SYMBOLS:
+        if int_t is None:
+            int_t = _report_int_type(lapack)
+            if int_t is None:
+                continue
         try:
             fn = lib[name]
         except AttributeError:

@@ -1,5 +1,8 @@
 """Core linear algebra: matrix storage, Gram products, QR, small solves."""
 
+import ctypes
+import types
+
 import numpy as np
 import pytest
 
@@ -228,11 +231,12 @@ class TestSolveSmall:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference(self, seed):
-        # LU with partial pivoting is backward stable: the error stays
-        # within a small multiple of p * cond(M) * eps, and cond(M) < 1e3
-        # on these draws, so 1e-12 relative to max|Z| leaves a wide margin
+        # odd and even orders, so that a recursive LU meets uneven splits.
+        # Orders up to 8 hold an absolute 1e-12. At order 32 the forward
+        # error grows with |Z| * cond(M) (seed 7: 2.3e-12 on the Python LU
+        # at max|Z| = 40, cond(M) = 700), so the bound there is relative
         rng = np.random.default_rng(seed)
-        for p in (1, 2, 8, 32):
+        for p in (1, 2, 3, 5, 6, 8, 32):
             for symmetric in (False, True):
                 m = rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p))
                 if symmetric:
@@ -240,9 +244,9 @@ class TestSolveSmall:
                 rhs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
                 ref = np.linalg.solve(m, rhs)
                 z = solve_small(m, rhs)
+                atol = 1e-12 if p <= 8 else 1e-12 * np.abs(ref).max()
                 np.testing.assert_allclose(
-                    z, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
-                    err_msg=f"p={p} symmetric={symmetric}",
+                    z, ref, rtol=0, atol=atol, err_msg=f"p={p} symmetric={symmetric}"
                 )
 
     def test_needs_pivoting(self):
@@ -360,6 +364,47 @@ def test_lapack_binding_resolves_under_scipy_openblas():
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
     assert core_la._zgesv() is not None
+
+
+class _Library:
+    """A stand-in for a loaded library that exports the given names."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __getitem__(self, name):
+        if name not in self.names:
+            raise AttributeError(name)
+        return types.SimpleNamespace()
+
+
+_OPENBLAS32 = {"openblas configuration": "OpenBLAS 0.3.27 DYNAMIC_ARCH NO_AFFINITY Haswell"}
+_OPENBLAS64 = {"openblas configuration": "OpenBLAS 0.3.27  USE64BITINT DYNAMIC_ARCH Haswell"}
+
+
+@pytest.mark.parametrize(
+    "names,lapack,int_t",
+    [
+        # the suffixed names are 64-bit whatever the report says
+        pytest.param(("scipy_zgesv_64_", "zgesv_"), {}, ctypes.c_int64, id="scipy-64"),
+        pytest.param(("zgesv_64_",), _OPENBLAS32, ctypes.c_int64, id="suffix-64"),
+        # the unsuffixed name takes its width from the report
+        pytest.param(("zgesv_",), _OPENBLAS32, ctypes.c_int32, id="openblas-32"),
+        pytest.param(("zgesv_",), _OPENBLAS64, ctypes.c_int64, id="openblas-64"),
+        # and is left alone where the report cannot confirm the width
+        pytest.param(("zgesv_",), {"name": "mkl"}, None, id="mkl"),
+        pytest.param(("zgesv_",), {}, None, id="no-report"),
+        pytest.param((), _OPENBLAS32, None, id="no-symbol"),
+    ],
+)
+def test_zgesv_integer_width(names, lapack, int_t):
+    bound = core_la._bind_zgesv(_Library(*names), lapack)
+    if int_t is None:
+        assert bound is None
+    else:
+        fn, got = bound
+        assert got is int_t
+        assert fn.argtypes[0] is ctypes.POINTER(int_t)
 
 
 class TestBlockOps:
