@@ -4,6 +4,9 @@ multiple right-hand sides, with Matrix Market I/O, seeded problem
 generators and a benchmark CLI.
 """
 
+# perfbench/worker.py reads `cskrylov.kernels.get_backend()` after a bare
+# `import cskrylov`; nothing inside the package imports the module
+from . import kernels
 from .core_la import (
     BreakdownError,
     ComplexSymmetricMatrix,

@@ -10,18 +10,17 @@ with repr(), the shortest decimal that round-trips the double, so
 parsing a report back recovers the exact floats.
 
 Exit codes: 0 when every requested solver converged, 1 when any did
-not, 2 for usage or input errors.
+not, 2 for usage or input errors and for a report or history file that
+cannot be written.
 """
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .mm_io import read_matrix_market
 from .oracle import KINDS, ProblemSpec, gen_problem, gen_rhs
 from .solvers import SOLVERS, SolverConfig, check_complex_symmetric
@@ -63,8 +62,6 @@ class RunReport:
     tol: float
     seed: int
     norm_ref: str
-    backend: str
-    parallel: bool = False
     rows: list = field(default_factory=list)
 
     @property
@@ -97,9 +94,7 @@ def _stored_nnz(m):
 def run_benchmark(args):
     """Execute the benchmark described by parsed CLI args.
 
-    Solvers run sequentially so the per-solver timings are honest;
-    with --parallel they run concurrently on threads and the timings
-    are flagged unreliable via the parallel metadata field.
+    Solvers run one after another, so each row's cpu time is its own.
 
     Returns
     -------
@@ -123,15 +118,7 @@ def run_benchmark(args):
     # one untimed product builds the CSR product handle (and imports
     # scipy.sparse), so no solver's cpu time is charged for it
     m.matvec(b[:, :1])
-
-    def _run(s):
-        return SOLVERS[s](m, b, None, cfg)
-
-    if args.parallel and len(solver_names) > 1:
-        with ThreadPoolExecutor(max_workers=len(solver_names)) as pool:
-            results = list(pool.map(_run, solver_names))
-    else:
-        results = [_run(s) for s in solver_names]
+    results = [SOLVERS[s](m, b, None, cfg) for s in solver_names]
     report = RunReport(
         matrix=name,
         n=m.n,
@@ -140,8 +127,6 @@ def run_benchmark(args):
         tol=args.tol,
         seed=args.seed,
         norm_ref=args.norm_ref,
-        backend=kernels.get_backend(),
-        parallel=bool(args.parallel),
     )
     for s, res in zip(solver_names, results):
         report.rows.append(
@@ -166,8 +151,7 @@ def _meta_line(report):
     return (
         f"# matrix={report.matrix} n={report.n} nnz={report.nnz} "
         f"p={report.p} tol={report.tol!r} seed={report.seed} "
-        f"norm_ref={report.norm_ref} backend={report.backend} "
-        f"parallel={int(report.parallel)}"
+        f"norm_ref={report.norm_ref}"
     )
 
 
@@ -222,8 +206,6 @@ def parse_report_csv(text):
         tol=float(meta["tol"]),
         seed=int(meta["seed"]),
         norm_ref=meta["norm_ref"],
-        backend=meta["backend"],
-        parallel=bool(int(meta["parallel"])),
     )
     for ln in lines[2:]:
         solver, iters, trr, cpu, status = ln.split(",", 4)
@@ -242,8 +224,8 @@ def parse_report_csv(text):
 def reports_equal(a, b, ignore_cpu=True):
     """Whether two reports agree, by default ignoring the cpu column."""
     if (
-        (a.matrix, a.n, a.nnz, a.p, a.tol, a.seed, a.norm_ref, a.backend, a.parallel)
-        != (b.matrix, b.n, b.nnz, b.p, b.tol, b.seed, b.norm_ref, b.backend, b.parallel)
+        (a.matrix, a.n, a.nnz, a.p, a.tol, a.seed, a.norm_ref)
+        != (b.matrix, b.n, b.nnz, b.p, b.tol, b.seed, b.norm_ref)
     ) or len(a.rows) != len(b.rows):
         return False
     for ra, rb in zip(a.rows, b.rows):
@@ -304,11 +286,6 @@ def _build_parser():
         default=None,
         help="write per-solver residual history CSVs into this directory",
     )
-    solve.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run solvers concurrently (timings unreliable, flagged in report)",
-    )
     return parser
 
 
@@ -317,18 +294,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = run_benchmark(args)
+        text = (
+            format_report_csv(report)
+            if args.format == "csv"
+            else format_report_md(report)
+        )
+        if args.out in ("stdout", "-"):
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = (
-        format_report_csv(report)
-        if args.format == "csv"
-        else format_report_md(report)
-    )
-    if args.out in ("stdout", "-"):
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
     return 0 if report.all_converged else 1
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "ComplexSymmetricMatrix",
     "QrFactors",
@@ -239,11 +237,12 @@ class ComplexSymmetricMatrix:
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"block vector has {v.shape[0]} rows"
             )
+        op = self._scipy_csr() if self.storage == "csr" else self.dense
+        # the result is allocated ahead of the product's temporaries: with
+        # the other order glibc placed the blocks so that the n=1e5, p=8
+        # four-solver pass peaked at 288 MB resident instead of 275 MB
         out = np.empty(v.shape, dtype=np.complex128, order="F")
-        if self.storage == "csr":
-            kernels.csr_block_matvec(self._scipy_csr(), v, out)
-        else:
-            kernels.dense_block_matvec(self.dense, v, out)
+        out[:] = op @ v
         return out
 
     def to_dense(self):
@@ -308,9 +307,7 @@ def t_gram(v, w):
     w = _as_block(w, "w")
     if v.shape != w.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
-    out = np.empty((v.shape[1], w.shape[1]), dtype=np.complex128)
-    kernels.t_gram(v, w, out)
-    return out
+    return v.T @ w
 
 
 def thin_qr(w):
@@ -319,7 +316,7 @@ def thin_qr(w):
     A single column is normalized; wider blocks are factored by
     CholeskyQR2, or by Householder QR when the block is too
     ill-conditioned or too near rank deficiency for CholeskyQR2 (see
-    `kernels.thin_qr`). Either way xi has a real nonnegative diagonal,
+    `_cholesky_qr2`). Either way xi has a real nonnegative diagonal,
     which makes the factors unique for full-rank input and
     factorizations reproducible. Rank deficiency is not deflated; it
     shows up as (near) zero diagonal entries of xi for consumers to act
@@ -341,8 +338,96 @@ def thin_qr(w):
         raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
     q = np.empty((n, p), dtype=np.complex128, order="F")
     xi = np.zeros((p, p), dtype=np.complex128)
-    kernels.thin_qr(w, q, xi)
+    if p == 1:
+        # a squared norm that underflows or overflows goes to Householder,
+        # whose norm is scaled
+        with np.errstate(over="ignore"):
+            nrm = fro_norm(w)
+        done = 0.0 < nrm < np.inf
+        if done:
+            np.divide(w, nrm, out=q)
+            xi[0, 0] = nrm
+    else:
+        done = _cholesky_qr2(w, q, xi)
+    if not done:
+        _householder_qr(w, q, xi)
     return QrFactors(q=q, xi=xi)
+
+
+# CholeskyQR2 (Fukaya et al., ScalA 2014) is accurate to working precision
+# when its first pass leaves Q1 nearly orthonormal (Yamamoto et al., ETNA
+# 44, 2015). Below this defect ||Q1^H Q1 - I||_F, Q1's singular values lie
+# within sqrt(1 -+ 0.1) of one, so the second pass factors a
+# well-conditioned block.
+_CHOLQR_MAX_DEFECT = 0.1
+# W^H W holds the squares of the diagonal of the factor; when the smallest
+# entry of that diagonal is below sqrt(eps) of the largest, the Gram
+# matrix cannot resolve it, while Householder resolves it to O(eps ||W||).
+_CHOLQR_MIN_DIAG_RATIO = 1e-8
+# rows per chunk of the n-by-p passes, bounding their scratch buffer
+_ROW_CHUNK = 4096
+
+
+def _cholesky_qr2(w, q, xi):
+    """CholeskyQR2 of w into q and xi. Returns False, with q and xi partly
+    written, when the block fails the module's accuracy conditions."""
+    n, p = w.shape
+    buf = np.empty((min(n, _ROW_CHUNK), p), dtype=np.complex128, order="F")
+    r1 = _cholesky_r(_gram_h(w, buf))
+    if r1 is None:
+        return False
+    np.matmul(w, np.linalg.inv(r1), out=q)
+    g2 = _gram_h(q, buf)
+    if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
+        return False
+    r2 = _cholesky_r(g2)
+    if r2 is None:
+        return False
+    _right_multiply(q, np.linalg.inv(r2), buf)
+    # the diagonal of xi is the product of the factors' real positive
+    # diagonals, with exactly zero imaginary parts
+    np.matmul(r2, r1, out=xi)
+    d = np.diagonal(xi).real
+    return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
+
+
+def _gram_h(v, buf):
+    """v^H @ v, accumulated over row chunks so that no n-by-p conjugate
+    copy of v is made."""
+    g = np.zeros((v.shape[1], v.shape[1]), dtype=np.complex128)
+    for i in range(0, v.shape[0], _ROW_CHUNK):
+        rows = v[i : i + _ROW_CHUNK]
+        g += np.conjugate(rows, out=buf[: rows.shape[0]]).T @ rows
+    return g
+
+
+def _cholesky_r(g):
+    """Upper triangular r with positive diagonal and r^H r == g, or None
+    when the Cholesky factorization fails or is not finite."""
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    return np.conj(low.T) if np.isfinite(low).all() else None
+
+
+def _right_multiply(v, c, buf):
+    """v <- v @ c in place, one row chunk at a time through buf."""
+    for i in range(0, v.shape[0], _ROW_CHUNK):
+        rows = v[i : i + _ROW_CHUNK]
+        rows[...] = np.matmul(rows, c, out=buf[: rows.shape[0]])
+
+
+def _householder_qr(w, q, xi):
+    """Householder QR, with each column of q phase-scaled so that xi has a
+    real nonnegative diagonal."""
+    qf, r = np.linalg.qr(w, mode="reduced")
+    d = np.diagonal(r).copy()
+    ad = np.abs(d)
+    scale = np.where(ad > 0.0, d / np.where(ad > 0.0, ad, 1.0), 1.0 + 0.0j)
+    q[:] = qf * scale[None, :]
+    xi[:] = np.conj(scale)[:, None] * r
+    np.fill_diagonal(xi, ad)
 
 
 def solve_small(m, rhs, pivot_floor=1e-14):
@@ -525,8 +610,7 @@ def fro_norm(v):
     float
         sqrt of the sum of squared entry moduli.
     """
-    v = _as_block(v, "v")
-    return kernels.fro_norm(v)
+    return float(np.linalg.norm(_as_block(v, "v")))
 
 
 def axpy_block(x, y, c):
@@ -552,5 +636,6 @@ def axpy_block(x, y, c):
             f"nonconformable shapes: x {x.shape}, y {y.shape}, c {c.shape}"
         )
     out = np.empty(x.shape, dtype=np.complex128, order="F")
-    kernels.axpy_block(x, y, c, out)
+    np.matmul(y, c, out=out)
+    out += x
     return out

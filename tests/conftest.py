@@ -49,16 +49,16 @@ def young1c():
 
 @pytest.fixture
 def householder_calls(monkeypatch):
-    """Shapes of the blocks that `kernels.thin_qr` hands to its Householder
+    """Shapes of the blocks that `core_la.thin_qr` hands to its Householder
     fallback during the test."""
-    from cskrylov import kernels
+    from cskrylov import core_la
 
     calls = []
-    householder = kernels._householder_qr
+    householder = core_la._householder_qr
 
     def counting(w, q, xi):
         calls.append(w.shape)
         householder(w, q, xi)
 
-    monkeypatch.setattr(kernels, "_householder_qr", counting)
+    monkeypatch.setattr(core_la, "_householder_qr", counting)
     return calls

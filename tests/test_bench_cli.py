@@ -32,11 +32,10 @@ class TestSolveCommand:
         _, text = _solve(tmp_path)
         meta = text.splitlines()[0]
         assert meta.startswith("# matrix=diagdominant n=30 nnz=")
-        for token in (
-            "p=2", "tol=1e-10", "seed=3", "norm_ref=rhs", "backend=numpy",
-            "parallel=0",
-        ):
+        for token in ("p=2", "tol=1e-10", "seed=3", "norm_ref=rhs"):
             assert token in meta
+        keys = [tok.split("=", 1)[0] for tok in meta[2:].split()]
+        assert keys == ["matrix", "n", "nnz", "p", "tol", "seed", "norm_ref"]
 
     def test_report_round_trips_and_repeats(self, tmp_path):
         _, text1 = _solve(tmp_path, name="r1.csv")
@@ -115,17 +114,6 @@ class TestSolveCommand:
         assert code == 0
         assert seen == [True]
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        _, seq = _solve(tmp_path, name="seq.csv")
-        code, par = _solve(tmp_path, extra=["--parallel"], name="par.csv")
-        assert code == 0
-        rs, rp = parse_report_csv(seq), parse_report_csv(par)
-        assert rp.parallel and not rs.parallel
-        for a, b in zip(rs.rows, rp.rows):
-            assert (a.solver, a.iterations, a.trr, a.status) == (
-                b.solver, b.iterations, b.trr, b.status,
-            )
-
 
 class TestExitCodes:
     def test_max_iter_failure_exits_one(self, tmp_path):
@@ -147,6 +135,14 @@ class TestExitCodes:
         code = main(["solve", "--matrix", "/nonexistent/file.mtx"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        code = main(["solve", *GEN_ARGS, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert "Traceback" not in err
 
     def test_non_symmetric_matrix_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.mtx"

@@ -1,17 +1,24 @@
-"""Kernels: reference formulas, edge cases, QR factor properties and
-bitwise determinism of the one (numpy) implementation.
+"""The `core_la` kernels: reference formulas, edge cases, QR factor
+properties and bitwise determinism of repeated calls.
 
 The tests that take an ``impl`` parameter run once, on the implementation
 that `kernels.get_backend` names; the parameter keeps their test IDs
 (``[numpy]``) the same as when a second implementation existed, so runs
-stay comparable across versions.
+stay comparable across versions. The parameter goes with `get_backend`,
+and these cases then join `test_core_la.py`.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from cskrylov import kernels
+from cskrylov.core_la import (
+    ComplexSymmetricMatrix,
+    axpy_block,
+    fro_norm,
+    t_gram,
+    thin_qr,
+)
 
 IMPLS = [kernels.get_backend()]
 
@@ -40,25 +47,15 @@ def _run_all_kernels(n=40, p=3, seed=42):
     c = np.ascontiguousarray(_rand_block(p, p, seed + 3))
 
     out = {}
-    csr = scipy.sparse.csr_array((values, col_idx, row_ptr), shape=(n, n))
-    y = np.empty((n, p), dtype=np.complex128, order="F")
-    kernels.csr_block_matvec(csr, v, y)
-    out["csr_matvec"] = y
-    y2 = np.empty((n, p), dtype=np.complex128, order="F")
-    kernels.dense_block_matvec(np.ascontiguousarray(dense), v, y2)
-    out["dense_matvec"] = y2
-    g = np.empty((p, p), dtype=np.complex128)
-    kernels.t_gram(v, w, g)
-    out["t_gram"] = g
-    z = np.empty((n, p), dtype=np.complex128, order="F")
-    kernels.axpy_block(v, w, c, z)
-    out["axpy"] = z
-    out["fro"] = np.array([kernels.fro_norm(v)])
-    q = np.empty((n, p), dtype=np.complex128, order="F")
-    xi = np.zeros((p, p), dtype=np.complex128)
-    kernels.thin_qr(v, q, xi)
-    out["qr_q"] = q
-    out["qr_xi"] = xi
+    csr = ComplexSymmetricMatrix(n, row_ptr=row_ptr, col_idx=col_idx, values=values)
+    out["csr_matvec"] = csr.matvec(v)
+    out["dense_matvec"] = ComplexSymmetricMatrix.from_dense(dense).matvec(v)
+    out["t_gram"] = t_gram(v, w)
+    out["axpy"] = axpy_block(v, w, c)
+    out["fro"] = np.array([fro_norm(v)])
+    f = thin_qr(v)
+    out["qr_q"] = f.q
+    out["qr_xi"] = f.xi
     out["_sparse"] = sparse
     out["_dense"] = dense
     out["_v"] = v
@@ -80,17 +77,8 @@ def test_kernels_match_reference_formulas(impl):
 
 def _csr_matvec(row_ptr, col_idx, values, v):
     n = len(row_ptr) - 1
-    csr = scipy.sparse.csr_array(
-        (
-            np.asarray(values, dtype=np.complex128),
-            np.asarray(col_idx, dtype=np.int64),
-            np.asarray(row_ptr, dtype=np.int64),
-        ),
-        shape=(n, n),
-    )
-    out = np.full(v.shape, np.nan, dtype=np.complex128, order="F")
-    kernels.csr_block_matvec(csr, v, out)
-    return out
+    csr = ComplexSymmetricMatrix(n, row_ptr=row_ptr, col_idx=col_idx, values=values)
+    return csr.matvec(v)
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -107,12 +95,9 @@ def test_csr_matvec_handles_empty_rows(impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_thin_qr_hand_case_per_backend(impl):
-    w = np.array([[3.0], [4.0j]], order="F")
-    q = np.empty((2, 1), dtype=np.complex128, order="F")
-    xi = np.zeros((1, 1), dtype=np.complex128)
-    kernels.thin_qr(w, q, xi)
-    np.testing.assert_allclose(xi, [[5.0]], atol=1e-15)
-    np.testing.assert_allclose(q, [[0.6], [0.8j]], atol=1e-15)
+    f = thin_qr(np.array([[3.0], [4.0j]], order="F"))
+    np.testing.assert_allclose(f.xi, [[5.0]], atol=1e-15)
+    np.testing.assert_allclose(f.q, [[0.6], [0.8j]], atol=1e-15)
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -122,9 +107,8 @@ def test_thin_qr_properties_both_backends(impl, seed, householder_calls):
     n = int(rng.integers(1, 30))
     p = int(rng.integers(1, min(n, 6) + 1))
     w = _rand_block(n, p, seed + 500)
-    q = np.empty((n, p), dtype=np.complex128, order="F")
-    xi = np.zeros((p, p), dtype=np.complex128)
-    kernels.thin_qr(w, q, xi)
+    f = thin_qr(w)
+    q, xi = f.q, f.xi
     np.testing.assert_allclose(q @ xi, w, atol=1e-13)
     np.testing.assert_allclose(np.conj(q.T) @ q, np.eye(p), atol=1e-13)
     d = np.diagonal(xi)

@@ -363,6 +363,36 @@ class TestKernelCalls:
             "fro_norm": 1,
         }
 
+    def test_benchmark_reads_resolve_after_a_bare_import(self):
+        # perfbench/worker.py records cskrylov.kernels.get_backend() after
+        # `import cskrylov`, and the tracer wraps perfbench/tracing.py's
+        # KERNELS on cskrylov.solvers; only a fresh process shows whether a
+        # bare import makes both reachable
+        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        child = textwrap.dedent(
+            """
+            import json, runpy, sys
+            import cskrylov
+            kernels = runpy.run_path(sys.argv[1])["KERNELS"]
+            print(json.dumps({
+                "backend": cskrylov.kernels.get_backend(),
+                "kernels": list(kernels),
+                "missing": [k for k in kernels if not hasattr(cskrylov.solvers, k)],
+            }))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(tracing)],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        seen = json.loads(out.stdout)
+        assert seen["backend"] == "numpy"
+        assert seen["kernels"] and seen["missing"] == []
+
 
 class TestResidualAgreement:
     @pytest.mark.parametrize("name,solver", ALL)
