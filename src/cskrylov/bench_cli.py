@@ -15,11 +15,10 @@ cannot be written.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .mm_io import read_matrix_market
 from .oracle import KINDS, ProblemSpec, gen_problem, gen_rhs
@@ -32,7 +31,6 @@ __all__ = [
     "format_report_csv",
     "format_report_md",
     "parse_report_csv",
-    "reports_equal",
     "emit_history",
     "main",
 ]
@@ -85,16 +83,29 @@ def _load_problem(args):
     return args.gen, m, b
 
 
-def _stored_nnz(m):
-    if m.storage == "csr":
-        return m.nnz
-    return int(np.count_nonzero(m.dense))
+def _report_path(args):
+    """The --out destination as a path, or None for standard output."""
+    return None if args.out in ("stdout", "-") else Path(args.out)
+
+
+def _check_writable(path):
+    """Raise OSError if a file cannot be written at path. A file this
+    creates to find out is removed again."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.unlink(path)
 
 
 def run_benchmark(args):
     """Execute the benchmark described by parsed CLI args.
 
     Solvers run one after another, so each row's cpu time is its own.
+    The report destination and the history directory are checked before
+    the first solver runs, so a run whose output cannot be written
+    solves nothing.
 
     Returns
     -------
@@ -115,6 +126,12 @@ def run_benchmark(args):
                 f"unknown solver {s!r}; available: {', '.join(SOLVERS)}"
             )
     cfg = SolverConfig(tol=args.tol, max_iter=args.maxit, norm_reference=args.norm_ref)
+    out = _report_path(args)
+    if out is not None:
+        _check_writable(out)
+    hist_dir = None if args.history_dir is None else Path(args.history_dir)
+    if hist_dir is not None:
+        hist_dir.mkdir(parents=True, exist_ok=True)
     # one untimed product builds the CSR product handle (and imports
     # scipy.sparse), so no solver's cpu time is charged for it
     m.matvec(b[:, :1])
@@ -122,7 +139,7 @@ def run_benchmark(args):
     report = RunReport(
         matrix=name,
         n=m.n,
-        nnz=_stored_nnz(m),
+        nnz=m.nnz,
         p=args.p if args.matrix is not None else b.shape[1],
         tol=args.tol,
         seed=args.seed,
@@ -138,9 +155,7 @@ def run_benchmark(args):
                 status=res.status,
             )
         )
-    if args.history_dir is not None:
-        hist_dir = Path(args.history_dir)
-        hist_dir.mkdir(parents=True, exist_ok=True)
+    if hist_dir is not None:
         for s, res in zip(solver_names, results):
             with open(hist_dir / f"{s}.csv", "w") as f:
                 emit_history(res, f)
@@ -221,23 +236,6 @@ def parse_report_csv(text):
     return report
 
 
-def reports_equal(a, b, ignore_cpu=True):
-    """Whether two reports agree, by default ignoring the cpu column."""
-    if (
-        (a.matrix, a.n, a.nnz, a.p, a.tol, a.seed, a.norm_ref)
-        != (b.matrix, b.n, b.nnz, b.p, b.tol, b.seed, b.norm_ref)
-    ) or len(a.rows) != len(b.rows):
-        return False
-    for ra, rb in zip(a.rows, b.rows):
-        if (ra.solver, ra.iterations, ra.status) != (rb.solver, rb.iterations, rb.status):
-            return False
-        if not (ra.trr == rb.trr or (ra.trr != ra.trr and rb.trr != rb.trr)):
-            return False
-        if not ignore_cpu and ra.cpu != rb.cpu:
-            return False
-    return True
-
-
 def emit_history(result, stream):
     """Write a residual history as CSV: header 'iter,relres', one row
     per recorded iteration including m = 0, shortest round-trip floats."""
@@ -299,10 +297,11 @@ def main(argv=None):
             if args.format == "csv"
             else format_report_md(report)
         )
-        if args.out in ("stdout", "-"):
+        out = _report_path(args)
+        if out is None:
             sys.stdout.write(text)
         else:
-            Path(args.out).write_text(text)
+            out.write_text(text)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -68,7 +68,7 @@ def _as_small(c, name="coefficient matrix"):
 
 
 class ComplexSymmetricMatrix:
-    """Square operator A with A == A^T, stored as CSR or dense.
+    """Square operator A with A == A^T, stored as CSR.
 
     Use `from_coo` or `from_dense` to construct. The finiteness and the
     symmetry of the stored entries are verified lazily and cached;
@@ -79,36 +79,21 @@ class ComplexSymmetricMatrix:
     ----------
     n : int
         Order of the matrix.
-    storage : str
-        "csr" or "dense".
-    nnz : int or None
-        Stored entry count (CSR only).
+    row_ptr, col_idx, values : ndarray
+        CSR arrays: int64 row offsets of length n + 1, and the int64
+        column and complex128 value of each stored entry, in (row, col)
+        order with columns strictly increasing within a row.
+    nnz : int
+        Stored entry count.
     """
 
-    def __init__(self, n, *, row_ptr=None, col_idx=None, values=None, dense=None):
+    def __init__(self, n, *, row_ptr, col_idx, values):
         if n < 1:
             raise ValueError("matrix order must be >= 1")
         self.n = int(n)
         self._finite = None
         self._symmetric = None
         self._sparse = None
-        if dense is not None:
-            if row_ptr is not None or col_idx is not None or values is not None:
-                raise ValueError("pass either CSR arrays or a dense array, not both")
-            dense = np.ascontiguousarray(dense, dtype=np.complex128)
-            if dense.shape != (self.n, self.n):
-                raise ValueError(
-                    f"dense storage must be ({n}, {n}), got {dense.shape}"
-                )
-            self.storage = "dense"
-            self.dense = dense
-            self.row_ptr = None
-            self.col_idx = None
-            self.values = None
-            self.nnz = None
-            return
-        if row_ptr is None or col_idx is None or values is None:
-            raise ValueError("CSR storage needs row_ptr, col_idx and values")
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.complex128)
@@ -131,12 +116,10 @@ class ComplexSymmetricMatrix:
             raise ValueError(
                 f"column indices must increase strictly within row {row}"
             )
-        self.storage = "csr"
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.values = values
         self.nnz = int(values.shape[0])
-        self.dense = None
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -171,11 +154,12 @@ class ComplexSymmetricMatrix:
 
     @classmethod
     def from_dense(cls, values):
-        """Wrap a square dense array."""
+        """Build CSR storage from the nonzero entries of a square array."""
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"dense matrix must be square, got {values.shape}")
-        return cls(values.shape[0], dense=values)
+        rows, cols = np.nonzero(values)
+        return cls.from_coo(values.shape[0], rows, cols, values[rows, cols])
 
     def _csr_rows(self):
         """Row index of every stored CSR entry, in storage order."""
@@ -194,30 +178,26 @@ class ComplexSymmetricMatrix:
     def is_finite(self):
         """True iff no stored entry is NaN or infinite."""
         if self._finite is None:
-            stored = self.dense if self.storage == "dense" else self.values
-            self._finite = bool(np.isfinite(stored).all())
+            self._finite = bool(np.isfinite(self.values).all())
         return self._finite
 
     @property
     def is_symmetric(self):
         """True iff every stored (i, j, v) has value v at (j, i), exactly."""
         if self._symmetric is None:
-            if self.storage == "dense":
-                self._symmetric = bool(np.array_equal(self.dense, self.dense.T))
-            else:
-                rows, cols, vals, order = self._csr_transpose_parts()
-                self._symmetric = bool(
-                    np.array_equal(rows, cols[order])
-                    and np.array_equal(cols, rows[order])
-                    and np.array_equal(vals, vals[order])
-                )
+            rows, cols, vals, order = self._csr_transpose_parts()
+            self._symmetric = bool(
+                np.array_equal(rows, cols[order])
+                and np.array_equal(cols, rows[order])
+                and np.array_equal(vals, vals[order])
+            )
         return self._symmetric
 
     def _scipy_csr(self):
         """scipy.sparse view of the CSR arrays, built on first use.
 
         scipy is imported here, not at module level, so that loading,
-        generating and checking matrices and dense solves never load it.
+        generating and checking matrices never load it.
         Threads that race on the first call each build an identical
         handle, so the race is harmless.
         """
@@ -237,26 +217,21 @@ class ComplexSymmetricMatrix:
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"block vector has {v.shape[0]} rows"
             )
-        op = self._scipy_csr() if self.storage == "csr" else self.dense
         # the result is allocated ahead of the product's temporaries: with
         # the other order glibc placed the blocks so that the n=1e5, p=8
         # four-solver pass peaked at 288 MB resident instead of 275 MB
         out = np.empty(v.shape, dtype=np.complex128, order="F")
-        out[:] = op @ v
+        out[:] = self._scipy_csr() @ v
         return out
 
     def to_dense(self):
         """Densify to a (n, n) complex array."""
-        if self.storage == "dense":
-            return self.dense.copy()
         out = np.zeros((self.n, self.n), dtype=np.complex128)
         out[self._csr_rows(), self.col_idx] = self.values
         return out
 
     def __repr__(self):
-        if self.storage == "csr":
-            return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
-        return f"ComplexSymmetricMatrix(n={self.n}, dense)"
+        return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
 @dataclass
@@ -430,7 +405,12 @@ def _householder_qr(w, q, xi):
     np.fill_diagonal(xi, ad)
 
 
-def solve_small(m, rhs, pivot_floor=1e-14):
+# relative breakdown threshold of solve_small: a pivot of magnitude below
+# _PIVOT_FLOOR * max|M| is a breakdown
+_PIVOT_FLOOR = 1e-14
+
+
+def solve_small(m, rhs):
     """Solve the p-by-p system M Z = RHS by LU with partial pivoting.
 
     The Gram matrices this solves are complex symmetric, not Hermitian,
@@ -440,9 +420,9 @@ def solve_small(m, rhs, pivot_floor=1e-14):
     picks each pivot by the largest |re| + |im| in its column, as
     LAPACK's ``izamax`` does. Where numpy exposes no such symbol, and
     where LAPACK stops at an exact zero pivot that the floor lets
-    through (a NaN in M, or a floor of zero), a Python LU that picks
-    each pivot by the largest modulus runs instead. The two rules can
-    choose different rows, so their results may differ in the last bits.
+    through (a NaN in M), a Python LU that picks each pivot by the
+    largest modulus runs instead. The two rules can choose different
+    rows, so their results may differ in the last bits.
 
     Parameters
     ----------
@@ -450,10 +430,6 @@ def solve_small(m, rhs, pivot_floor=1e-14):
         Square (p, p) system matrix.
     rhs : ndarray
         Right-hand sides, shape (p, k).
-    pivot_floor : float
-        Relative breakdown threshold: a pivot of magnitude below
-        pivot_floor * max|M| raises `BreakdownError`. The pivots are the
-        diagonal of U in elimination order.
 
     Returns
     -------
@@ -464,7 +440,8 @@ def solve_small(m, rhs, pivot_floor=1e-14):
     Raises
     ------
     BreakdownError
-        If the system is singular to the given threshold.
+        If a pivot, a diagonal entry of U in elimination order, has a
+        magnitude below `_PIVOT_FLOOR` * max|M|.
     """
     a = _as_small(m, "m")
     b = np.asarray(rhs, dtype=np.complex128)
@@ -476,10 +453,8 @@ def solve_small(m, rhs, pivot_floor=1e-14):
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise BreakdownError(0, 0.0)
-    floor = pivot_floor * scale
+    floor = _PIVOT_FLOOR * scale
     if a.shape[0] == 1:
-        if scale < floor:
-            raise BreakdownError(0, scale)
         z = b / a[0, 0]
     else:
         z = _lapack_solve(a, b, floor) if _zgesv() is not None else None

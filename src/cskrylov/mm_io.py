@@ -4,8 +4,9 @@ Matrix Market exchange format reader and writer.
 Supports the NIST interchange format: a banner line
 "%%MatrixMarket matrix <format> <field> <symmetry>", %-prefixed
 comments, a size line, then whitespace-delimited entries with 1-based
-indices. Coordinate files load into CSR storage, array files into dense
-storage. Symmetric, skew-symmetric and hermitian files are expanded to
+indices. Both formats load into CSR storage; an array file keeps only
+its nonzero entries, so a matrix reads to the same arrays from either
+format. Symmetric, skew-symmetric and hermitian files are expanded to
 full storage on read; the writer emits coordinate complex symmetric
 (lower triangle only) with 17 significant digits so a write/read cycle
 reproduces the matrix exactly.
@@ -140,9 +141,10 @@ def read_matrix_market(source):
     Returns
     -------
     (MatrixMarketHeader, ComplexSymmetricMatrix)
-        The parsed banner and the matrix, CSR for coordinate files and
-        dense for array files. Symmetric variants are expanded to full
-        storage; real and integer fields are promoted to complex.
+        The parsed banner and the matrix in CSR storage, which for an
+        array file holds its nonzero entries. Symmetric variants are
+        expanded to full storage; real and integer fields are promoted
+        to complex.
         General and hermitian inputs parse fine but will fail the
         matrix's symmetry check, which is how solvers reject them.
 
@@ -416,17 +418,10 @@ def write_matrix_market(m, dest, comments=()):
         )
     if not m.is_symmetric:
         raise ValueError("refusing to write a non-symmetric matrix as symmetric")
-    if m.storage == "csr":
-        rows = m._csr_rows()
-        cols = m.col_idx
-        vals = m.values
-    else:
-        rows, cols = np.nonzero(m.dense)
-        vals = m.dense[rows, cols]
-    keep = rows >= cols
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    # CSR entries are already in (row, col) order
+    rows = m._csr_rows()
+    keep = rows >= m.col_idx
+    rows, cols, vals = rows[keep], m.col_idx[keep], m.values[keep]
     out = ["%%MatrixMarket matrix coordinate complex symmetric"]
     out.extend(f"% {c}" if c else "%" for c in comments)
     out.append(f"{m.n} {m.n} {len(vals)}")

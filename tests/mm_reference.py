@@ -84,8 +84,8 @@ def read_matrix_market(source):
     Returns
     -------
     (MatrixMarketHeader, ComplexSymmetricMatrix)
-        The parsed banner and the matrix, CSR for coordinate files and
-        dense for array files. Symmetric variants are expanded to full
+        The parsed banner and the matrix, built by from_coo for
+        coordinate files and by from_dense for array files. Symmetric variants are expanded to full
         storage; real and integer fields are promoted to complex.
         General and hermitian inputs parse fine but will fail the
         matrix's symmetry check, which is how solvers reject them.

@@ -7,7 +7,8 @@ import pytest
 from mm_reference import read_matrix_market as reference_read
 
 from cskrylov.mm_io import read_matrix_market, write_matrix_market
-from cskrylov.oracle import ProblemSpec, gen_problem
+from cskrylov.oracle import ProblemSpec, gen_problem, gen_rhs
+from cskrylov.solvers import SOLVERS
 
 BANNER = "%%MatrixMarket matrix coordinate complex symmetric"
 
@@ -27,7 +28,6 @@ class TestCoordinateRead:
         np.testing.assert_array_equal(
             m.to_dense(), np.array([[1.0, 1j], [1j, 0.0]])
         )
-        assert m.storage == "csr"
         assert m.nnz == 3  # off-diagonal mirrored
 
     def test_general_not_expanded(self):
@@ -167,11 +167,9 @@ def _outcome(read, source):
         header, m = read(source)
     except Exception as e:  # raw int() and numpy errors are outcomes too
         return type(e), str(e)
-    arrays = (m.dense,) if m.storage == "dense" else (m.row_ptr, m.col_idx, m.values)
     return (
         (header.object, header.format, header.field, header.symmetry),
-        m.storage,
-        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        [(a.dtype, a.shape, a.tobytes()) for a in (m.row_ptr, m.col_idx, m.values)],
     )
 
 
@@ -262,7 +260,6 @@ class TestArrayRead:
             "2 2\n1 0\n2 0\n3 0\n4 0\n"
         )
         _, m = _read(text)
-        assert m.storage == "dense"
         np.testing.assert_array_equal(m.to_dense(), [[1, 3], [2, 4]])
 
     def test_symmetric_lower_packed(self):
@@ -309,12 +306,12 @@ class TestWriter:
             write_matrix_market(m, io.StringIO())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("storage", ["csr", "dense"])
-    def test_refuses_non_finite(self, storage, bad):
+    @pytest.mark.parametrize("built_from", ["csr", "dense"])
+    def test_refuses_non_finite(self, built_from, bad):
         # a NaN must not read as asymmetry, and an Inf must not be written
         from cskrylov.core_la import ComplexSymmetricMatrix
 
-        if storage == "csr":
+        if built_from == "csr":
             m = ComplexSymmetricMatrix.from_coo(2, [0, 1], [0, 1], [bad, 1.0])
         else:
             m = ComplexSymmetricMatrix.from_dense([[bad, 0.0], [0.0, 1.0]])
@@ -409,3 +406,24 @@ class TestBundledMatrix:
         write_matrix_market(young1c, buf)
         _, m2 = read_matrix_market(buf.getvalue().encode())
         np.testing.assert_array_equal(young1c.to_dense(), m2.to_dense())
+
+    def test_array_file_reads_and_solves_as_the_coordinate_file(self, young1c):
+        # array symmetric storage: the lower triangle, down each column,
+        # with every structural zero written out
+        d = young1c.to_dense()
+        vals = np.concatenate([d[j:, j] for j in range(young1c.n)])
+        cells = np.column_stack((vals.real, vals.imag)).ravel().tolist()
+        body = ("%.17g %.17g\n" * len(vals)) % tuple(cells)
+        text = (
+            "%%MatrixMarket matrix array complex symmetric\n"
+            f"{young1c.n} {young1c.n}\n{body}"
+        )
+        _, m = read_matrix_market(text.encode())
+        for name in ("row_ptr", "col_idx", "values"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(young1c, name))
+        b = gen_rhs(young1c.n, 4, seed=0)
+        for name, solve in SOLVERS.items():
+            want, got = solve(young1c, b), solve(m, b)
+            assert (got.iterations, got.status) == (want.iterations, want.status), name
+            assert np.array_equal(got.history, want.history), name
+            assert np.array_equal(got.x, want.x), name

@@ -59,14 +59,14 @@ class TestInputValidation:
             solver(a, b)
 
     @pytest.mark.parametrize("name,solver", ALL)
-    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("built_from", ["dense", "csr"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_operator(self, name, solver, storage, bad):
+    def test_rejects_non_finite_operator(self, name, solver, built_from, bad):
         # a symmetric pair of bad entries: the diagnosis must name the
         # non-finite entries, not an asymmetry (NaN != NaN)
         d = np.eye(3, dtype=complex)
         d[0, 1] = d[1, 0] = bad
-        if storage == "dense":
+        if built_from == "dense":
             a = ComplexSymmetricMatrix.from_dense(d)
         else:
             rows, cols = np.nonzero(d)
@@ -366,23 +366,40 @@ class TestKernelCalls:
     def test_benchmark_reads_resolve_after_a_bare_import(self):
         # perfbench/worker.py records cskrylov.kernels.get_backend() after
         # `import cskrylov`, and the tracer wraps perfbench/tracing.py's
-        # KERNELS on cskrylov.solvers; only a fresh process shows whether a
-        # bare import makes both reachable
-        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        # KERNELS on cskrylov.solvers and counts a matrix's bytes by the
+        # array attributes it names; only a fresh process shows whether a
+        # bare import makes all of these reachable
+        root = Path(__file__).resolve().parents[1]
         child = textwrap.dedent(
             """
             import json, runpy, sys
             import cskrylov
-            kernels = runpy.run_path(sys.argv[1])["KERNELS"]
+            tracing = runpy.run_path(sys.argv[1])
+            kernels = tracing["KERNELS"]
+            read = cskrylov.mm_io.read_matrix_market
+            tracer = tracing["Tracer"]("check")
+            tracer.install(cskrylov)
+            _, m = cskrylov.mm_io.read_matrix_market(sys.argv[2])
+            tracer.uninstall()
             print(json.dumps({
                 "backend": cskrylov.kernels.get_backend(),
                 "kernels": list(kernels),
                 "missing": [k for k in kernels if not hasattr(cskrylov.solvers, k)],
+                "spans": sorted({span[0] for span in tracer.spans}),
+                "restored": cskrylov.mm_io.read_matrix_market is read,
+                "matrix_bytes": tracing["computed_bytes"](m),
+                "csr_bytes": m.row_ptr.nbytes + m.col_idx.nbytes + m.values.nbytes,
             }))
             """
         )
         out = subprocess.run(
-            [sys.executable, "-c", child, str(tracing)],
+            [
+                sys.executable,
+                "-c",
+                child,
+                str(root / "perfbench" / "tracing.py"),
+                str(root / "tests" / "fixtures" / "young1c.mtx"),
+            ],
             env=child_env(),
             capture_output=True,
             text=True,
@@ -392,6 +409,9 @@ class TestKernelCalls:
         seen = json.loads(out.stdout)
         assert seen["backend"] == "numpy"
         assert seen["kernels"] and seen["missing"] == []
+        assert seen["spans"] == ["core_la.from_coo", "mm_io.read_matrix_market"]
+        assert seen["restored"]
+        assert seen["matrix_bytes"] == seen["csr_bytes"] > 0
 
 
 class TestResidualAgreement:
@@ -534,7 +554,7 @@ class TestSymmetryCheck:
 
 class TestScipyLoading:
     def test_scipy_loaded_only_by_a_csr_product(self):
-        # loading, generating, checking and dense solves stay scipy-free;
+        # loading, generating and checking stay scipy-free;
         # the first CSR product is what imports scipy.sparse
         child = textwrap.dedent(
             """
@@ -544,17 +564,13 @@ class TestScipyLoading:
             seen = {}
             import cskrylov
             seen["import"] = loaded()
-            from cskrylov import ComplexSymmetricMatrix, ProblemSpec, gen_problem
+            from cskrylov import ProblemSpec, gen_problem
             from cskrylov.mm_io import read_matrix_market
             _, m = read_matrix_market(sys.argv[1])
             seen["read"] = loaded()
-            a, b = gen_problem(ProblemSpec(n=40, p=3, kind="diagdominant", seed=3))
+            a, _ = gen_problem(ProblemSpec(n=40, p=3, kind="diagdominant", seed=3))
             cskrylov.check_complex_symmetric(a)
             seen["generate_and_check"] = loaded()
-            dense = ComplexSymmetricMatrix.from_dense(a.to_dense())
-            for solve in cskrylov.SOLVERS.values():
-                assert solve(dense, b).converged
-            seen["dense_solves"] = loaded()
             m.matvec(np.ones((m.n, 1)))
             seen["csr_matvec"] = loaded()
             print(json.dumps(seen))
@@ -573,7 +589,6 @@ class TestScipyLoading:
             "import": False,
             "read": False,
             "generate_and_check": False,
-            "dense_solves": False,
             "csr_matvec": True,
         }
 
