@@ -23,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from cskrylov.core_la import ComplexSymmetricMatrix
 from cskrylov.mm_io import read_matrix_market, write_matrix_market
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -62,7 +63,8 @@ def _extract_mtx(name: str, url: str, raw: bytes) -> bytes:
     return raw
 
 
-def _validate(name: str, text: bytes) -> None:
+def _validate(name: str, text: bytes) -> ComplexSymmetricMatrix:
+    """Parse a download and check it is the expected matrix; return it."""
     header, matrix = read_matrix_market(text)
     if matrix.n != 841:
         raise ValueError(f"{name}: expected order 841, got {matrix.n}")
@@ -70,6 +72,7 @@ def _validate(name: str, text: bytes) -> None:
         raise ValueError(f"{name}: expected complex field, got {header.field}")
     if not matrix.is_symmetric:
         raise ValueError(f"{name}: matrix is not symmetric")
+    return matrix
 
 
 def fetch_one(name: str) -> bool:
@@ -82,12 +85,11 @@ def fetch_one(name: str) -> bool:
         try:
             raw = _fetch(url)
             text = _extract_mtx(name, url, raw)
-            _validate(name, text)
+            matrix = _validate(name, text)
         except (urllib.error.URLError, OSError, ValueError, tarfile.TarError) as e:
             print(f"{name}: {url} failed ({e})")
             continue
         # Re-emit through our own writer so every fixture shares one format.
-        _, matrix = read_matrix_market(text)
         FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
         with dest.open("w") as f:
             write_matrix_market(

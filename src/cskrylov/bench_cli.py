@@ -59,7 +59,6 @@ class RunReport:
     p: int
     tol: float
     seed: int
-    norm_ref: str
     rows: list = field(default_factory=list)
 
     @property
@@ -125,7 +124,7 @@ def run_benchmark(args):
             raise ValueError(
                 f"unknown solver {s!r}; available: {', '.join(SOLVERS)}"
             )
-    cfg = SolverConfig(tol=args.tol, max_iter=args.maxit, norm_reference=args.norm_ref)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.maxit)
     out = _report_path(args)
     if out is not None:
         _check_writable(out)
@@ -143,7 +142,6 @@ def run_benchmark(args):
         p=args.p if args.matrix is not None else b.shape[1],
         tol=args.tol,
         seed=args.seed,
-        norm_ref=args.norm_ref,
     )
     for s, res in zip(solver_names, results):
         report.rows.append(
@@ -165,8 +163,7 @@ def run_benchmark(args):
 def _meta_line(report):
     return (
         f"# matrix={report.matrix} n={report.n} nnz={report.nnz} "
-        f"p={report.p} tol={report.tol!r} seed={report.seed} "
-        f"norm_ref={report.norm_ref}"
+        f"p={report.p} tol={report.tol!r} seed={report.seed}"
     )
 
 
@@ -220,7 +217,6 @@ def parse_report_csv(text):
         p=int(meta["p"]),
         tol=float(meta["tol"]),
         seed=int(meta["seed"]),
-        norm_ref=meta["norm_ref"],
     )
     for ln in lines[2:]:
         solver, iters, trr, cpu, status = ln.split(",", 4)
@@ -269,12 +265,6 @@ def _build_parser():
         "--maxit", type=int, default=None, help="iteration cap (default: n)"
     )
     solve.add_argument("--seed", type=int, default=0, help="RHS / generator seed")
-    solve.add_argument(
-        "--norm-ref",
-        choices=["rhs", "r0"],
-        default="rhs",
-        help="residual normalization: RHS norm or initial-residual norm",
-    )
     solve.add_argument(
         "--out", default="stdout", help="report destination path, or stdout"
     )

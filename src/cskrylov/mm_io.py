@@ -7,21 +7,36 @@ comments, a size line, then whitespace-delimited entries with 1-based
 indices. Both formats load into CSR storage; an array file keeps only
 its nonzero entries, so a matrix reads to the same arrays from either
 format. Symmetric, skew-symmetric and hermitian files are expanded to
-full storage on read; the writer emits coordinate complex symmetric
-(lower triangle only) with 17 significant digits so a write/read cycle
-reproduces the matrix exactly.
+full storage on read, by one mirror step for both formats; the writer
+emits coordinate complex symmetric (lower triangle only) with 17
+significant digits so a write/read cycle reproduces the matrix exactly.
+
+The grammar read is that of the format (Boisvert, Pozo & Remington,
+"The Matrix Market exchange formats", NIST 1996):
+
+- the file is ASCII text: tab, line feed, and bytes 0x20-0x7E; a
+  carriage return only directly before a line feed (CRLF line ends)
+- lines end at LF or CRLF; tokens are separated by spaces and tabs
+- a "%" may only start a comment, as the first non-blank character of
+  its line; a comment line may hold any of the text above
+- numbers are decimal, with Fortran D exponents read as E; "_" occurs
+  only in comment lines, so Python's digit-group underscores (1_0) are
+  not numbers
+
+A file outside the grammar raises a ValueError that names the 1-based
+line of its first offending byte ("line N: ..."). Inside the grammar a
+file gives the entries, or the error message, that a line-by-line reader
+gives which splits lines and tokens as above and converts them with
+int() and float().
 
 Entries have one parse path: numpy's C text reader (np.loadtxt, "%"
-comments) over the entry section, with Fortran D exponents mapped to E.
-The per-entry rules then run as checks over whole arrays: the entry
-count, index bounds, the stored triangle of each symmetry and, with
-1-based indices, duplicates. When loadtxt fails, when it would split the
-section into lines or comments differently from str.splitlines (a "%"
-after the values, a lone carriage return, a form feed), or when a check
-fails, a diagnosis-only line scan finds the first entry line the format
-rejects and raises its message. The scan converts tokens with int() and
-float() and builds no matrix, so the reader accepts exactly the files a
-line-by-line reader accepts, with the same messages.
+comments) over the entry section. The per-entry rules then run as checks
+over whole arrays: the entry count, index bounds and the stored triangle
+of each symmetry; duplicates are left to ComplexSymmetricMatrix.from_coo,
+which sorts the entries once. When loadtxt fails or a check fails, a
+diagnosis-only line scan finds the first entry line the format rejects
+and raises its message; it converts tokens with int() and float() and
+builds no matrix.
 
 Strictness notes: duplicate coordinate entries are rejected rather than
 summed (a corrupt download should fail loudly), and pattern files are
@@ -29,7 +44,6 @@ rejected outright since they carry no values to solve with.
 """
 
 import io
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,46 +73,53 @@ class MatrixMarketHeader:
     symmetry: str
 
 
-# str.splitlines() ends a line at any of these; loadtxt only at \n and \r\n
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
-_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x85")
+# every byte the grammar allows; a carriage return only before a line feed
+_TEXT = bytes([0x09, 0x0A, 0x0D, *range(0x20, 0x7F)])
 _EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
 
 
 def _source(source):
-    """The file as text and as bytes, one byte per character.
-
-    Bytes are decoded as latin-1, which never fails; MM files are ASCII
-    anyway. A text source beyond latin-1 gets "?" in the bytes for each
-    such character: loadtxt skips it in a comment and rejects it in an
-    entry, which sends that entry to the line scan of the text.
-    """
+    """The file's bytes. Text is encoded as UTF-8, so that non-ASCII text
+    fails the byte check of the grammar as non-ASCII bytes do."""
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        data = source
-    else:
-        data = source.read()
-    if isinstance(data, str):
-        return data, data.encode("latin-1", "replace")
-    return data.decode("latin-1"), data
+        return Path(source).read_bytes()
+    data = source if isinstance(source, bytes) else source.read()
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
-def _lines(text, pos):
-    """Yield (line, end) from pos on, split where str.splitlines splits."""
-    while pos < len(text):
-        m = _LINE.match(text, pos)
-        pos = m.end()
-        yield m.group(1), pos
+def _check_grammar(data):
+    """Raise a ValueError naming the line of the first byte outside the grammar.
+
+    One C-speed pass (bytes.translate) finds the bytes that are never
+    allowed; carriage returns, "%" and "_" are looked at where they occur.
+    """
+    faults = [
+        (data.find(b), f"byte 0x{b:02x} is not Matrix Market text")
+        for b in set(data.translate(None, _TEXT))
+    ]
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        at = data.find(b"\r")
+        while data.startswith(b"\n", at + 1):
+            at = data.find(b"\r", at + 1)
+        faults.append((at, "carriage return without a line feed"))
+    for mark in b"%_":
+        at = data.find(mark)
+        # any text may follow the "%" that starts a comment line
+        while at >= 0 and _on_comment_line(data, at):
+            at = data.find(mark, data.find(b"\n", at) + 1 or len(data))
+        if at >= 0:
+            faults.append((at, f"{chr(mark)!r} outside a comment line"))
+    if faults:
+        at, why = min(faults)
+        line = data.count(b"\n", 0, at) + 1
+        raise ValueError(f"line {line}: {why}")
 
 
-def _fortran_float(tok):
-    """Parse a float, tolerating Fortran D exponents like 1.5D+03."""
-    try:
-        return float(tok.replace("D", "E").replace("d", "e"))
-    except ValueError:
-        raise ValueError(f"bad numeric token {tok!r}") from None
+def _on_comment_line(data, at):
+    """True if the line holding data[at] is a comment: its first
+    non-blank character is "%"."""
+    start = data.rfind(b"\n", 0, at) + 1
+    return data[start : at + 1].lstrip(b" \t").startswith(b"%")
 
 
 def _parse_banner(line):
@@ -116,18 +137,24 @@ def _parse_banner(line):
         raise ValueError(
             f"unknown symmetry {symmetry!r}, expected one of {_SYMMETRIES}"
         )
+    if field == "pattern":
+        raise ValueError("pattern matrices carry no values and cannot be solved")
     return MatrixMarketHeader(obj, fmt, field, symmetry)
 
 
 def _entry_value(tokens, field, line):
-    """Check the value part of an entry line (everything after indices)."""
+    """Check the value part of an entry line (everything after indices),
+    reading Fortran D exponents like 1.5D+03."""
     if field == "complex":
         if len(tokens) != 2:
             raise ValueError(f"complex entry needs two values: {line!r}")
     elif len(tokens) != 1:
         raise ValueError(f"{field} entry needs one value: {line!r}")
     for tok in tokens:
-        _fortran_float(tok)
+        try:
+            float(tok.replace("D", "E").replace("d", "e"))
+        except ValueError:
+            raise ValueError(f"bad numeric token {tok!r}") from None
 
 
 def read_matrix_market(source):
@@ -151,154 +178,123 @@ def read_matrix_market(source):
     Raises
     ------
     ValueError
-        Malformed banner, pattern field, bad size line, entry count
-        mismatch, out-of-bounds or duplicate indices, non-square shape.
+        Input outside the grammar (the message names the line), malformed
+        banner, pattern field, bad size line, entry count mismatch,
+        out-of-bounds or duplicate indices, non-square shape.
     """
-    text, data = _source(source)
-    lines = _lines(text, 0)
-    for line, pos in lines:
-        if line.strip():
+    data = _source(source)
+    _check_grammar(data)
+    header = None
+    pos = line_no = 0
+    while True:
+        if pos == len(data):
+            raise ValueError(
+                "empty input, no banner line" if header is None else "missing size line"
+            )
+        end = data.find(b"\n", pos) + 1 or len(data)
+        line = data[pos:end].decode("ascii").rstrip("\r\n")
+        pos, line_no = end, line_no + 1
+        if not line.strip():
+            continue
+        if header is None:
+            header = _parse_banner(line)
+        elif not line.lstrip().startswith("%"):
             break
-    else:
-        raise ValueError("empty input, no banner line")
-    header = _parse_banner(line)
-    if header.field == "pattern":
-        raise ValueError("pattern matrices carry no values and cannot be solved")
-    for line, pos in lines:
-        if line.strip() and not line.lstrip().startswith("%"):
-            break
-    else:
-        raise ValueError("missing size line")
+    n, count = _size(line, header)
+    table, values = _entries(data, pos, line_no + 1, header, n, count)
     if header.format == "coordinate":
-        matrix = _coordinate_matrix(text, data, pos, header, line)
+        rows, cols = table["i"] - 1, table["j"] - 1
     else:
-        matrix = _array_matrix(text, data, pos, header, line)
-    return header, matrix
+        if n < 0:
+            # numpy's message for the n x n array the line reader built
+            raise ValueError("negative dimensions are not allowed")
+        # array data runs down columns; packed storage keeps the lower
+        # triangle, whose column-major order is the row-major order of the
+        # upper triangle's transpose
+        if header.symmetry == "general":
+            cols, rows = np.divmod(np.arange(count), n)
+        else:
+            cols, rows = np.triu_indices(n, k=int(header.symmetry == "skew-symmetric"))
+        keep = values != 0
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    return header, _expanded(n, header.symmetry, rows, cols, values)
 
 
-def _coordinate_matrix(text, data, pos, header, size_line):
-    size_tokens = size_line.split()
-    if len(size_tokens) != 3:
-        raise ValueError(
-            f"coordinate size line needs 'rows cols nnz': {size_line!r}"
-        )
-    nrows, ncols, nnz = (int(t) for t in size_tokens)
-    if nrows != ncols:
-        raise ValueError(f"only square matrices are supported, got {nrows}x{ncols}")
-    n = nrows
-    vals = np.empty(nnz, dtype=np.complex128)
-    table = _entries(text, data, pos, header, n, vals)
-    rows = table["i"] - 1
-    cols = table["j"] - 1
+def _size(line, header):
+    """The order and the entry count that the size line gives."""
+    tokens = line.split()
+    if header.format == "coordinate" and len(tokens) != 3:
+        raise ValueError(f"coordinate size line needs 'rows cols nnz': {line!r}")
+    if header.format == "array" and len(tokens) != 2:
+        raise ValueError(f"array size line needs 'rows cols': {line!r}")
+    n, ncols, *nnz = (int(t) for t in tokens)
+    if n != ncols:
+        raise ValueError(f"only square matrices are supported, got {n}x{ncols}")
     if nnz:
-        order = np.lexsort((cols, rows))
-        srows, scols = rows[order], cols[order]
-        same = (srows[1:] == srows[:-1]) & (scols[1:] == scols[:-1])
-        if np.any(same):
-            k = int(np.argmax(same))
-            raise ValueError(f"duplicate entry at ({srows[k] + 1}, {scols[k] + 1})")
-    if header.symmetry != "general":
+        return n, nnz[0]
+    if header.symmetry == "general":
+        return n, n * n
+    if header.symmetry == "skew-symmetric":
+        return n, n * (n - 1) // 2
+    return n, n * (n + 1) // 2
+
+
+def _expanded(n, symmetry, rows, cols, vals):
+    """CSR storage of the stored triangle mirrored to full storage.
+
+    from_coo sorts the entries and rejects duplicates. On that error the
+    duplicate is named as the file gives it: 1-based, and the smallest
+    (row, col) of the stored entries, not of their mirror images.
+    """
+    stored = rows, cols
+    if symmetry != "general":
         off = rows != cols
         mvals = vals[off]
-        if header.symmetry == "skew-symmetric":
+        if symmetry == "skew-symmetric":
             mvals = -mvals
-        elif header.symmetry == "hermitian":
+        elif symmetry == "hermitian":
             mvals = np.conj(mvals)
         rows, cols = (
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),
         )
         vals = np.concatenate([vals, mvals])
-    return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+    try:
+        return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+    except ValueError:
+        pairs, counts = np.unique(np.column_stack(stored), axis=0, return_counts=True)
+        if np.any(counts > 1):
+            i, j = pairs[np.argmax(counts > 1)] + 1
+            raise ValueError(f"duplicate entry at ({i}, {j})") from None
+        raise
 
 
-def _array_matrix(text, data, pos, header, size_line):
-    size_tokens = size_line.split()
-    if len(size_tokens) != 2:
-        raise ValueError(f"array size line needs 'rows cols': {size_line!r}")
-    nrows, ncols = (int(t) for t in size_tokens)
-    if nrows != ncols:
-        raise ValueError(f"only square matrices are supported, got {nrows}x{ncols}")
-    n = nrows
-    if header.symmetry == "general":
-        expected = n * n
-    elif header.symmetry == "skew-symmetric":
-        expected = n * (n - 1) // 2
-    else:
-        expected = n * (n + 1) // 2
-    values = np.empty(expected, dtype=np.complex128)
-    _entries(text, data, pos, header, n, values)
-    dense = np.zeros((n, n), dtype=np.complex128)
-    # array data runs down columns; packed storage keeps the lower
-    # triangle, whose column-major order is the row-major order of the
-    # upper triangle's transpose
-    if header.symmetry == "general":
-        dense[:] = values.reshape(n, n).T
-    else:
-        cols, rows = np.triu_indices(n, k=int(header.symmetry == "skew-symmetric"))
-        dense[rows, cols] = values
-    if header.symmetry == "symmetric":
-        dense = dense + dense.T - np.diag(np.diag(dense))
-    elif header.symmetry == "skew-symmetric":
-        dense = dense - dense.T
-    elif header.symmetry == "hermitian":
-        dense = dense + np.conj(dense.T) - np.diag(np.diag(dense))
-    return ComplexSymmetricMatrix.from_dense(dense)
-
-
-def _entries(text, data, pos, header, n, values):
-    """Parse the entry section that starts at pos into values.
+def _entries(data, pos, first_line, header, n, count):
+    """Parse the entry section, data[pos:], which starts at line first_line.
 
     Returns the parsed table, with int64 fields i and j (the 1-based
-    indices) for coordinate files. When loadtxt cannot read the section
-    as the line scan would, or an entry breaks a rule, _diagnose raises
-    the line scan's message.
+    indices) for coordinate files, and the values as complex. When
+    loadtxt fails or an entry breaks a rule, _diagnose raises the line
+    scan's message.
     """
-    fields = []
-    if header.format == "coordinate":
-        fields += [("i", np.int64), ("j", np.int64)]
+    values = np.empty(count, dtype=np.complex128)
+    fields = [("i", np.int64), ("j", np.int64)] if header.format == "coordinate" else []
     fields.append(("re", np.float64))
     if header.field == "complex":
         fields.append(("im", np.float64))
-    dtype = np.dtype(fields)
-    table = None
-    if _loadtxt_splits_alike(data, pos):
-        try:
-            table = _loadtxt(data, pos, dtype)
-        except ValueError:
-            pass
-    if table is None or not _entries_hold(table, header, n, values.size):
-        _diagnose(text, pos, header, n, values.size)
-        # the line scan accepted the section: it holds breaks or spellings
-        # that only str.splitlines, int() and float() read
-        table = _loadtxt(_ascii_spelling(text[pos:]), 0, dtype)
-    values.real = table["re"]
-    values.imag = table["im"] if header.field == "complex" else 0.0
-    return table
-
-
-def _loadtxt_splits_alike(data, pos):
-    """True if loadtxt splits data[pos:] into the lines the line scan sees.
-
-    loadtxt ends lines only at \n and \r\n, and takes a "%" anywhere as
-    the start of a comment; the line scan ends lines at every
-    str.splitlines break and takes only a line that starts with "%" as
-    a comment.
-    """
-    if any(data.find(c, pos) >= 0 for c in _OTHER_BREAKS):
-        return False
-    lone_cr = data.find(b"\r", pos) >= 0 and (
-        data.count(b"\r", pos) != data.count(b"\r\n", pos)
-    )
-    if lone_cr:
-        return False
-    start = data.find(b"%", pos)
-    while start >= 0:
-        if data[max(data.rfind(b"\n", pos, start) + 1, pos) : start].strip(b" \t"):
-            return False
-        end = data.find(b"\n", start)
-        start = data.find(b"%", end) if end >= 0 else -1
-    return True
+    try:
+        table = _loadtxt(data, pos, np.dtype(fields))
+        if _entries_hold(table, header, n, count):
+            values.real = table["re"]
+            values.imag = table["im"] if header.field == "complex" else 0.0
+            return table, values
+        reason = "an entry breaks the format's rules"
+    except ValueError as e:
+        reason = str(e)
+    _diagnose(data[pos:].decode("ascii"), header, n, count)
+    # every entry line passed the line scan: numpy rejects a token that
+    # int() or float() reads, which no input inside the grammar is known to do
+    raise ValueError(f"line {first_line}: entries do not parse: {reason}")
 
 
 def _loadtxt(data, pos, dtype):
@@ -331,19 +327,20 @@ def _entries_hold(table, header, n, count):
     return True
 
 
-def _diagnose(text, pos, header, n, count):
+def _diagnose(text, header, n, count):
     """Raise the error of the first entry line the format rejects.
 
     Scans the entry section line by line, converting each token with
-    int() and float(), and builds nothing. Returns only if every line
-    passes and the entry count matches.
+    int() and float(), and builds nothing. Inside the grammar,
+    str.splitlines splits exactly at LF and CRLF. Returns only if every
+    line passes and the entry count matches.
     """
     if header.format == "coordinate":
         declared = f"size line declares {count}"
     else:
         declared = f"array needs {count} values"
     got = 0
-    for line, _ in _lines(text, pos):
+    for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("%"):
             continue
         if got >= count:
@@ -368,25 +365,6 @@ def _diagnose(text, pos, header, n, count):
         got += 1
     if got != count:
         raise ValueError(f"entry count mismatch: {declared}, file has {got}")
-
-
-def _ascii_spelling(text):
-    """Respell entries that the line scan accepted so that loadtxt reads them.
-
-    Every str.splitlines break becomes a newline, other whitespace a
-    blank, and each decimal digit its ASCII digit; digit-grouping
-    underscores go. int() and float() read every token to the same
-    value before and after.
-    """
-    table = {ord("_"): None}
-    for c in set(text):
-        if c in _BREAKS:
-            table[ord(c)] = "\n"
-        elif c.isspace():
-            table[ord(c)] = " "
-        elif c.isdecimal():
-            table[ord(c)] = str(int(c))
-    return text.translate(table).encode("latin-1", "replace")
 
 
 def write_matrix_market(m, dest, comments=()):

@@ -4,8 +4,13 @@ The reader as it was before entries were parsed by numpy's C text
 reader: one Python loop over the lines, each split into tokens and
 converted by int() and float(). It is the reference that
 tests/test_mm_io.py compares cskrylov.mm_io.read_matrix_market against:
-on every input both must return the same matrix bits, or raise the same
-exception with the same message. Keep it as it is.
+on every input inside the grammar that cskrylov.mm_io describes, both
+must return the same matrix bits, or raise the same exception with the
+same message. Array files with a symmetry are the exception: this reader
+adds the stored triangle to its mirror image, which changes a diagonal
+that overflows when doubled, is infinite or (hermitian) is not real, and
+the sign of some zeros, while cskrylov.mm_io expands them as it expands
+coordinate files. Keep it as it is.
 """
 
 from collections import namedtuple

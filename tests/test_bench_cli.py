@@ -46,10 +46,10 @@ class TestSolveCommand:
         _, text = _solve(tmp_path)
         meta = text.splitlines()[0]
         assert meta.startswith("# matrix=diagdominant n=30 nnz=")
-        for token in ("p=2", "tol=1e-10", "seed=3", "norm_ref=rhs"):
+        for token in ("p=2", "tol=1e-10", "seed=3"):
             assert token in meta
         keys = [tok.split("=", 1)[0] for tok in meta[2:].split()]
-        assert keys == ["matrix", "n", "nnz", "p", "tol", "seed", "norm_ref"]
+        assert keys == ["matrix", "n", "nnz", "p", "tol", "seed"]
 
     def test_report_round_trips_and_repeats(self, tmp_path):
         _, text1 = _solve(tmp_path, name="r1.csv")

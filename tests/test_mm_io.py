@@ -160,6 +160,13 @@ class TestCoordinateErrors:
         with pytest.raises(ValueError, match="bad numeric token"):
             _read(f"{BANNER}\n1 1 1\n1 1 abc 0\n")
 
+    def test_entry_numpy_cannot_read_names_its_line(self):
+        # with an order beyond int64, an index beyond int64 passes the
+        # line scan's int() but not numpy's reader
+        big = 10**20
+        with pytest.raises(ValueError, match=r"^line 3: entries do not parse"):
+            _read(f"{COORD} real general\n{big} {big} 1\n{big - 1} 1 1\n")
+
 
 def _outcome(read, source):
     """What a reader makes of source: the matrix bits, or the error."""
@@ -171,6 +178,39 @@ def _outcome(read, source):
         (header.object, header.format, header.field, header.symmetry),
         [(a.dtype, a.shape, a.tobytes()) for a in (m.row_ptr, m.col_idx, m.values)],
     )
+
+
+def _fault_line(data):
+    """The 1-based line of the first byte outside the grammar, or None.
+
+    Written from the grammar alone: ASCII text (tab and 0x20-0x7E) in
+    lines that end at LF or CRLF, with "%" and "_" only on comment
+    lines, whose first non-blank character is "%".
+    """
+    lines = data.split(b"\n")
+    for number, line in enumerate(lines, 1):
+        if number < len(lines) and line.endswith(b"\r"):
+            line = line[:-1]
+        comment = line.lstrip(b" \t").startswith(b"%")
+        for byte in line:
+            if not (byte == 0x09 or 0x20 <= byte <= 0x7E):
+                return number
+            if byte in b"%_" and not comment:
+                return number
+    return None
+
+
+def _check_against_reference(source, data):
+    """Inside the grammar, the reader does what the frozen line reader
+    does; outside it, it raises naming the line of the first fault."""
+    line = _fault_line(data)
+    if line is None:
+        assert _outcome(read_matrix_market, source()) == _outcome(
+            reference_read, source()
+        ), data
+    else:
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            read_matrix_market(source())
 
 
 COORD = "%%MatrixMarket matrix coordinate"
@@ -199,6 +239,11 @@ LINE_READER_CASES = {
     "upper-triangle": f"{BANNER}\n2 2 2\n1 1 1 0\n1 2 0 1\n",
     "skew-diagonal": f"{COORD} real skew-symmetric\n2 2 1\n1 1 3\n",
     "duplicate": f"{BANNER}\n2 2 3\n2 1 1 0\n1 1 1 0\n2 1 2 0\n",
+    # the smallest stored duplicate is (2, 2), though the mirror image
+    # (1, 3) of the other duplicate sorts first in full storage
+    "duplicates-off-and-on-the-diagonal": (
+        f"{BANNER}\n3 3 4\n3 1 1 0\n2 2 1 0\n3 1 2 0\n2 2 2 0\n"
+    ),
     "too-few": f"{BANNER}\n2 2 3\n1 1 1 0\n2 1 0 1\n",
     "too-many": f"{BANNER}\n2 2 1\n1 1 1 0\n2 1 bad\n",
     "negative-count": f"{BANNER}\n2 2 -1\n",
@@ -210,46 +255,61 @@ LINE_READER_CASES = {
     "hermitian": f"{COORD} complex hermitian\n2 2 2\n1 1 1 0\n2 1 1 2\n",
     "array-general": f"{ARRAY} complex general\n2 2\n1 0\n2 1\n3 0\n4 -1\n",
     "array-symmetric": f"{ARRAY} real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n",
-    "array-skew-symmetric": f"{ARRAY} integer skew-symmetric\n3 3\n1\n2\n3\n",
     "array-hermitian": f"{ARRAY} complex hermitian\n2 2\n1 0\n2 1\n3 0\n",
+    "array-negative-order": f"{ARRAY} real general\n-1 -1\n1\n",
     "array-too-many": f"{ARRAY} real general\n1 1\n1\n2\n",
     "array-two-values-in-real": f"{ARRAY} real general\n1 1\n1 2\n",
+}
+TEXT_BEYOND_LATIN1 = f"{BANNER}\n% \u4e2d\n1 1 1\n\u0661 1 2.\u0665 0\n"
+# every input above that the grammar rejects, with the line it names
+OUTSIDE_GRAMMAR = {
+    "lone-cr": 1,
+    "form-feed-line-break": 3,
+    "percent-after-values": 3,
+    "percent-in-value": 3,
+    "underscore-digits": 3,
+    "text-beyond-latin1": 2,
 }
 
 
 class TestAgainstLineReader:
     """The reader against the frozen line-by-line reader in mm_reference."""
 
+    def test_outside_grammar_table(self):
+        cases = {**LINE_READER_CASES, "text-beyond-latin1": TEXT_BEYOND_LATIN1}
+        lines = {name: _fault_line(text.encode()) for name, text in cases.items()}
+        assert {k: v for k, v in lines.items() if v is not None} == OUTSIDE_GRAMMAR
+
     @pytest.mark.parametrize("text", LINE_READER_CASES.values(), ids=LINE_READER_CASES)
     def test_same_outcome(self, text):
-        assert _outcome(read_matrix_market, text.encode()) == _outcome(
-            reference_read, text.encode()
-        )
+        data = text.encode()
+        _check_against_reference(lambda: data, data)
 
     @pytest.mark.parametrize(
         "text",
         [
             f"{BANNER}\n2 2 2\n1 1 1.5 -2\n% c\n2 1 0 1\n",
             f"{ARRAY} real symmetric\n2 2\n1\n2\n3\n",
+            f"{BANNER}\r\n2 2 2\r\n1 1 1.5 -2\r\n% c\r\n2 1 0 1\r\n",
         ],
-        ids=["coordinate", "array"],
+        ids=["coordinate", "array", "crlf"],
     )
     def test_every_byte_anywhere_in_the_entries(self, text):
         # loadtxt and str.splitlines/split disagree on some line breaks,
-        # separators and comment marks, so try every byte everywhere
+        # separators and comment marks, which the grammar leaves out: try
+        # every byte everywhere, each either read as the line reader reads
+        # it or rejected at its line
         data = text.encode()
         after_size_line = data.index(b"\n", data.index(b"\n") + 1) + 1
         for pos in range(after_size_line, len(data) + 1):
             for byte in range(256):
                 mutated = data[:pos] + bytes([byte]) + data[pos:]
-                assert _outcome(read_matrix_market, mutated) == _outcome(
-                    reference_read, mutated
-                ), mutated
+                _check_against_reference(lambda: mutated, mutated)
 
     def test_text_source_beyond_latin1(self):
-        text = f"{BANNER}\n% \u4e2d\n1 1 1\n\u0661 1 2.\u0665 0\n"
-        assert _outcome(read_matrix_market, io.StringIO(text)) == _outcome(
-            reference_read, io.StringIO(text)
+        _check_against_reference(
+            lambda: io.StringIO(TEXT_BEYOND_LATIN1),
+            TEXT_BEYOND_LATIN1.encode(),
         )
 
 
@@ -287,6 +347,44 @@ class TestArrayRead:
         text = "%%MatrixMarket matrix array real skew-symmetric\n2 2\n5\n"
         _, m = _read(text)
         np.testing.assert_array_equal(m.to_dense(), [[0, -5.0], [5.0, 0]])
+
+    @pytest.mark.parametrize(
+        ("array", "coordinate"),
+        [
+            (
+                f"{ARRAY} real symmetric\n2 2\n1e308\n2\n3\n",
+                f"{COORD} real symmetric\n2 2 3\n1 1 1e308\n2 1 2\n2 2 3\n",
+            ),
+            (
+                f"{ARRAY} real symmetric\n2 2\ninf\n2\n3\n",
+                f"{COORD} real symmetric\n2 2 3\n1 1 inf\n2 1 2\n2 2 3\n",
+            ),
+            (
+                f"{ARRAY} complex hermitian\n2 2\n1 5\n2 1\n3 0\n",
+                f"{COORD} complex hermitian\n2 2 3\n1 1 1 5\n2 1 2 1\n2 2 3 0\n",
+            ),
+            (
+                f"{ARRAY} complex symmetric\n2 2\n-0 1\n2 -0\n3 -0\n",
+                f"{COORD} complex symmetric\n2 2 3\n1 1 -0 1\n2 1 2 -0\n2 2 3 -0\n",
+            ),
+            (
+                f"{ARRAY} integer skew-symmetric\n3 3\n1\n2\n3\n",
+                f"{COORD} integer skew-symmetric\n3 3 3\n2 1 1\n3 1 2\n3 2 3\n",
+            ),
+        ],
+        ids=[
+            "symmetric-1e308-diagonal",
+            "symmetric-inf-diagonal",
+            "hermitian-complex-diagonal",
+            "symmetric-negative-zeros",
+            "skew-symmetric",
+        ],
+    )
+    def test_reads_as_the_coordinate_file(self, array, coordinate):
+        # one mirror step for both formats: the diagonal is stored once
+        # and never summed with its mirror, and signed zeros survive
+        _, csr = _outcome(read_matrix_market, coordinate.encode())
+        assert _outcome(read_matrix_market, array.encode())[1] == csr
 
     def test_wrong_value_count(self):
         with pytest.raises(ValueError, match="needs 4 values"):
