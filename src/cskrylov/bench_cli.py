@@ -131,8 +131,8 @@ def run_benchmark(args):
     hist_dir = None if args.history_dir is None else Path(args.history_dir)
     if hist_dir is not None:
         hist_dir.mkdir(parents=True, exist_ok=True)
-    # one untimed product builds the CSR product handle (and imports
-    # scipy.sparse), so no solver's cpu time is charged for it
+    # one untimed product imports scipy.sparse and resolves its CSR
+    # kernel, so no solver's cpu time is charged for that
     m.matvec(b[:, :1])
     results = [SOLVERS[s](m, b, None, cfg) for s in solver_names]
     report = RunReport(

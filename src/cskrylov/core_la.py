@@ -12,6 +12,12 @@ form V^T W, which can vanish on nonzero inputs; Cholesky and the
 Hermitian machinery of standard libraries do not apply to them. The
 thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
+
+Blocks stay in Fortran order through every kernel: the CSR product
+runs scipy's one-vector kernel on each column of the result, and the
+block update X <- X + Y C is made in place, on large blocks by one
+``zgemm`` call. Every kernel but `axpy_block` returns a new array;
+`axpy_block` updates and returns X.
 """
 
 import ctypes
@@ -93,7 +99,6 @@ class ComplexSymmetricMatrix:
         self.n = int(n)
         self._finite = None
         self._symmetric = None
-        self._sparse = None
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.complex128)
@@ -193,35 +198,26 @@ class ComplexSymmetricMatrix:
             )
         return self._symmetric
 
-    def _scipy_csr(self):
-        """scipy.sparse view of the CSR arrays, built on first use.
-
-        scipy is imported here, not at module level, so that loading,
-        generating and checking matrices never load it.
-        Threads that race on the first call each build an identical
-        handle, so the race is harmless.
-        """
-        if self._sparse is None:
-            import scipy.sparse
-
-            self._sparse = scipy.sparse.csr_array(
-                (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
-            )
-        return self._sparse
-
     def matvec(self, v):
-        """Return A @ v for an (n, p) block vector v."""
+        """Return A @ v for an (n, p) block vector v, in Fortran order.
+
+        Each column of the result is scipy's CSR kernel applied to the
+        matching column of v, written in place.
+        """
         v = _as_block(v)
         if v.shape[0] != self.n:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"block vector has {v.shape[0]} rows"
             )
-        # the result is allocated ahead of the product's temporaries: with
-        # the other order glibc placed the blocks so that the n=1e5, p=8
-        # four-solver pass peaked at 288 MB resident instead of 275 MB
-        out = np.empty(v.shape, dtype=np.complex128, order="F")
-        out[:] = self._scipy_csr() @ v
+        # the kernel adds each row's sum to what the output holds
+        out = np.zeros(v.shape, dtype=np.complex128, order="F")
+        csr_matvec = _csr_matvec()
+        for j in range(v.shape[1]):
+            csr_matvec(
+                self.n, self.n, self.row_ptr, self.col_idx, self.values,
+                v[:, j], out[:, j],
+            )
         return out
 
     def to_dense(self):
@@ -232,6 +228,18 @@ class ComplexSymmetricMatrix:
 
     def __repr__(self):
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
+
+
+@functools.cache
+def _csr_matvec():
+    """scipy's one-vector CSR kernel, y += A x, sums in row order.
+
+    scipy is imported on the first product, not at module level, so
+    that loading, generating and checking matrices never load it.
+    """
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools.csr_matvec
 
 
 @dataclass
@@ -245,14 +253,18 @@ class QrFactors:
 
 
 def block_matvec(a, v):
-    """Compute A @ V.
+    """Compute A @ V into a new block.
+
+    A `ComplexSymmetricMatrix` forms it one column at a time with
+    scipy's CSR kernel, so no row-major copy of V or of the result is
+    made.
 
     Parameters
     ----------
     a : ComplexSymmetricMatrix
         The operator (or anything with a conforming ``matvec``).
     v : ndarray
-        Block vector of shape (a.n, p).
+        Block vector of shape (a.n, p), in any memory order.
 
     Returns
     -------
@@ -416,7 +428,7 @@ def solve_small(m, rhs):
     The Gram matrices this solves are complex symmetric, not Hermitian,
     so Cholesky is unsound and partial-pivoted LU is used instead. A
     1-by-1 system is one complex division. Larger systems go to LAPACK
-    ``zgesv`` in the library numpy itself links (see `_zgesv`), which
+    ``zgesv`` in the library numpy itself links (see `_routine`), which
     picks each pivot by the largest |re| + |im| in its column, as
     LAPACK's ``izamax`` does. Where numpy exposes no such symbol, and
     where LAPACK stops at an exact zero pivot that the floor lets
@@ -457,29 +469,34 @@ def solve_small(m, rhs):
     if a.shape[0] == 1:
         z = b / a[0, 0]
     else:
-        z = _lapack_solve(a, b, floor) if _zgesv() is not None else None
+        z = _lapack_solve(a, b, floor) if _routine("zgesv") is not None else None
         if z is None:
             z = _python_solve(a, b, floor)
     return z[:, 0] if squeeze else z
 
 
-# (symbol, LAPACK integer type) in the order tried: the scipy-openblas
-# wheels of numpy export 64-bit-integer LAPACK under a prefix and suffix.
-# The unsuffixed name says nothing of its integer width, which is taken
-# from numpy's build report instead (None: ask the report)
-_ZGESV_SYMBOLS = (
-    ("scipy_zgesv_64_", ctypes.c_int64),
-    ("zgesv_64_", ctypes.c_int64),
-    ("zgesv_", None),
+# (symbol pattern, integer type) in the order tried: the scipy-openblas
+# wheels of numpy export 64-bit-integer BLAS and LAPACK under a prefix and
+# suffix. The unsuffixed name says nothing of its integer width, which is
+# taken from numpy's build report instead (None: ask the report)
+_SYMBOLS = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("{}_", None),
 )
+# ctypes argument types of each routine that is bound, one letter per
+# argument: i an integer of the library's width, v a data pointer, c a
+# character option
+_SIGNATURES = {"zgesv": "iiviivii", "zgemm": "cciiivvivivvi"}
 
 
 @functools.cache
-def _zgesv():
-    """LAPACK zgesv and its integer type, or None where it cannot be found.
+def _routine(name):
+    """BLAS or LAPACK routine `name` (a key of `_SIGNATURES`) and its
+    integer type, or None where it cannot be found.
 
     The symbol is looked up through numpy's own linear-algebra extension,
-    whose dependencies include the LAPACK numpy links, so it adds no
+    whose dependencies include the library numpy links, so it adds no
     library to the process and shares numpy's BLAS threads.
     """
     try:
@@ -488,7 +505,7 @@ def _zgesv():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
-    return _bind_zgesv(lib, _lapack_report())
+    return _bind(lib, name, _lapack_report())
 
 
 def _lapack_report():
@@ -509,25 +526,25 @@ def _report_int_type(lapack):
     return ctypes.c_int64 if "USE64BITINT" in config.split() else ctypes.c_int32
 
 
-def _bind_zgesv(lib, lapack):
-    """zgesv from `lib` and its integer type, typed for ctypes, or None.
+def _bind(lib, name, lapack):
+    """Routine `name` from `lib` and its integer type, typed for ctypes,
+    or None.
 
     A symbol whose integer width is unknown is skipped: calling an
-    int64 LAPACK with int32 arguments would read past them and write
-    pivots past the end of their array.
+    int64 library with int32 arguments would read past them, and zgesv
+    would write pivots past the end of their array.
     """
-    for name, int_t in _ZGESV_SYMBOLS:
+    for pattern, int_t in _SYMBOLS:
         if int_t is None:
             int_t = _report_int_type(lapack)
             if int_t is None:
                 continue
         try:
-            fn = lib[name]
+            fn = lib[pattern.format(name)]
         except AttributeError:
             continue
-        ip = ctypes.POINTER(int_t)
-        vp = ctypes.c_void_p
-        fn.argtypes = [ip, ip, vp, ip, ip, vp, ip, ip]
+        types = {"i": ctypes.POINTER(int_t), "v": ctypes.c_void_p, "c": ctypes.c_char_p}
+        fn.argtypes = [types[t] for t in _SIGNATURES[name]]
         fn.restype = None
         return fn, int_t
     return None
@@ -536,7 +553,7 @@ def _bind_zgesv(lib, lapack):
 def _lapack_solve(a, b, floor):
     """Z for M Z = B by zgesv, or None if zgesv stopped at an exact zero
     pivot below no floor; it then leaves B unsolved."""
-    fn, int_t = _zgesv()
+    fn, int_t = _routine("zgesv")
     p, k = b.shape
     lu = np.array(a, order="F")
     z = np.array(b, order="F")
@@ -588,29 +605,72 @@ def fro_norm(v):
     return float(np.linalg.norm(_as_block(v, "v")))
 
 
+# alpha and beta of the zgemm in axpy_block, and their address
+_ONE = np.ones(1, dtype=np.complex128)
+_ONE_ADDRESS = _ONE.ctypes.data
+# blocks with fewer entries take numpy's product, which is faster there:
+# the ctypes call costs more than the pass zgemm saves. The two cross
+# between 4k and 8k entries for p from 1 to 8 (2-core guest, OpenBLAS)
+_GEMM_MIN_SIZE = 8192
+
+
 def axpy_block(x, y, c):
-    """Compute X + Y @ C for block vectors X, Y and a small matrix C.
+    """Update X <- X + Y @ C in place, for block vectors X, Y and a small
+    matrix C.
+
+    A block of at least `_GEMM_MIN_SIZE` entries is updated by one
+    ``zgemm`` call with beta = 1 in the library numpy links (see
+    `_routine`). Smaller blocks, and every block where numpy exposes no
+    such symbol, take ``x += np.matmul(y, c, order="F")``. Both give the
+    bits of X + Y @ C formed in a new Fortran-order block, except that
+    zgemm may round differently at p = 1.
 
     Parameters
     ----------
-    x, y : ndarray
-        Block vectors of shape (n, p).
+    x : ndarray
+        Block vector of shape (n, p): a writeable, Fortran-order
+        complex128 array, overwritten with the result.
+    y : ndarray
+        Block vector of shape (n, p), sharing no memory with x.
     c : ndarray
-        Coefficient matrix of shape (p, p).
+        Coefficient matrix of shape (p, p), sharing no memory with x.
 
     Returns
     -------
     ndarray
-        X + Y @ C, shape (n, p).
+        x itself, holding X + Y @ C.
+
+    Raises
+    ------
+    ValueError
+        If the shapes do not conform, if x cannot be updated in place,
+        or if y or c shares memory with x.
     """
-    x = _as_block(x, "x")
     y = _as_block(y, "y")
     c = _as_small(c, "c")
-    if x.shape != y.shape or y.shape[1] != c.shape[0]:
+    if np.shape(x) != y.shape or y.shape[1] != c.shape[0]:
         raise ValueError(
-            f"nonconformable shapes: x {x.shape}, y {y.shape}, c {c.shape}"
+            f"nonconformable shapes: x {np.shape(x)}, y {y.shape}, c {c.shape}"
         )
-    out = np.empty(x.shape, dtype=np.complex128, order="F")
-    np.matmul(y, c, out=out)
-    out += x
-    return out
+    if not (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.complex128
+        and x.flags.f_contiguous
+        and x.flags.writeable
+    ):
+        raise ValueError(
+            "x must be a writeable Fortran-order complex128 array: "
+            "it is updated in place"
+        )
+    if np.shares_memory(x, y) or np.shares_memory(x, c):
+        raise ValueError("x shares memory with y or c: it is updated in place")
+    gemm = _routine("zgemm") if x.size >= _GEMM_MIN_SIZE else None
+    if gemm is None:
+        x += np.matmul(y, c, order="F")
+    else:
+        fn, int_t = gemm
+        n, p = int_t(x.shape[0]), int_t(x.shape[1])
+        # c is row-major, so its buffer is C^T to a column-major routine
+        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, y.ctypes.data, n,
+           c.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, n)
+    return x

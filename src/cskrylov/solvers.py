@@ -86,9 +86,10 @@ class SolverConfig:
     observer : callable or None
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
-        live block arrays. The arrays are freshly allocated each
-        iteration; treat them as read-only. Solver output is bitwise
-        identical with or without an observer.
+        iteration's blocks. The solvers update X and the residual in
+        place, so the n-by-p blocks are copies, taken only when an
+        observer is installed; the observer may keep them. Solver output
+        is bitwise identical with or without an observer.
     """
 
     tol: float = 1e-10
@@ -234,8 +235,13 @@ def _setup(a, b, x0, cfg):
     if norm_b == 0.0:
         raise ValueError("right-hand side is identically zero; nothing to solve")
     if x0 is None:
-        x = np.zeros((n, p), dtype=np.complex128, order="F")
+        # R_0 is allocated before X, which the solve updates in place and
+        # returns. The plain methods update R_0 in place too; freed at
+        # exit, it leaves a block-sized gap below X for the caller's next
+        # block. With X first, the young1c-sweep benchmark's peak RSS rose
+        # from 84 to 93 MB (glibc placement)
         r0 = b.copy(order="F")
+        x = np.zeros((n, p), dtype=np.complex128, order="F")
     else:
         x = np.asfortranarray(x0, dtype=np.complex128).copy(order="F")
         if x.shape != (n, p):
@@ -263,9 +269,10 @@ def _finalize(a, b, x, iterations, converged, history, breakdown, t0):
 
 
 def _observe(cfg, m, keys, blocks, xi):
-    """Hand the observer this iteration's blocks by symbol, xi last."""
+    """Hand the observer copies of this iteration's blocks by symbol, xi
+    last. xi is never updated in place, so it is passed as it is."""
     if cfg.observer is not None:
-        state = dict(zip(keys, blocks))
+        state = {k: v.copy(order="F") for k, v in zip(keys, blocks)}
         if xi is not None:
             state["xi"] = xi
         cfg.observer(m, state)
@@ -304,7 +311,8 @@ def _advance(x, s, q, w, alpha, xi, ref):
     X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
     as Q_{m+1} tau_{m+1}, giving xi_{m+1} = tau_{m+1} xi_m. Unfactored
     (xi is None) the residual Q_m - W alpha is Q_{m+1} itself: no QR is
-    taken and no product with xi or tau is formed.
+    taken and no product with xi or tau is formed. X and Q are updated
+    in place.
 
     Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ref),
     with tau and xi None when unfactored.
@@ -361,7 +369,8 @@ def _cocg(a, b, x0, cfg, factored):
         except BreakdownError as e:
             breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
             break
-        s = axpy_block(q_new, s, beta)
+        # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
+        s = axpy_block(q_new.copy(order="F"), s, beta)
         q, qq = q_new, qq_new
     return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
 
@@ -410,8 +419,9 @@ def _cocr(a, b, x0, cfg, factored):
             system = "Q^T V" if factored else "R^T V"
             breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
             break
-        s = axpy_block(q_new, s, beta)
-        u = axpy_block(v_new, u, beta)
+        # Q_{m+1} and V_{m+1} live on, so S and U start from copies
+        s = axpy_block(q_new.copy(order="F"), s, beta)
+        u = axpy_block(v_new.copy(order="F"), u, beta)
         q, v, qv = q_new, v_new, qv_new
     return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
 

@@ -123,6 +123,37 @@ class TestComplexSymmetricMatrix:
         with pytest.raises(ValueError, match="dimension mismatch"):
             m.matvec(np.ones((2, 1), dtype=complex))
 
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("layout", ["F", "C", "strided"])
+    @pytest.mark.parametrize(
+        "pattern", ["random", "empty-rows", "nothing-stored"]
+    )
+    def test_matvec_is_scipys_product_bit_for_bit(self, p, layout, pattern):
+        import scipy.sparse
+
+        n = 50
+        rng = np.random.default_rng(p)
+        d = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        d[np.abs(d) < 1.0] = 0.0
+        if pattern == "empty-rows":
+            d[::3] = 0.0
+        elif pattern == "nothing-stored":
+            d[:] = 0.0
+        m = ComplexSymmetricMatrix.from_dense(d)
+        v = _rand_block(n, 2 * p, p + 100)
+        if layout == "C":
+            v = np.ascontiguousarray(v[:, :p])
+        elif layout == "strided":
+            v = v[:, ::2]
+        else:
+            v = np.asfortranarray(v[:, :p])
+        expected = scipy.sparse.csr_array(
+            (m.values, m.col_idx, m.row_ptr), shape=(n, n)
+        ) @ v
+        out = m.matvec(v)
+        assert out.flags.f_contiguous and out.shape == (n, p)
+        np.testing.assert_array_equal(out, expected)
+
     def test_block_matvec_delegates(self):
         m = ComplexSymmetricMatrix.from_dense(2 * np.eye(2))
         v = np.ones((2, 2), dtype=complex, order="F")
@@ -344,16 +375,18 @@ class TestSolveSmallPythonLU(TestSolveSmall):
 
     @pytest.fixture(autouse=True)
     def _without_lapack(self, monkeypatch):
-        monkeypatch.setattr(core_la, "_zgesv", lambda: None)
+        monkeypatch.setattr(core_la, "_routine", lambda name: None)
 
 
 def test_lapack_binding_resolves_under_scipy_openblas():
-    # a build that names scipy-openblas as its LAPACK exports zgesv; if
-    # the lookup failed there, every solve would quietly take the Python LU
+    # a build that names scipy-openblas as its LAPACK exports zgesv and
+    # zgemm; if the lookup failed there, every solve would quietly take
+    # the Python LU and every block update numpy's product
     lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
-    assert core_la._zgesv() is not None
+    assert core_la._routine("zgesv") is not None
+    assert core_la._routine("zgemm") is not None
 
 
 class _Library:
@@ -373,28 +406,45 @@ _OPENBLAS64 = {"openblas configuration": "OpenBLAS 0.3.27  USE64BITINT DYNAMIC_A
 
 
 @pytest.mark.parametrize(
-    "names,lapack,int_t",
+    "routine,names,lapack,int_t",
     [
         # the suffixed names are 64-bit whatever the report says
-        pytest.param(("scipy_zgesv_64_", "zgesv_"), {}, ctypes.c_int64, id="scipy-64"),
-        pytest.param(("zgesv_64_",), _OPENBLAS32, ctypes.c_int64, id="suffix-64"),
+        pytest.param("zgesv", ("scipy_zgesv_64_", "zgesv_"), {}, ctypes.c_int64, id="scipy-64"),
+        pytest.param("zgesv", ("zgesv_64_",), _OPENBLAS32, ctypes.c_int64, id="suffix-64"),
         # the unsuffixed name takes its width from the report
-        pytest.param(("zgesv_",), _OPENBLAS32, ctypes.c_int32, id="openblas-32"),
-        pytest.param(("zgesv_",), _OPENBLAS64, ctypes.c_int64, id="openblas-64"),
+        pytest.param("zgesv", ("zgesv_",), _OPENBLAS32, ctypes.c_int32, id="openblas-32"),
+        pytest.param("zgesv", ("zgesv_",), _OPENBLAS64, ctypes.c_int64, id="openblas-64"),
         # and is left alone where the report cannot confirm the width
-        pytest.param(("zgesv_",), {"name": "mkl"}, None, id="mkl"),
-        pytest.param(("zgesv_",), {}, None, id="no-report"),
-        pytest.param((), _OPENBLAS32, None, id="no-symbol"),
+        pytest.param("zgesv", ("zgesv_",), {"name": "mkl"}, None, id="mkl"),
+        pytest.param("zgesv", ("zgesv_",), {}, None, id="no-report"),
+        pytest.param("zgesv", (), _OPENBLAS32, None, id="no-symbol"),
+        # zgemm follows the same table
+        pytest.param("zgemm", ("scipy_zgemm_64_", "zgemm_"), {}, ctypes.c_int64,
+                     id="zgemm-scipy-64"),
+        pytest.param("zgemm", ("zgemm_64_",), _OPENBLAS32, ctypes.c_int64,
+                     id="zgemm-suffix-64"),
+        pytest.param("zgemm", ("zgemm_",), _OPENBLAS32, ctypes.c_int32,
+                     id="zgemm-openblas-32"),
+        pytest.param("zgemm", ("zgemm_",), _OPENBLAS64, ctypes.c_int64,
+                     id="zgemm-openblas-64"),
+        pytest.param("zgemm", ("zgemm_",), {"name": "mkl"}, None, id="zgemm-mkl"),
+        pytest.param("zgemm", ("zgemm_",), {}, None, id="zgemm-no-report"),
+        # one routine's symbol does not bind the other
+        pytest.param("zgemm", ("scipy_zgesv_64_", "zgesv_"), _OPENBLAS32, None,
+                     id="zgemm-no-symbol"),
     ],
 )
-def test_zgesv_integer_width(names, lapack, int_t):
-    bound = core_la._bind_zgesv(_Library(*names), lapack)
+def test_zgesv_integer_width(routine, names, lapack, int_t):
+    bound = core_la._bind(_Library(*names), routine, lapack)
     if int_t is None:
         assert bound is None
     else:
         fn, got = bound
         assert got is int_t
-        assert fn.argtypes[0] is ctypes.POINTER(int_t)
+        ip = ctypes.POINTER(int_t)
+        width = [t for t in fn.argtypes if t not in (ctypes.c_void_p, ctypes.c_char_p)]
+        assert width and all(t is ip for t in width)
+        assert len(fn.argtypes) == {"zgesv": 8, "zgemm": 13}[routine]
 
 
 class TestBlockOps:
@@ -406,7 +456,8 @@ class TestBlockOps:
         x = _rand_block(10, 2, 1)
         y = _rand_block(10, 2, 2)
         c = np.array([[1, 2], [3j, 4]], dtype=complex)
-        np.testing.assert_allclose(axpy_block(x, y, c), x + y @ c, atol=1e-14)
+        expected = x + y @ c
+        np.testing.assert_allclose(axpy_block(x, y, c), expected, atol=1e-14)
 
     def test_axpy_block_shape_errors(self):
         x = np.ones((4, 2), dtype=complex)
@@ -414,3 +465,111 @@ class TestBlockOps:
             axpy_block(x, np.ones((5, 2), dtype=complex), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="nonconformable"):
             axpy_block(x, x, np.eye(3, dtype=complex))
+
+
+def _parent_axpy(x, y, c):
+    """The block update before it was made in place: Y @ C into a new
+    Fortran-order block, then X added."""
+    out = np.empty(x.shape, dtype=np.complex128, order="F")
+    np.matmul(y, c, out=out)
+    out += x
+    return out
+
+
+class TestAxpyBlockInPlace:
+    """`axpy_block` updates x in place: by zgemm from `_GEMM_MIN_SIZE`
+    entries on, by numpy's product below that or without zgemm."""
+
+    @staticmethod
+    def _operands(n, p, seed):
+        return (_rand_block(n, p, seed), _rand_block(n, p, seed + 1),
+                np.ascontiguousarray(_rand_block(p, p, seed + 2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    def test_zgemm_updates_x_in_place(self, p):
+        # large enough for zgemm at every p
+        x, y, c = self._operands(core_la._GEMM_MIN_SIZE, p, 1)
+        expected = _parent_axpy(x, y, c)
+        assert axpy_block(x, y, c) is x
+        if p == 1:
+            # numpy's product of a single column takes another BLAS path
+            np.testing.assert_allclose(x, expected, rtol=1e-15, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("zgemm", ["small-block", "no-symbol"])
+    def test_numpy_product_keeps_the_parent_bits(self, p, zgemm, monkeypatch):
+        if zgemm == "no-symbol":
+            monkeypatch.setattr(core_la, "_routine", lambda name: None)
+            n = core_la._GEMM_MIN_SIZE
+        else:
+            n = (core_la._GEMM_MIN_SIZE - 1) // p
+        x, y, c = self._operands(n, p, 4)
+        expected = _parent_axpy(x, y, c)
+        reference = x + y @ c
+        assert axpy_block(x, y, c) is x
+        np.testing.assert_array_equal(x, expected)
+        np.testing.assert_allclose(x, reference, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("below,asked", [(True, []), (False, ["zgemm"])])
+    def test_zgemm_from_the_size_threshold_on(self, below, asked, monkeypatch):
+        n = core_la._GEMM_MIN_SIZE // 2 - below
+        seen = []
+        routine = core_la._routine
+
+        def recording(name):
+            seen.append(name)
+            return routine(name)
+
+        monkeypatch.setattr(core_la, "_routine", recording)
+        axpy_block(*self._operands(n, 2, 7))
+        assert seen == asked
+
+    def test_any_layout_of_y_and_c(self):
+        x = _rand_block(40, 3, 7)
+        y = _rand_block(40, 6, 8)[:, ::2]
+        c = _rand_block(3, 3, 9)
+        expected = x + y @ c
+        axpy_block(x, np.ascontiguousarray(y), c)
+        np.testing.assert_allclose(x, expected, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "make_x",
+        [
+            pytest.param(lambda x: x.tolist(), id="list"),
+            pytest.param(np.ascontiguousarray, id="c-order"),
+            pytest.param(lambda x: np.asfortranarray(x, dtype=np.complex64), id="complex64"),
+            pytest.param(lambda x: np.asfortranarray(x.real), id="float64"),
+            pytest.param(lambda x: np.asfortranarray(np.hstack([x, x]))[:, ::2], id="strided"),
+            pytest.param(lambda x: _read_only(x), id="read-only"),
+        ],
+    )
+    def test_rejects_x_it_cannot_update(self, make_x):
+        # each of these would be updated through a copy, and the update lost
+        x = make_x(_rand_block(6, 2, 10))
+        before = np.array(x, copy=True)
+        with pytest.raises(ValueError, match="updated in place"):
+            axpy_block(x, _rand_block(6, 2, 11), np.eye(2, dtype=complex))
+        np.testing.assert_array_equal(np.asarray(x), before)
+
+    @pytest.mark.parametrize("case", ["y-is-x", "y-overlaps-x", "c-views-x"])
+    def test_rejects_y_or_c_sharing_memory_with_x(self, case):
+        # zgemm's output may not alias its inputs
+        block = _rand_block(2, 3, 12)
+        x = block[:, :2]
+        y, c = {
+            "y-is-x": (x, np.eye(2, dtype=complex)),
+            "y-overlaps-x": (block[:, 1:], np.eye(2, dtype=complex)),
+            "c-views-x": (_rand_block(2, 2, 13), x.T),
+        }[case]
+        before = x.copy()
+        with pytest.raises(ValueError, match="shares memory"):
+            axpy_block(x, y, c)
+        np.testing.assert_array_equal(x, before)
+
+
+def _read_only(x):
+    x = x.copy(order="F")
+    x.flags.writeable = False
+    return x

@@ -51,7 +51,9 @@ def _run_all_kernels(n=40, p=3, seed=42):
     out["csr_matvec"] = csr.matvec(v)
     out["dense_matvec"] = ComplexSymmetricMatrix.from_dense(dense).matvec(v)
     out["t_gram"] = t_gram(v, w)
-    out["axpy"] = axpy_block(v, w, c)
+    # axpy_block updates its first argument in place; v stays the input
+    # of the later kernels and of the reference formulas
+    out["axpy"] = axpy_block(v.copy(order="F"), w, c)
     out["fro"] = np.array([fro_norm(v)])
     f = thin_qr(v)
     out["qr_q"] = f.q

@@ -493,6 +493,63 @@ class TestDeterminism:
                 assert first == second, f"{name} under {threads} BLAS threads"
 
 
+def _csr_array_matvec(self, v):
+    """The CSR product as it was before the column-wise kernel: scipy's
+    `csr_array @ v`, copied into a fresh Fortran-order block."""
+    import scipy.sparse
+
+    csr = scipy.sparse.csr_array(
+        (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
+    )
+    out = np.empty(np.shape(v), dtype=np.complex128, order="F")
+    out[:] = csr @ v
+    return out
+
+
+def _matmul_axpy(x, y, c):
+    """The block update as it was before zgemm: X + Y C into a fresh block."""
+    out = np.empty(np.shape(x), dtype=np.complex128, order="F")
+    np.matmul(y, c, out=out)
+    out += x
+    return out
+
+
+class TestKernelBits:
+    """The column-wise CSR product and the in-place block update give the
+    bits of the formulas they replaced, wherever the block has p >= 2
+    columns (zgemm's product of one column can round differently)."""
+
+    @staticmethod
+    def _cases():
+        from cskrylov.mm_io import read_matrix_market
+
+        _, young1c = read_matrix_market(Path(__file__).parent / "fixtures" / "young1c.mtx")
+        yield "young1c p=8", young1c, gen_rhs(young1c.n, 8, 0)
+        yield "young1c p=32", young1c, gen_rhs(young1c.n, 32, 0)
+        yield "diagdominant n=2e4 p=8", *gen_problem(
+            ProblemSpec(n=20_000, p=8, kind="diagdominant", density=1e-4, seed=4)
+        )
+
+    @staticmethod
+    def _outcomes(a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankLossWarning)
+            return {
+                name: (res.iterations, res.status, res.history, res.x.tobytes())
+                for name, res in ((name, fn(a, b)) for name, fn in ALL)
+            }
+
+    def test_kernels_keep_the_bits_of_the_replaced_formulas(self, monkeypatch):
+        for case, a, b in self._cases():
+            new = self._outcomes(a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(ComplexSymmetricMatrix, "matvec", _csr_array_matvec)
+                patch.setattr(solvers_module, "axpy_block", _matmul_axpy)
+                old = self._outcomes(a, b)
+            for name in new:
+                assert new[name] == old[name], f"{case} {name}"
+
+
 class TestTrueRelativeResidual:
     def test_zero_x_gives_zero_exactly(self):
         a, b = _problem(seed=0)
@@ -592,19 +649,17 @@ class TestScipyLoading:
             "csr_matvec": True,
         }
 
-    def test_sparse_handle_built_once_per_matrix(self, monkeypatch):
-        import scipy.sparse
+    def test_no_solve_builds_a_csr_array(self, monkeypatch):
+        # the products run scipy's kernel on the matrix's own arrays; no
+        # scipy.sparse matrix or array of any compressed format is built
+        import scipy.sparse._compressed
 
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a solve built a {type(self).__name__}")
+
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "__init__", refuse)
         a, b = _problem(seed=2)
-        builds = []
-        csr_array = scipy.sparse.csr_array
-
-        def counting(arg, *args, **kwargs):
-            if arg[0] is a.values:
-                builds.append(1)
-            return csr_array(arg, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse, "csr_array", counting)
-        bl_cocg(a, b)
-        bl_cocr_rq(a, b)
-        assert len(builds) == 1
+        for name, solver in ALL:
+            assert solver(a, b).converged, name
+        with pytest.raises(AssertionError, match="built a csr_array"):
+            scipy.sparse.csr_array((a.values, a.col_idx, a.row_ptr), shape=(a.n, a.n))
