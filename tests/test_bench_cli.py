@@ -218,6 +218,16 @@ class TestExitCodes:
         assert code == 2
         assert "error: duplicate entry at (2, 1)" in capsys.readouterr().err
 
+    def test_order_beyond_the_sort_key_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{10**20} {10**20} 2\n1 1 1\n2 1 2\n"
+        )
+        code = main(["solve", "--matrix", str(path)])
+        assert code == 2
+        assert f"error: matrix order {10**20} exceeds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_matrix_refused(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.mtx"

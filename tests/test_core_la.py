@@ -1,10 +1,13 @@
 """Core linear algebra: matrix storage, Gram products, QR, small solves."""
 
 import ctypes
+import hashlib
 import types
 
+import coo_reference
 import numpy as np
 import pytest
+from conftest import require_fixture
 
 from cskrylov import core_la
 from cskrylov.core_la import (
@@ -17,6 +20,8 @@ from cskrylov.core_la import (
     t_gram,
     thin_qr,
 )
+from cskrylov.mm_io import read_matrix_market
+from cskrylov.oracle import ProblemSpec, gen_problem
 
 
 def _rand_block(n, p, seed):
@@ -100,6 +105,39 @@ class TestComplexSymmetricMatrix:
         m = ComplexSymmetricMatrix.from_coo(2, [0], [1], [1.0])
         assert not m.is_symmetric
 
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [([1.5], [0]), ([1], [0.7]), ([1.0], [0]), ([True], [0])],
+        ids=["float-row", "float-col", "integral-float", "bool"],
+    )
+    def test_from_coo_refuses_non_integer_indices(self, rows, cols):
+        with pytest.raises(ValueError, match="must hold integers"):
+            ComplexSymmetricMatrix.from_coo(3, rows, cols, [1.0])
+
+    @pytest.mark.parametrize(
+        "row_ptr,col_idx",
+        [([0, 1, 1], [0.9]), ([0.0, 1.0, 1.0], [0]), ([0, 1, 1], [False])],
+        ids=["float-col_idx", "float-row_ptr", "bool-col_idx"],
+    )
+    def test_csr_refuses_non_integer_indices(self, row_ptr, col_idx):
+        with pytest.raises(ValueError, match="must hold integers"):
+            ComplexSymmetricMatrix(2, row_ptr=row_ptr, col_idx=col_idx, values=[2.0])
+
+    def test_csr_with_no_entries_from_empty_lists(self):
+        m = ComplexSymmetricMatrix(2, row_ptr=[0, 0, 0], col_idx=[], values=[])
+        assert m.nnz == 0 and m.col_idx.dtype == np.int64
+
+    def test_order_limit_is_the_largest_whose_key_fits_int64(self):
+        n = core_la._MAX_ORDER
+        assert n * n - 1 <= np.iinfo(np.int64).max < (n + 1) * (n + 1) - 1
+
+    @pytest.mark.parametrize("n", [core_la._MAX_ORDER + 1, 10**20])
+    def test_order_beyond_the_key_refused(self, n):
+        with pytest.raises(ValueError, match=f"^matrix order {n} exceeds"):
+            ComplexSymmetricMatrix.from_coo(n, [0, 1], [0, 0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^matrix order {n} exceeds"):
+            ComplexSymmetricMatrix(n, row_ptr=[0, 1], col_idx=[0], values=[1.0])
+
     def test_matvec_csr_matches_dense(self):
         rng = np.random.default_rng(5)
         n = 12
@@ -162,6 +200,164 @@ class TestComplexSymmetricMatrix:
     def test_repr(self):
         m = ComplexSymmetricMatrix.from_coo(2, [0], [0], [1.0])
         assert "csr" in repr(m) and "nnz=1" in repr(m)
+
+
+def _coo_cases():
+    """Seeded coordinate inputs, name -> ((n, rows, cols, values), verdict).
+
+    The verdict is the expected symmetry, or "duplicate" where from_coo
+    must refuse the input.
+    """
+    rng = np.random.default_rng(13)
+
+    def shuffled(n, rows, cols, vals):
+        perm = rng.permutation(len(rows))
+        return n, np.asarray(rows)[perm], np.asarray(cols)[perm], np.asarray(vals)[perm]
+
+    def symmetric(n, draws):
+        # the lower triangle of `draws` random positions, mirrored
+        i, j = np.divmod(np.unique(rng.integers(0, n * n, draws)), n)
+        i, j = i[i >= j], j[i >= j]
+        v = rng.uniform(-1, 1, i.size) + 1j * rng.uniform(-1, 1, i.size)
+        off = i != j
+        return (
+            np.concatenate([i, j[off]]),
+            np.concatenate([j, i[off]]),
+            np.concatenate([v, v[off]]),
+        )
+
+    def with_entries(base, extra):
+        return tuple(np.concatenate([b, e]) for b, e in zip(base, extra))
+
+    cases = {}
+    small = symmetric(40, 480)
+    rows, cols, vals = small
+    off = np.flatnonzero(rows != cols)
+    stored = set(zip(rows, cols))
+    absent = [(i, j) for i in range(40) for j in range(i) if (i, j) not in stored]
+    cases["symmetric"] = (shuffled(40, *small), True)
+    lower_doubled = vals * (1 + (rows > cols))
+    cases["nonsymmetric"] = (shuffled(40, rows, cols, lower_doubled), False)
+    pick = rng.choice(len(rows), 3, replace=False)
+    cases["duplicates"] = (
+        shuffled(40, *with_entries(small, (rows[pick], cols[pick], 2 * vals[pick]))),
+        "duplicate",
+    )
+    (i, j), (i2, j2) = absent[:2]
+    cases["one-sided-zeros"] = (
+        shuffled(40, *with_entries(small, ([i, j2], [j, i2], [0.0, 0.0]))),
+        True,
+    )
+    cases["zero-against-nonzero"] = (
+        shuffled(40, *with_entries(small, ([i, j], [j, i], [0.0, 1j]))),
+        False,
+    )
+    perturbed = vals.copy()
+    perturbed[off[0]] += np.spacing(perturbed[off[0]].real)
+    cases["perturbed-mirror-value"] = (shuffled(40, rows, cols, perturbed), False)
+    drop = np.ones(len(rows), dtype=bool)
+    drop[off[1]] = False
+    cases["asymmetric-pattern"] = (
+        shuffled(40, rows[drop], cols[drop], vals[drop]),
+        False,
+    )
+    nan = vals.copy()
+    nan[np.flatnonzero(rows == cols)[0]] = np.nan
+    cases["nan-diagonal"] = (shuffled(40, rows, cols, nan), False)
+    large = symmetric(3000, 30_000)
+    cases["large-symmetric"] = (shuffled(3000, *large), True)
+    pick = rng.choice(len(large[0]), 50, replace=False)
+    cases["large-duplicates"] = (
+        shuffled(3000, *with_entries(large, tuple(a[pick] for a in large))),
+        "duplicate",
+    )
+    cases["n=1"] = ((1, [0], [0], [2 - 1j]), True)
+    cases["n=1-empty"] = ((1, [], [], []), True)
+    cases["nnz=0"] = ((7, [], [], []), True)
+    return cases
+
+
+COO_CASES = _coo_cases()
+
+
+def _outcome(build, check, n, rows, cols, vals):
+    """CSR bits and symmetry verdict of one input, or the error message."""
+    try:
+        row_ptr, col_idx, values = build(n, rows, cols, vals)
+    except ValueError as e:
+        return str(e)
+    arrays = [(a.dtype, a.tobytes()) for a in (row_ptr, col_idx, values)]
+    return arrays, check(n, row_ptr, col_idx, values)
+
+
+def _live_build(n, rows, cols, vals):
+    m = ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+    return m.row_ptr, m.col_idx, m.values
+
+
+def _live_check(n, row_ptr, col_idx, values):
+    return ComplexSymmetricMatrix(
+        n, row_ptr=row_ptr, col_idx=col_idx, values=values
+    ).is_symmetric
+
+
+class TestAgainstLexsortReference:
+    """The int64-key sorts against the frozen lexsort ones in coo_reference."""
+
+    @pytest.mark.parametrize("case", COO_CASES.values(), ids=COO_CASES)
+    def test_same_csr_bits_and_verdict(self, case):
+        args, verdict = case
+        live = _outcome(_live_build, _live_check, *args)
+        assert live == _outcome(
+            coo_reference.csr_from_coo, coo_reference.is_symmetric, *args
+        )
+        if verdict == "duplicate":
+            assert live.startswith("duplicate entry at (")
+        else:
+            assert live[1] is verdict
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, [0, 3], [0, 0], [1.0, 1.0]),
+            (3, [0, -1], [0, 0], [1.0, 1.0]),
+            (3, [0, 1], [0], [1.0, 1.0]),
+            (0, [], [], []),
+        ],
+        ids=["index-too-large", "negative-index", "shape-mismatch", "order-zero"],
+    )
+    def test_same_error(self, args):
+        assert _outcome(_live_build, _live_check, *args) == _outcome(
+            coo_reference.csr_from_coo, coo_reference.is_symmetric, *args
+        )
+
+
+# SHA-256 of the CSR arrays of the matrices the benchmark solves, so that
+# no change to the assembly can change the problem the benchmark times
+BENCHMARK_MATRIX_SHA256 = {
+    "young1c": (
+        "ed9ce20165e37d15b6ca55b3a246003d13c531e798eb4f805073e3d25cd291b8",
+        "245376fb40d0a335f63850495b1b05abfebdc7e035c1e0e08e45edb31ef8e6aa",
+        "a1a91a214739b1e70c02f82c1fb86008d907c441012ddecf8381c66361fe2420",
+    ),
+    "gen1e5-p8": (
+        "717c26ef3c32d5788bfed85b3cfca96c174f801c86035ef62899f9095483dd3a",
+        "e17cd2015cfdd1f9f53f2d832c4eed88a963243013039ab7a0f5dcdf19610270",
+        "98b89026bb94879a8d6a0a834c9a32ec631ce86f8c8bf1e42778cc78877b0304",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_MATRIX_SHA256)
+def test_benchmark_matrix_bits(name):
+    if name == "young1c":
+        _, m = read_matrix_market(require_fixture("young1c.mtx"))
+    else:
+        spec = ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
+        m, _ = gen_problem(spec)
+    arrays = (m.row_ptr, m.col_idx, m.values)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == BENCHMARK_MATRIX_SHA256[name]
 
 
 class TestTGram:

@@ -160,6 +160,12 @@ class TestCoordinateErrors:
         with pytest.raises(ValueError, match="bad numeric token"):
             _read(f"{BANNER}\n1 1 1\n1 1 abc 0\n")
 
+    def test_order_beyond_the_sort_key_refused(self):
+        # indices in range, but row * n + col would overflow int64
+        big = 10**20
+        with pytest.raises(ValueError, match=f"^matrix order {big} exceeds"):
+            _read(f"{COORD} real general\n{big} {big} 2\n1 1 1\n2 1 2\n")
+
     def test_entry_numpy_cannot_read_names_its_line(self):
         # with an order beyond int64, an index beyond int64 passes the
         # line scan's int() but not numpy's reader
