@@ -14,9 +14,9 @@ thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 
 Blocks stay in Fortran order through every kernel: the CSR product
-runs scipy's one-vector kernel on each column of the result, and the
-block update X <- X + Y C is made in place, on large blocks by one
-``zgemm`` call. Every kernel but `axpy_block` returns a new array;
+runs scipy's one-vector kernel, on int32 copies of the index arrays
+where they fit, on each column of the result, and the block update
+X <- X + Y C is made in place, on large blocks by one ``zgemm`` call. Every kernel but `axpy_block` returns a new array;
 `axpy_block` updates and returns X.
 """
 
@@ -93,6 +93,11 @@ def _sort_key(major, minor, n):
     return key
 
 
+# largest n and nnz for which the CSR product runs on int32 copies of
+# the index arrays: every row offset is at most nnz, every column < n
+_KERNEL_INT32_MAX = np.iinfo(np.int32).max
+
+
 def _index_array(a, name):
     """a as int64, refusing float and boolean arrays instead of truncating."""
     arr = np.asarray(a)
@@ -154,6 +159,13 @@ class ComplexSymmetricMatrix:
         self.col_idx = col_idx
         self.values = values
         self.nnz = int(values.shape[0])
+        # the index pair `matvec` hands scipy's kernel: int32 copies when
+        # they fit, which give the same sums from half the index bytes
+        # per column pass, else the int64 arrays themselves
+        if max(self.n, self.nnz) <= _KERNEL_INT32_MAX:
+            self._kernel_index = (row_ptr.astype(np.int32), col_idx.astype(np.int32))
+        else:
+            self._kernel_index = (row_ptr, col_idx)
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -233,7 +245,10 @@ class ComplexSymmetricMatrix:
         """Return A @ v for an (n, p) block vector v, in Fortran order.
 
         Each column of the result is scipy's CSR kernel applied to the
-        matching column of v, written in place.
+        matching column of v, written in place. The kernel reads int32
+        copies of `row_ptr` and `col_idx`, made once at construction,
+        whenever n and nnz fit in int32; its sums are the same on either
+        index width.
         """
         v = _as_block(v)
         if v.shape[0] != self.n:
@@ -244,10 +259,10 @@ class ComplexSymmetricMatrix:
         # the kernel adds each row's sum to what the output holds
         out = np.zeros(v.shape, dtype=np.complex128, order="F")
         csr_matvec = _csr_matvec()
+        row_ptr, col_idx = self._kernel_index
         for j in range(v.shape[1]):
             csr_matvec(
-                self.n, self.n, self.row_ptr, self.col_idx, self.values,
-                v[:, j], out[:, j],
+                self.n, self.n, row_ptr, col_idx, self.values, v[:, j], out[:, j]
             )
         return out
 

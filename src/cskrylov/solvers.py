@@ -31,6 +31,7 @@ converging at different rates is expected.
 """
 
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -100,8 +101,15 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.max_iter is not None:
+            try:
+                operator.index(self.max_iter)
+            except TypeError:
+                raise ValueError(
+                    f"max_iter must be an integer, got {self.max_iter!r}"
+                ) from None
+            if self.max_iter < 1:
+                raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.norm_reference not in ("rhs", "r0"):
             raise ValueError(
                 f"norm_reference must be 'rhs' or 'r0', got {self.norm_reference!r}"
@@ -198,9 +206,14 @@ def true_relative_residual(a, b, x):
     Raises
     ------
     ValueError
-        If ||B||_F is zero, the ratio is undefined.
+        If B is not 2-D, if X does not have B's shape, or if ||B||_F is
+        zero, where the ratio is undefined.
     """
     b = np.asfortranarray(b, dtype=np.complex128)
+    if b.ndim != 2:
+        raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
+    if np.shape(x) != b.shape:
+        raise ValueError(f"x shape {np.shape(x)} does not match RHS shape {b.shape}")
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("relative residual undefined for a zero right-hand side")

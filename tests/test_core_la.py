@@ -360,6 +360,94 @@ def test_benchmark_matrix_bits(name):
     assert digests == BENCHMARK_MATRIX_SHA256[name]
 
 
+def _benchmark_matrix(name):
+    if name == "young1c":
+        return read_matrix_market(require_fixture("young1c.mtx"))[1]
+    spec = ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
+    return gen_problem(spec)[0]
+
+
+def _dense_pattern(n, pattern, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    d[np.abs(d) < 1.0] = 0.0
+    if pattern == "empty-rows":
+        d[::3] = 0.0
+    elif pattern == "nothing-stored":
+        d[:] = 0.0
+    return d
+
+
+class TestKernelIndex:
+    """`matvec` runs scipy's kernel on int32 copies of the index arrays
+    when n and nnz fit in int32, and on the int64 arrays otherwise; the
+    public arrays stay int64 either way."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_MATRIX_SHA256)
+    def test_benchmark_matrices_get_int32_copies(self, name):
+        m = _benchmark_matrix(name)
+        assert m.row_ptr.dtype == m.col_idx.dtype == np.int64
+        row_ptr, col_idx = m._kernel_index
+        assert row_ptr.dtype == col_idx.dtype == np.int32
+        np.testing.assert_array_equal(row_ptr, m.row_ptr)
+        np.testing.assert_array_equal(col_idx, m.col_idx)
+
+    @pytest.mark.parametrize("pattern", ["random", "empty-rows", "nothing-stored"])
+    def test_int64_pair_gives_the_same_bytes(self, pattern, monkeypatch):
+        n = 50
+        d = _dense_pattern(n, pattern, seed=11)
+        narrow = ComplexSymmetricMatrix.from_dense(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(core_la, "_KERNEL_INT32_MAX", n - 1)
+            wide = ComplexSymmetricMatrix.from_dense(d)
+        assert narrow._kernel_index[0].dtype == np.int32
+        assert wide._kernel_index[0] is wide.row_ptr
+        assert wide._kernel_index[1] is wide.col_idx
+        for p in (1, 8, 32):
+            v = _rand_block(n, p, p)
+            assert narrow.matvec(v).tobytes() == wide.matvec(v).tobytes()
+
+
+# past 46,340 the key row * n + col no longer fits in int32, so int32
+# index arrays would wrap the keys `is_symmetric` sorts
+_N_BEYOND_INT32_KEYS = 50_000
+
+
+class TestBeyondInt32Keys:
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        spec = ProblemSpec(
+            n=_N_BEYOND_INT32_KEYS, p=1, kind="diagdominant", density=2e-5, seed=3
+        )
+        return gen_problem(spec)[0]
+
+    def test_symmetry_verdicts(self, matrix):
+        n = matrix.n
+        assert (n - 1) * n > np.iinfo(np.int32).max
+        assert matrix.row_ptr.dtype == matrix.col_idx.dtype == np.int64
+        assert matrix.is_symmetric
+        rows = np.repeat(np.arange(n), np.diff(matrix.row_ptr))
+        # the last stored off-diagonal entry sits in one of the last rows
+        k = np.flatnonzero(rows != matrix.col_idx)[-1]
+        assert rows[k] * n > np.iinfo(np.int32).max
+        values = matrix.values.copy()
+        values[k] += 1.0
+        changed = ComplexSymmetricMatrix(
+            n, row_ptr=matrix.row_ptr, col_idx=matrix.col_idx, values=values
+        )
+        assert not changed.is_symmetric
+
+    def test_matvec_is_scipys_product_bit_for_bit(self, matrix):
+        import scipy.sparse
+
+        n = matrix.n
+        v = _rand_block(n, 8, 5)
+        expected = scipy.sparse.csr_array(
+            (matrix.values, matrix.col_idx, matrix.row_ptr), shape=(n, n)
+        ) @ v
+        np.testing.assert_array_equal(matrix.matvec(v), expected)
+
+
 class TestTGram:
     def test_no_conjugation(self):
         # v^T v = (1+i)^2 + (1-i)^2 = 0 on a nonzero vector

@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="norm_reference"):
             SolverConfig(norm_reference="b")
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter(self):
+        a, b = _problem(seed=0)
+        res = bl_cocg(a, b, cfg=SolverConfig(max_iter=np.int64(2)))
+        assert res.iterations == 2
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("name,solver", ALL)
@@ -571,6 +581,20 @@ class TestTrueRelativeResidual:
         z = np.zeros((3, 1), dtype=complex)
         with pytest.raises(ValueError, match="undefined"):
             true_relative_residual(a, z, z)
+
+    def test_x_shape_must_match_rhs(self):
+        a, b = _problem(p=4, seed=0)
+        x = np.zeros((a.n, 1), dtype=complex)
+        message = r"x shape \(40, 1\) does not match RHS shape \(40, 4\)"
+        with pytest.raises(ValueError, match=message):
+            true_relative_residual(a, b, x)
+
+    def test_one_dimensional_rhs_is_named(self):
+        a = ComplexSymmetricMatrix.from_dense(np.eye(3))
+        b = np.ones(3, dtype=complex)
+        message = r"right-hand side must be 2-D, got shape \(3,\)"
+        with pytest.raises(ValueError, match=message):
+            true_relative_residual(a, b, b)
 
 
 class TestSymmetryCheck:
