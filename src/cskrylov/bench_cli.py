@@ -207,7 +207,9 @@ def parse_report_csv(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise ValueError("not a benchmark CSV: missing metadata line")
-    meta = dict(tok.split("=", 1) for tok in lines[0][2:].split())
+    # the five numeric fields are taken from the right, so that a matrix
+    # name holding spaces stays whole
+    meta = dict(tok.split("=", 1) for tok in lines[0][2:].rsplit(" ", 5))
     if lines[1] != _CSV_HEADER:
         raise ValueError(f"unexpected header line: {lines[1]!r}")
     report = RunReport(

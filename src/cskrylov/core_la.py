@@ -15,8 +15,10 @@ thin QR is the exception: its Q is orthonormal in the Hermitian sense
 
 Blocks stay in Fortran order through every kernel: the CSR product
 runs scipy's one-vector kernel, on int32 copies of the index arrays
-where they fit, on each column of the result, and the block update
-X <- X + Y C is made in place, on large blocks by one ``zgemm`` call. Every kernel but `axpy_block` returns a new array;
+where they fit, on each column of the result; the block update
+X <- X + Y C is made in place, on large blocks by one ``zgemm`` call;
+and the thin QR forms its Hermitian Grams by ``zgemm`` on the block's
+own memory. Every kernel but `axpy_block` returns a new array;
 `axpy_block` updates and returns X.
 """
 
@@ -378,7 +380,9 @@ def thin_qr(w):
             nrm = fro_norm(w)
         done = 0.0 < nrm < np.inf
         if done:
-            np.divide(w, nrm, out=q)
+            # numpy's complex / real division computes (re + im * 0) *
+            # (1 / nrm) per part; this is that product without the loop
+            np.multiply(w.view(np.float64), 1.0 / nrm, out=q.view(np.float64))
             xi[0, 0] = nrm
     else:
         done = _cholesky_qr2(w, q, xi)
@@ -397,26 +401,27 @@ _CHOLQR_MAX_DEFECT = 0.1
 # entry of that diagonal is below sqrt(eps) of the largest, the Gram
 # matrix cannot resolve it, while Householder resolves it to O(eps ||W||).
 _CHOLQR_MIN_DIAG_RATIO = 1e-8
-# rows per chunk of the n-by-p passes, bounding their scratch buffer
+# rows per chunk of the Gram products W^H W: the chunks' products are
+# summed in row order, so the chunk size fixes the summation order and
+# with it the bits
 _ROW_CHUNK = 4096
 
 
 def _cholesky_qr2(w, q, xi):
     """CholeskyQR2 of w into q and xi. Returns False, with q and xi partly
     written, when the block fails the module's accuracy conditions."""
-    n, p = w.shape
-    buf = np.empty((min(n, _ROW_CHUNK), p), dtype=np.complex128, order="F")
-    r1 = _cholesky_r(_gram_h(w, buf))
+    p = w.shape[1]
+    r1 = _cholesky_r(_gram_h(w))
     if r1 is None:
         return False
-    np.matmul(w, np.linalg.inv(r1), out=q)
-    g2 = _gram_h(q, buf)
+    q1 = np.matmul(w, np.linalg.inv(r1), order="F")
+    g2 = _gram_h(q1)
     if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
         return False
     r2 = _cholesky_r(g2)
     if r2 is None:
         return False
-    _right_multiply(q, np.linalg.inv(r2), buf)
+    np.matmul(q1, np.linalg.inv(r2), out=q)
     # the diagonal of xi is the product of the factors' real positive
     # diagonals, with exactly zero imaginary parts
     np.matmul(r2, r1, out=xi)
@@ -424,13 +429,31 @@ def _cholesky_qr2(w, q, xi):
     return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
 
 
-def _gram_h(v, buf):
-    """v^H @ v, accumulated over row chunks so that no n-by-p conjugate
-    copy of v is made."""
-    g = np.zeros((v.shape[1], v.shape[1]), dtype=np.complex128)
-    for i in range(0, v.shape[0], _ROW_CHUNK):
-        rows = v[i : i + _ROW_CHUNK]
-        g += np.conjugate(rows, out=buf[: rows.shape[0]]).T @ rows
+def _gram_h(v):
+    """v^H @ v for a Fortran-order block v, summed over row chunks.
+
+    Each chunk's product is one ``zgemm('C', 'N')`` call on v's own
+    memory (see `_routine`), so no conjugate copy is made. Where numpy
+    exposes no such symbol, each chunk's conjugate copy goes to numpy's
+    product instead.
+    """
+    n, p = v.shape
+    g = np.zeros((p, p), dtype=np.complex128)
+    gemm = _routine("zgemm")
+    if gemm is None:
+        for i in range(0, n, _ROW_CHUNK):
+            rows = v[i : i + _ROW_CHUNK]
+            g += np.conjugate(rows).T @ rows
+        return g
+    fn, int_t = gemm
+    part = np.empty((p, p), dtype=np.complex128, order="F")
+    ld, width = int_t(n), int_t(p)
+    start, out = v.ctypes.data, part.ctypes.data
+    for i in range(0, n, _ROW_CHUNK):
+        rows = start + i * v.itemsize
+        fn(b"C", b"N", width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
+           rows, ld, rows, ld, _ZERO_ADDRESS, out, width)
+        g += part
     return g
 
 
@@ -442,13 +465,6 @@ def _cholesky_r(g):
     except np.linalg.LinAlgError:
         return None
     return np.conj(low.T) if np.isfinite(low).all() else None
-
-
-def _right_multiply(v, c, buf):
-    """v <- v @ c in place, one row chunk at a time through buf."""
-    for i in range(0, v.shape[0], _ROW_CHUNK):
-        rows = v[i : i + _ROW_CHUNK]
-        rows[...] = np.matmul(rows, c, out=buf[: rows.shape[0]])
 
 
 def _householder_qr(w, q, xi):
@@ -651,9 +667,12 @@ def fro_norm(v):
     return float(np.linalg.norm(_as_block(v, "v")))
 
 
-# alpha and beta of the zgemm in axpy_block, and their address
+# the zgemm scalars one (alpha of every call, beta of axpy_block's) and
+# zero (beta of the Gram's), and their addresses
 _ONE = np.ones(1, dtype=np.complex128)
 _ONE_ADDRESS = _ONE.ctypes.data
+_ZERO = np.zeros(1, dtype=np.complex128)
+_ZERO_ADDRESS = _ZERO.ctypes.data
 # blocks with fewer entries take numpy's product, which is faster there:
 # the ctypes call costs more than the pass zgemm saves. The two cross
 # between 4k and 8k entries for p from 1 to 8 (2-core guest, OpenBLAS)

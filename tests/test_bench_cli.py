@@ -114,6 +114,23 @@ class TestSolveCommand:
         assert report.n == 841
         assert report.rows[0].status == "converged"
 
+    def test_matrix_name_with_spaces_round_trips(self, tmp_path, young1c):
+        from cskrylov.mm_io import write_matrix_market
+
+        path = tmp_path / "young  1c.mtx"
+        write_matrix_market(young1c, path)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["solve", "--matrix", str(path), "--p", "2", "--seed", "1",
+             "--solvers", "bl_cocg", "--out", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        assert text.startswith("# matrix=young  1c n=841 nnz=")
+        report = parse_report_csv(text)
+        assert (report.matrix, report.n, report.p, report.seed) == ("young  1c", 841, 2, 1)
+        assert format_report_csv(report) == text
+
     def test_sparse_kernels_loaded_before_the_first_solver(self, tmp_path, monkeypatch):
         # the warm-up product imports scipy.sparse and resolves its CSR
         # kernel, so that one-off cost stays out of every cpu time

@@ -7,6 +7,7 @@ import types
 import coo_reference
 import numpy as np
 import pytest
+import qr_reference
 from conftest import require_fixture
 
 from cskrylov import core_la
@@ -534,6 +535,61 @@ class TestThinQr:
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError, match="n >= p"):
             thin_qr(np.ones((2, 3), dtype=complex))
+
+
+def _qr_bits(fac):
+    return fac.q.tobytes(), fac.xi.tobytes()
+
+
+class TestAgainstQrReference:
+    """thin_qr against the frozen conjugate-copy version in qr_reference."""
+
+    @pytest.mark.parametrize("n", [2, 841, 5000, 100_000])
+    def test_single_column_same_bits(self, n):
+        # the division turns a -0.0 part into +0.0 where the scaling
+        # keeps it, so the column has no zero part
+        w = _rand_block(n, 1, n)
+        assert np.all(w.real != 0.0) and np.all(w.imag != 0.0)
+        assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w))
+
+    def test_single_column_signed_zeros_keep_their_sign(self):
+        w = np.array([[complex(-0.0, 3.0)], [complex(4.0, -0.0)]], order="F")
+        fac = thin_qr(w)
+        np.testing.assert_array_equal(fac.q, qr_reference.thin_qr(w).q)
+        assert np.signbit(fac.q[0, 0].real) and np.signbit(fac.q[1, 0].imag)
+
+    @pytest.mark.parametrize("n", [841, 5000, 100_000])
+    @pytest.mark.parametrize("p", [4, 8, 32])
+    def test_multiples_of_four_columns_same_bits(self, n, p):
+        w = _rand_block(n, p, n + p)
+        assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w))
+
+    @pytest.mark.parametrize("n", [841, 5000, 100_000])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_other_widths_agree_to_rounding(self, n, p):
+        # zgemm's A^H product rounds differently from the conjugate-copy
+        # product in OpenBLAS's edge tiles, the rows and columns left
+        # over when p is not a multiple of the micro-kernel's 4
+        w = _rand_block(n, p, n + p)
+        live, ref = thin_qr(w), qr_reference.thin_qr(w)
+        for a, b in ((live.q, ref.q), (live.xi, ref.xi)):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+
+    def test_numpy_fallback_same_bits_at_every_width(self, monkeypatch):
+        routine = core_la._routine
+        monkeypatch.setattr(
+            core_la, "_routine", lambda name: None if name == "zgemm" else routine(name)
+        )
+        for n in (841, 5000):
+            for p in range(1, 34):
+                w = _rand_block(n, p, n + p)
+                assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w)), (n, p)
+
+    def test_householder_fallback_same_bits(self, householder_calls):
+        w = _rand_block(5000, 8, 9)
+        w[:, 3] *= 1e-10
+        assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w))
+        assert householder_calls == [(5000, 8)]
 
 
 class TestSolveSmall:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import qr_reference
 from conftest import child_env
 
 import cskrylov.solvers as solvers_module
@@ -502,6 +503,43 @@ class TestDeterminism:
             for name, (first, second) in digests.items():
                 assert first == second, f"{name} under {threads} BLAS threads"
 
+    def test_multi_chunk_gram_repeatability_under_blas_threads(self):
+        # n = 5000 spans two row chunks of the thin QR's Gram products;
+        # each child takes every product and solve twice, and both must
+        # match bit for bit whatever the BLAS thread count
+        child = textwrap.dedent(
+            """
+            import hashlib, json
+            from cskrylov import SOLVERS, ProblemSpec, gen_problem
+            from cskrylov.core_la import thin_qr
+            a, b = gen_problem(ProblemSpec(
+                n=5000, p=8, kind="diagdominant", density=1e-3, seed=11))
+            def digest(res):
+                h = hashlib.sha256(repr(res.history).encode())
+                h.update(res.x.tobytes())
+                return h.hexdigest()
+            def qr_digest(fac):
+                return hashlib.sha256(fac.q.tobytes() + fac.xi.tobytes()).hexdigest()
+            runs = {"thin_qr": [qr_digest(thin_qr(b)) for _ in range(2)]}
+            for name in ("bl_cocg_rq", "bl_cocr_rq"):
+                runs[name] = [digest(SOLVERS[name](a, b)) for _ in range(2)]
+            print(json.dumps(runs))
+            """
+        )
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", child],
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            digests = json.loads(out.stdout)
+            assert list(digests) == ["thin_qr", "bl_cocg_rq", "bl_cocr_rq"]
+            for name, (first, second) in digests.items():
+                assert first == second, f"{name} under {threads} BLAS threads"
+
 
 def _csr_array_matvec(self, v):
     """The CSR product as it was before the column-wise kernel: scipy's
@@ -541,12 +579,12 @@ class TestKernelBits:
         )
 
     @staticmethod
-    def _outcomes(a, b):
+    def _outcomes(a, b, solvers=ALL):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankLossWarning)
             return {
                 name: (res.iterations, res.status, res.history, res.x.tobytes())
-                for name, res in ((name, fn(a, b)) for name, fn in ALL)
+                for name, res in ((name, fn(a, b)) for name, fn in solvers)
             }
 
     def test_kernels_keep_the_bits_of_the_replaced_formulas(self, monkeypatch):
@@ -556,6 +594,16 @@ class TestKernelBits:
                 patch.setattr(ComplexSymmetricMatrix, "matvec", _csr_array_matvec)
                 patch.setattr(solvers_module, "axpy_block", _matmul_axpy)
                 old = self._outcomes(a, b)
+            for name in new:
+                assert new[name] == old[name], f"{case} {name}"
+
+    def test_thin_qr_keeps_the_bits_of_the_conjugate_copy_grams(self, monkeypatch):
+        factored = [(name, fn) for name, fn in ALL if name.endswith("_rq")]
+        for case, a, b in self._cases():
+            new = self._outcomes(a, b, factored)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers_module, "thin_qr", qr_reference.thin_qr)
+                old = self._outcomes(a, b, factored)
             for name in new:
                 assert new[name] == old[name], f"{case} {name}"
 
