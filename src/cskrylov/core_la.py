@@ -14,12 +14,17 @@ thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 
 Blocks stay in Fortran order through every kernel: the CSR product
-runs scipy's one-vector kernel, on int32 copies of the index arrays
-where they fit, on each column of the result; the block update
-X <- X + Y C is made in place, on large blocks by one ``zgemm`` call;
-and the thin QR forms its Hermitian Grams by ``zgemm`` on the block's
-own memory. Every kernel but `axpy_block` returns a new array;
+runs scipy's one-vector kernel on each column of the result; the block
+update X <- X + Y C is made in place, on large blocks by one ``zgemm``
+call; and the thin QR forms its Hermitian Grams by ``zgemm`` on the
+block's own memory. Every kernel but `axpy_block` returns a new array;
 `axpy_block` updates and returns X.
+
+A matrix's public arrays and its `matvec` stay in the order the matrix
+was built in (file order). The solvers run a large matrix through its
+locality copy instead (`_locality_copy`): P A P^T in a breadth-first
+row order, built at the first solve and cached on the matrix, whose
+product gathers each column from nearby rows.
 """
 
 import ctypes
@@ -95,9 +100,16 @@ def _sort_key(major, minor, n):
     return key
 
 
-# largest n and nnz for which the CSR product runs on int32 copies of
-# the index arrays: every row offset is at most nnz, every column < n
+# largest n and nnz for which a locality copy holds int32 index arrays:
+# every row offset is at most nnz, every column < n
 _KERNEL_INT32_MAX = np.iinfo(np.int32).max
+# smallest order solved through a locality copy. Below it the vector a
+# column product gathers from stays in a core's cache in any row order.
+# CSR product per column, file order against breadth-first order, on
+# diagdominant operators with ~3 entries per row (2-core guest, 4 MiB L2
+# per core, medians of 15 calls): n=5e3 0.07 / 0.07 ms, 2e4 0.45 /
+# 0.34 ms, 5e4 1.3 / 1.0 ms, 1e5 3.3 / 2.1 ms
+_LOCALITY_MIN_ORDER = 50_000
 
 
 def _index_array(a, name):
@@ -114,7 +126,10 @@ class ComplexSymmetricMatrix:
     Use `from_coo` or `from_dense` to construct. The finiteness and the
     symmetry of the stored entries are verified lazily and cached;
     matrices that fail either check can still be held (file parsers
-    accept general input) but the solvers refuse them.
+    accept general input) but the solvers refuse them. A large matrix
+    also caches its locality copy (`_locality_copy`) at its first solve.
+    Like the checks, none of these caches sees later writes to the
+    arrays.
 
     Attributes
     ----------
@@ -135,6 +150,7 @@ class ComplexSymmetricMatrix:
         self.n = int(n)
         self._finite = None
         self._symmetric = None
+        self._local = None
         row_ptr = np.ascontiguousarray(_index_array(row_ptr, "row_ptr"))
         col_idx = np.ascontiguousarray(_index_array(col_idx, "col_idx"))
         values = np.ascontiguousarray(values, dtype=np.complex128)
@@ -161,13 +177,6 @@ class ComplexSymmetricMatrix:
         self.col_idx = col_idx
         self.values = values
         self.nnz = int(values.shape[0])
-        # the index pair `matvec` hands scipy's kernel: int32 copies when
-        # they fit, which give the same sums from half the index bytes
-        # per column pass, else the int64 arrays themselves
-        if max(self.n, self.nnz) <= _KERNEL_INT32_MAX:
-            self._kernel_index = (row_ptr.astype(np.int32), col_idx.astype(np.int32))
-        else:
-            self._kernel_index = (row_ptr, col_idx)
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -247,26 +256,11 @@ class ComplexSymmetricMatrix:
         """Return A @ v for an (n, p) block vector v, in Fortran order.
 
         Each column of the result is scipy's CSR kernel applied to the
-        matching column of v, written in place. The kernel reads int32
-        copies of `row_ptr` and `col_idx`, made once at construction,
-        whenever n and nnz fit in int32; its sums are the same on either
-        index width.
+        matching column of v, written in place. The kernel reads the
+        public arrays, in file order, whatever the size of the matrix;
+        only the solvers run through the locality copy.
         """
-        v = _as_block(v)
-        if v.shape[0] != self.n:
-            raise ValueError(
-                f"dimension mismatch: matrix is {self.n}x{self.n}, "
-                f"block vector has {v.shape[0]} rows"
-            )
-        # the kernel adds each row's sum to what the output holds
-        out = np.zeros(v.shape, dtype=np.complex128, order="F")
-        csr_matvec = _csr_matvec()
-        row_ptr, col_idx = self._kernel_index
-        for j in range(v.shape[1]):
-            csr_matvec(
-                self.n, self.n, row_ptr, col_idx, self.values, v[:, j], out[:, j]
-            )
-        return out
+        return _csr_product(self, v)
 
     def to_dense(self):
         """Densify to a (n, n) complex array."""
@@ -276,6 +270,150 @@ class ComplexSymmetricMatrix:
 
     def __repr__(self):
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
+
+
+def _csr_product(a, v):
+    """A @ v, column by column, from the CSR arrays a holds."""
+    v = _as_block(v)
+    if v.shape[0] != a.n:
+        raise ValueError(
+            f"dimension mismatch: matrix is {a.n}x{a.n}, "
+            f"block vector has {v.shape[0]} rows"
+        )
+    # the kernel adds each row's sum to what the output holds
+    out = np.zeros(v.shape, dtype=np.complex128, order="F")
+    csr_matvec = _csr_matvec()
+    for j in range(v.shape[1]):
+        csr_matvec(a.n, a.n, a.row_ptr, a.col_idx, a.values, v[:, j], out[:, j])
+    return out
+
+
+def _locality_copy(a):
+    """The locality copy the solvers run a on, or None where they run a
+    itself: below `_LOCALITY_MIN_ORDER`, and for any operator whose
+    class replaces `ComplexSymmetricMatrix.matvec`, so that a subclass
+    still sees every product. Built on the first call, then cached on a.
+    """
+    if type(a).matvec is not ComplexSymmetricMatrix.matvec:
+        return None
+    if a.n < _LOCALITY_MIN_ORDER:
+        return None
+    if a._local is None:
+        a._local = _LocalityCopy(a)
+    return a._local
+
+
+class _LocalityCopy:
+    """P A P^T for a ComplexSymmetricMatrix A, in a breadth-first order.
+
+    Row i of the copy is row ``perm[i]`` of A, with its columns renamed
+    the same way, so the copy is complex symmetric whenever A is and a
+    solve of P A P^T (P X) = P B is a solve of A X = B. In breadth-first
+    order a row's columns lie near the row, so the product gathers each
+    column from a narrow window of the vector instead of all of it.
+
+    Attributes
+    ----------
+    n : int
+        Order of the matrix.
+    perm : ndarray
+        The order: file row of each row of the copy.
+    row_ptr, col_idx, values : ndarray
+        CSR arrays of P A P^T, columns increasing within each row. The
+        index arrays are int32 where n and nnz fit in it, else int64;
+        the kernel's sums are the same on either width.
+    """
+
+    def __init__(self, a):
+        n = a.n
+        index_t = np.int32 if max(n, a.nnz) <= _KERNEL_INT32_MAX else np.int64
+        perm = _bfs_order(n, a.row_ptr, a.col_idx)
+        self.n = n
+        self.perm = perm.astype(index_t)
+        # the nnz-long arrays the copy keeps are allocated before the
+        # build's temporaries: after them, they held the heap above the
+        # freed temporaries, and a gen1e5-p8 solving process's peak RSS
+        # rose by another ~10 MB (glibc placement)
+        self.col_idx = np.empty(a.nnz, dtype=index_t)
+        self.values = np.empty(a.nnz, dtype=np.complex128)
+        position = np.empty(n, dtype=np.int64)
+        position[perm] = np.arange(n)
+        lens = np.diff(a.row_ptr)[perm]
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=row_ptr[1:])
+        # the file-order entry behind each entry of the copy, row by row
+        src = np.repeat(a.row_ptr[:-1][perm] - row_ptr[:-1], lens)
+        src += np.arange(a.nnz)
+        cols = position[a.col_idx[src]]
+        del position
+        # the rows are in place; the key row * n + col sorts the columns
+        # within each, formed in place to keep one nnz-long array fewer
+        # live. One stable sort by column alone would give the same
+        # arrays only for structurally symmetric storage, which an
+        # explicit zero without its mirror breaks
+        key = np.repeat(np.arange(n, dtype=np.int64), lens)
+        key *= n
+        key += cols
+        order = np.argsort(key)
+        del key
+        self.row_ptr = row_ptr.astype(index_t)
+        self.col_idx[:] = cols[order]
+        del cols
+        np.take(a.values, src[order], out=self.values)
+
+    def matvec(self, v):
+        """P A P^T @ v for an (n, p) block v in the copy's row order."""
+        return _csr_product(self, v)
+
+    def to_local(self, v):
+        """A new Fortran-order block of v's rows in the copy's order."""
+        out = np.empty(v.shape, dtype=np.complex128, order="F")
+        for j in range(v.shape[1]):
+            np.take(v[:, j], self.perm, out=out[:, j])
+        return out
+
+    def to_caller(self, v):
+        """A new Fortran-order block of v's rows in file order."""
+        out = np.empty(v.shape, dtype=np.complex128, order="F")
+        for j in range(v.shape[1]):
+            out[self.perm, j] = v[:, j]
+        return out
+
+
+def _bfs_order(n, row_ptr, col_idx):
+    """A breadth-first order of the rows of a CSR pattern, as an int64
+    permutation.
+
+    The search is level-synchronous from one root, the first row with
+    the most stored entries (in a random sparse graph it lies in the
+    largest component). Within a level, rows come in the order they are
+    first found. Rows never reached, those of other components, follow
+    in file order.
+    """
+    order = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    root = int(np.argmax(np.diff(row_ptr)))
+    order[0] = root
+    seen[root] = True
+    count = 1
+    level = order[:1]
+    while level.size:
+        starts = row_ptr[level]
+        lens = row_ptr[level + 1] - starts
+        ends = np.cumsum(lens)
+        # the stored columns of every row of the level, row after row
+        found = np.repeat(starts - (ends - lens), lens)
+        found += np.arange(found.size)
+        found = col_idx[found]
+        found = found[~seen[found]]
+        _, first = np.unique(found, return_index=True)
+        first.sort()
+        level = found[first]
+        seen[level] = True
+        order[count : count + level.size] = level
+        count += level.size
+    order[count:] = np.flatnonzero(~seen)
+    return order
 
 
 @functools.cache
@@ -305,12 +443,14 @@ def block_matvec(a, v):
 
     A `ComplexSymmetricMatrix` forms it one column at a time with
     scipy's CSR kernel, so no row-major copy of V or of the result is
-    made.
+    made. The product is the operator's own: a matrix multiplies in
+    file order, its locality copy in the copy's row order.
 
     Parameters
     ----------
     a : ComplexSymmetricMatrix
-        The operator (or anything with a conforming ``matvec``).
+        The operator (a matrix, the locality copy the solvers run a
+        large matrix through, or anything with a conforming ``matvec``).
     v : ndarray
         Block vector of shape (a.n, p), in any memory order.
 

@@ -22,7 +22,10 @@ is its unfactored case, Q_m = R_m and xi_m = tau_m = I, with the
 products by those identities skipped rather than taken.
 
 Every method applies the operator exactly once per iteration after
-setup. Convergence is declared on the recursive residual; the true
+setup. A large matrix is solved through its locality copy (see
+`core_la`): B is permuted into the copy's row order once, the
+recurrence runs there, and X comes back in the caller's order.
+Convergence is declared on the recursive residual; the true
 residual is recomputed from a fresh operator application at exit and
 reported as log10 of the relative Frobenius norm. A singular small
 Gram system aborts the run with a breakdown report (no look-ahead, no
@@ -41,6 +44,7 @@ import numpy as np
 
 from .core_la import (
     BreakdownError,
+    _locality_copy,
     axpy_block,
     block_matvec,
     fro_norm,
@@ -88,9 +92,10 @@ class SolverConfig:
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
         iteration's blocks. The solvers update X and the residual in
-        place, so the n-by-p blocks are copies, taken only when an
-        observer is installed; the observer may keep them. Solver output
-        is bitwise identical with or without an observer.
+        place, so the n-by-p blocks are copies in the caller's row
+        order, taken only when an observer is installed; the observer
+        may keep them. Solver output is bitwise identical with or
+        without an observer.
     """
 
     tol: float = 1e-10
@@ -147,7 +152,9 @@ class SolveResult:
     breakdown : BreakdownInfo or None
         Set when a small Gram system was singular.
     elapsed : float
-        Wall seconds for the whole solve.
+        Wall seconds for the whole solve. The first solve on a large
+        matrix (see `core_la`) includes building its locality order and
+        copy, which is done once per matrix.
     """
 
     x: np.ndarray
@@ -225,9 +232,11 @@ def true_relative_residual(a, b, x):
 def _setup(a, b, x0, cfg):
     """Validation and initial residual shared by both recurrences.
 
-    Returns (cfg, b, x, r0, ref, h0, max_iter, done) where done flags an
-    immediate exit: the initial residual already meets tol, is exactly
-    zero, or is not finite.
+    Returns (cfg, b, local, x, r0, ref, h0, max_iter, done). local is
+    the locality copy the recurrence runs on, or None where it runs on
+    a itself; x and r0 are in the row order of that operator, b in the
+    caller's. done flags an immediate exit: the initial residual already
+    meets tol, is exactly zero, or is not finite.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -247,29 +256,51 @@ def _setup(a, b, x0, cfg):
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("right-hand side is identically zero; nothing to solve")
+    local = _locality_copy(a)
     if x0 is None:
         # R_0 is allocated before X, which the solve updates in place and
         # returns. The plain methods update R_0 in place too; freed at
         # exit, it leaves a block-sized gap below X for the caller's next
         # block. With X first, the young1c-sweep benchmark's peak RSS rose
         # from 84 to 93 MB (glibc placement)
-        r0 = b.copy(order="F")
+        r0 = b.copy(order="F") if local is None else local.to_local(b)
         x = np.zeros((n, p), dtype=np.complex128, order="F")
     else:
-        x = np.asfortranarray(x0, dtype=np.complex128).copy(order="F")
+        x = np.asfortranarray(x0, dtype=np.complex128)
         if x.shape != (n, p):
             raise ValueError(f"x0 shape {x.shape} does not match RHS shape {b.shape}")
-        r0 = b - block_matvec(a, x)
+        if local is None:
+            x = x.copy(order="F")
+            r0 = b - block_matvec(a, x)
+        else:
+            x = local.to_local(x)
+            r0 = local.to_local(b) - block_matvec(local, x)
     r0_norm = fro_norm(r0)
     ref = norm_b if cfg.norm_reference == "rhs" else r0_norm
     h0 = 0.0 if r0_norm == 0.0 else r0_norm / ref
     max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
     done = (not math.isfinite(h0)) or h0 <= cfg.tol
-    return cfg, b, x, r0, ref, h0, max_iter, done
+    return cfg, b, local, x, r0, ref, h0, max_iter, done
 
 
-def _finalize(a, b, x, iterations, converged, history, breakdown, t0):
-    """TRR recomputation and result assembly."""
+def _solve(recurrence, a, b, x0, cfg, factored):
+    """Run one recurrence from `_setup`'s start and assemble the result.
+
+    The recurrence returns before X goes back to the caller's row order
+    and the true residual is taken, so none of its blocks is live then.
+    """
+    t0 = time.perf_counter()
+    cfg, b, local, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
+    history = [h0]
+    converged, breakdown, iterations = h0 <= cfg.tol, None, 0
+    if not done:
+        op = a if local is None else local
+        x, converged, breakdown, iterations = recurrence(
+            op, local, x, r, ref, history, max_iter, cfg, factored
+        )
+    del r
+    if local is not None:
+        x = local.to_caller(x)
     return SolveResult(
         x=x,
         iterations=iterations,
@@ -281,11 +312,15 @@ def _finalize(a, b, x, iterations, converged, history, breakdown, t0):
     )
 
 
-def _observe(cfg, m, keys, blocks, xi):
-    """Hand the observer copies of this iteration's blocks by symbol, xi
-    last. xi is never updated in place, so it is passed as it is."""
+def _observe(cfg, local, m, keys, blocks, xi):
+    """Hand the observer copies of this iteration's blocks by symbol, in
+    the caller's row order, xi last. xi is never updated in place, so it
+    is passed as it is."""
     if cfg.observer is not None:
-        state = {k: v.copy(order="F") for k, v in zip(keys, blocks)}
+        if local is None:
+            state = {k: v.copy(order="F") for k, v in zip(keys, blocks)}
+        else:
+            state = {k: local.to_caller(v) for k, v in zip(keys, blocks)}
         if xi is not None:
             state["xi"] = xi
         cfg.observer(m, state)
@@ -294,8 +329,9 @@ def _observe(cfg, m, keys, blocks, xi):
 def _xi_rank_check(xi, warned):
     """Warn once per run when xi's diagonal spans more than _RANK_FLOOR.
 
-    Called from a recurrence loop only, so that the warning points at
-    the caller of the public solver.
+    Called from a recurrence loop only (below `_solve` and a public
+    solver), so that the warning points at the caller of the public
+    solver.
     """
     d = np.abs(np.diag(xi))
     top = d.max()
@@ -304,7 +340,7 @@ def _xi_rank_check(xi, warned):
             f"residual block lost numerical rank: smallest xi diagonal is "
             f"{d.min():.3e} against largest {top:.3e}",
             RankLossWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
         return True
     return warned
@@ -339,19 +375,17 @@ def _advance(x, s, q, w, alpha, xi, ref):
     return x, fac.q, fac.xi, xi, fro_norm(xi) / ref
 
 
-def _cocg(a, b, x0, cfg, factored):
+def _cocg(a, local, x, r, ref, history, max_iter, cfg, factored):
     """Block COCG on R_m = Q_m xi_m, or on R_m itself when not factored.
 
     In the factored form the search block is S_m and the Grams are
     S^T A S and Q^T Q; unfactored they are named P^T A P and R^T R.
     The Gram Q^T Q of one iteration is reused in the next, so each
     iteration forms two Gram products.
+
+    Runs from `_setup`'s X and R_0 on the operator a and appends to
+    history. Returns (X, converged, breakdown, iterations).
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    history = [h0]
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0)
     q, xi = _factor(r, factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S") if factored else ("X", "R", "P")
@@ -360,7 +394,7 @@ def _cocg(a, b, x0, cfg, factored):
     qq = t_gram(q, q)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
-        _observe(cfg, m, keys, (x, q, s), xi)
+        _observe(cfg, local, m, keys, (x, q, s), xi)
         as_ = block_matvec(a, s)
         try:
             alpha = solve_small(t_gram(s, as_), qq)
@@ -385,22 +419,17 @@ def _cocg(a, b, x0, cfg, factored):
         # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
         s = axpy_block(q_new.copy(order="F"), s, beta)
         q, qq = q_new, qq_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
+    return x, converged, breakdown, iterations
 
 
-def _cocr(a, b, x0, cfg, factored):
+def _cocr(a, local, x, r, ref, history, max_iter, cfg, factored):
     """Block COCR on R_m = Q_m xi_m, or on R_m itself when not factored.
 
     V_m = A Q_m is the one operator application per iteration, and
     U_m = A S_m advances by recurrence. The right-hand side of the alpha
     system and the matrix of the beta system is Q^T V (R^T V unfactored);
-    see `bl_cocr_rq` for why not Q^T U.
+    see `bl_cocr_rq` for why not Q^T U. Arguments and return as `_cocg`.
     """
-    t0 = time.perf_counter()
-    cfg, b, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    history = [h0]
-    if done:
-        return _finalize(a, b, x, 0, h0 <= cfg.tol, history, None, t0)
     q, xi = _factor(r, factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
@@ -410,7 +439,7 @@ def _cocr(a, b, x0, cfg, factored):
     qv = t_gram(q, v)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
-        _observe(cfg, m, keys, (x, q, s, u, v), xi)
+        _observe(cfg, local, m, keys, (x, q, s, u, v), xi)
         try:
             alpha = solve_small(t_gram(u, u), qv)
         except BreakdownError as e:
@@ -436,7 +465,7 @@ def _cocr(a, b, x0, cfg, factored):
         s = axpy_block(q_new.copy(order="F"), s, beta)
         u = axpy_block(v_new.copy(order="F"), u, beta)
         q, v, qv = q_new, v_new, qv_new
-    return _finalize(a, b, x, iterations, converged, history, breakdown, t0)
+    return x, converged, breakdown, iterations
 
 
 def bl_cocg(a, b, x0=None, cfg=None):
@@ -462,7 +491,7 @@ def bl_cocg(a, b, x0=None, cfg=None):
     -------
     SolveResult
     """
-    return _cocg(a, b, x0, cfg, factored=False)
+    return _solve(_cocg, a, b, x0, cfg, factored=False)
 
 
 def bl_cocr(a, b, x0=None, cfg=None):
@@ -476,7 +505,7 @@ def bl_cocr(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _cocr(a, b, x0, cfg, factored=False)
+    return _solve(_cocr, a, b, x0, cfg, factored=False)
 
 
 def bl_cocg_rq(a, b, x0=None, cfg=None):
@@ -493,7 +522,7 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _cocg(a, b, x0, cfg, factored=True)
+    return _solve(_cocg, a, b, x0, cfg, factored=True)
 
 
 def bl_cocr_rq(a, b, x0=None, cfg=None):
@@ -516,7 +545,7 @@ def bl_cocr_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _cocr(a, b, x0, cfg, factored=True)
+    return _solve(_cocr, a, b, x0, cfg, factored=True)
 
 
 # benchmark-facing registry; insertion order is the default run order

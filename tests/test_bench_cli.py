@@ -2,6 +2,7 @@
 
 import pytest
 
+from cskrylov import core_la
 from cskrylov.bench_cli import (
     format_report_csv,
     format_report_md,
@@ -64,6 +65,25 @@ class TestSolveCommand:
 
         # everything except cpu is byte-identical
         assert strip_cpu(text1) == strip_cpu(text2)
+
+    def test_locality_copy_built_before_the_first_solver(
+        self, tmp_path, monkeypatch, solver_calls
+    ):
+        # the warm-up builds a large matrix's locality copy, so that no
+        # solver's cpu cell carries it; the gate is patched down to n=30
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 30)
+        init = core_la._LocalityCopy.__init__
+
+        def recording(self, a):
+            solver_calls.append("build")
+            init(self, a)
+
+        monkeypatch.setattr(core_la._LocalityCopy, "__init__", recording)
+        code, text = _solve(tmp_path)
+        assert code == 0
+        assert solver_calls == ["build", *SOLVERS]
+        report = parse_report_csv(text)
+        assert all(r.status == "converged" for r in report.rows)
 
     def test_stdout_destination(self, capsys):
         code = main(["solve", *GEN_ARGS, "--out", "-"])

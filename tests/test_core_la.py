@@ -361,6 +361,26 @@ def test_benchmark_matrix_bits(name):
     assert digests == BENCHMARK_MATRIX_SHA256[name]
 
 
+# SHA-256 of the int32 locality order of the seed-0 gen1e5-p8 matrix, so
+# that an accidental change to the breadth-first search shows
+GEN1E5_ORDER_SHA256 = "bc7e451e3c520cc8bee16b33ee5bf9bb8d661ab0507b17fac8cf22b563f23aa2"
+
+
+def test_benchmark_matrix_bits_after_a_solve():
+    from cskrylov.solvers import bl_cocg
+
+    spec = ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
+    m, b = gen_problem(spec)
+    assert m.n >= core_la._LOCALITY_MIN_ORDER
+    assert bl_cocg(m, b[:, :1]).converged
+    arrays = (m.row_ptr, m.col_idx, m.values)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == BENCHMARK_MATRIX_SHA256["gen1e5-p8"]
+    perm = m._local.perm
+    assert perm.dtype == np.int32
+    assert hashlib.sha256(perm.tobytes()).hexdigest() == GEN1E5_ORDER_SHA256
+
+
 def _benchmark_matrix(name):
     if name == "young1c":
         return read_matrix_market(require_fixture("young1c.mtx"))[1]
@@ -379,34 +399,188 @@ def _dense_pattern(n, pattern, seed):
     return d
 
 
+def _kernel_reads(monkeypatch):
+    """Record the (row_ptr, col_idx, values) of every CSR kernel call."""
+    reads = []
+    kernel = core_la._csr_matvec()
+
+    def recording(n_row, n_col, row_ptr, col_idx, values, x, y):
+        reads.append((row_ptr, col_idx, values))
+        kernel(n_row, n_col, row_ptr, col_idx, values, x, y)
+
+    monkeypatch.setattr(core_la, "_csr_matvec", lambda: recording)
+    return reads
+
+
 class TestKernelIndex:
-    """`matvec` runs scipy's kernel on int32 copies of the index arrays
-    when n and nnz fit in int32, and on the int64 arrays otherwise; the
-    public arrays stay int64 either way."""
+    """One size gate for the kernel's index arrays: `matvec` reads the
+    public int64 arrays at every size, and no copy of them is made on the
+    matrix; only a locality copy (orders from `_LOCALITY_MIN_ORDER` on)
+    holds index arrays of its own, int32 where n and nnz fit in int32."""
 
     @pytest.mark.parametrize("name", BENCHMARK_MATRIX_SHA256)
-    def test_benchmark_matrices_get_int32_copies(self, name):
+    def test_benchmark_matrices_index_arrays(self, name, monkeypatch):
         m = _benchmark_matrix(name)
         assert m.row_ptr.dtype == m.col_idx.dtype == np.int64
-        row_ptr, col_idx = m._kernel_index
-        assert row_ptr.dtype == col_idx.dtype == np.int32
-        np.testing.assert_array_equal(row_ptr, m.row_ptr)
-        np.testing.assert_array_equal(col_idx, m.col_idx)
+        arrays = {k for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"row_ptr", "col_idx", "values"}
+        reads = _kernel_reads(monkeypatch)
+        m.matvec(_rand_block(m.n, 2, 0))
+        assert len(reads) == 2
+        for row_ptr, col_idx, values in reads:
+            assert row_ptr is m.row_ptr and col_idx is m.col_idx and values is m.values
+        local = core_la._locality_copy(m)
+        if m.n < core_la._LOCALITY_MIN_ORDER:
+            assert local is None
+        else:
+            for arr in (local.perm, local.row_ptr, local.col_idx):
+                assert arr.dtype == np.int32
+            assert local.values.dtype == np.complex128
 
     @pytest.mark.parametrize("pattern", ["random", "empty-rows", "nothing-stored"])
-    def test_int64_pair_gives_the_same_bytes(self, pattern, monkeypatch):
+    def test_int64_copy_gives_the_same_bytes(self, pattern, monkeypatch):
         n = 50
         d = _dense_pattern(n, pattern, seed=11)
-        narrow = ComplexSymmetricMatrix.from_dense(d)
+        d = d + d.T
+        narrow = core_la._LocalityCopy(ComplexSymmetricMatrix.from_dense(d))
         with monkeypatch.context() as patch:
             patch.setattr(core_la, "_KERNEL_INT32_MAX", n - 1)
-            wide = ComplexSymmetricMatrix.from_dense(d)
-        assert narrow._kernel_index[0].dtype == np.int32
-        assert wide._kernel_index[0] is wide.row_ptr
-        assert wide._kernel_index[1] is wide.col_idx
+            wide = core_la._LocalityCopy(ComplexSymmetricMatrix.from_dense(d))
+        assert narrow.col_idx.dtype == np.int32
+        for name in ("perm", "row_ptr", "col_idx"):
+            assert getattr(wide, name).dtype == np.int64
+            np.testing.assert_array_equal(getattr(wide, name), getattr(narrow, name))
         for p in (1, 8, 32):
             v = _rand_block(n, p, p)
             assert narrow.matvec(v).tobytes() == wide.matvec(v).tobytes()
+
+
+def _local_dense(local):
+    """The copy's CSR arrays as a dense matrix, through the validating
+    constructor, so that unsorted or repeated columns fail."""
+    return ComplexSymmetricMatrix(
+        local.n, row_ptr=local.row_ptr, col_idx=local.col_idx, values=local.values
+    ).to_dense()
+
+
+def _locality_cases():
+    """Complex symmetric matrices whose copies the tests below compare."""
+    rng = np.random.default_rng(5)
+    cases = {}
+    d = _dense_pattern(60, "random", seed=3)
+    cases["random"] = ComplexSymmetricMatrix.from_dense(d + d.T)
+    d = _dense_pattern(60, "empty-rows", seed=4)
+    d[:, ::3] = 0.0
+    cases["empty-rows"] = ComplexSymmetricMatrix.from_dense(d + d.T)
+    # three chains over interleaved rows (0, 3, 6, ...; 1, 4, ...; 2, 5,
+    # ...) and four isolated rows after them
+    n = 40
+    d = np.diag(2.0 + np.arange(n) * 1j)
+    for start in (0, 1, 2):
+        chain = np.arange(start, n - 4, 3)
+        links = rng.uniform(-1, 1, chain.size - 1) + 1j
+        d[chain[:-1], chain[1:]] = d[chain[1:], chain[:-1]] = links
+    cases["components"] = ComplexSymmetricMatrix.from_dense(d)
+    cases["n=1"] = ComplexSymmetricMatrix.from_coo(1, [0], [0], [2 - 1j])
+    # a stored zero at (0, 5) whose mirror (5, 0) is not stored: the
+    # symmetry check ignores explicit zeros, so the solvers accept it
+    d = _dense_pattern(30, "random", seed=6)
+    d = d + d.T
+    d[0, 5] = d[5, 0] = 0.0
+    base = ComplexSymmetricMatrix.from_dense(d)
+    r, c = np.nonzero(d)
+    cases["unmirrored-zero"] = ComplexSymmetricMatrix.from_coo(
+        30, np.append(r, 0), np.append(c, 5), np.append(d[r, c], 0.0)
+    )
+    assert cases["unmirrored-zero"].nnz == base.nnz + 1
+    return cases
+
+
+LOCALITY_CASES = _locality_cases()
+
+
+class TestLocalityCopy:
+    """P A P^T in breadth-first order, the operator the solvers run a
+    large matrix on; here the gate is patched down to every order."""
+
+    @pytest.fixture(autouse=True)
+    def every_order(self, monkeypatch):
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 1)
+
+    @pytest.mark.parametrize("name", LOCALITY_CASES)
+    def test_order_is_a_repeatable_permutation(self, name):
+        a = LOCALITY_CASES[name]
+        first = core_la._LocalityCopy(a)
+        second = core_la._LocalityCopy(a)
+        assert np.array_equal(np.sort(first.perm), np.arange(a.n))
+        for attr in ("perm", "row_ptr", "col_idx", "values"):
+            assert getattr(first, attr).tobytes() == getattr(second, attr).tobytes()
+
+    @pytest.mark.parametrize("name", LOCALITY_CASES)
+    def test_copy_is_the_permuted_matrix(self, name):
+        a = LOCALITY_CASES[name]
+        local = core_la._LocalityCopy(a)
+        perm = local.perm
+        np.testing.assert_array_equal(
+            _local_dense(local), a.to_dense()[np.ix_(perm, perm)]
+        )
+        # every stored entry, explicit zeros included, maps back to the
+        # matrix's own storage bit for bit
+        rows = np.repeat(np.arange(a.n), np.diff(local.row_ptr))
+        back = ComplexSymmetricMatrix.from_coo(
+            a.n, perm[rows], perm[local.col_idx], local.values
+        )
+        for attr in ("row_ptr", "col_idx", "values"):
+            assert getattr(back, attr).tobytes() == getattr(a, attr).tobytes()
+
+    def test_breadth_first_from_the_fullest_row(self):
+        a = LOCALITY_CASES["components"]
+        perm = core_la._LocalityCopy(a).perm
+        # the root is the first row with the most entries: row 3, inside
+        # the chain 0, 3, 6, ...; the chain comes first, in breadth-first
+        # levels from row 3, then every other row in file order
+        chain = np.arange(0, a.n - 4, 3)
+        assert perm[0] == 3
+        assert set(perm[: chain.size].tolist()) == set(chain.tolist())
+        depth = np.abs(perm[: chain.size] - 3) // 3
+        assert np.all(np.diff(depth) >= 0)
+        rest = perm[chain.size :]
+        assert np.all(np.diff(rest) > 0)
+
+    @pytest.mark.parametrize("name", LOCALITY_CASES)
+    def test_row_order_round_trip(self, name):
+        a = LOCALITY_CASES[name]
+        local = core_la._LocalityCopy(a)
+        v = _rand_block(a.n, 3, 1)
+        there = local.to_local(v)
+        assert there.flags.f_contiguous
+        np.testing.assert_array_equal(there, v[local.perm])
+        back = local.to_caller(there)
+        assert back.flags.f_contiguous
+        np.testing.assert_array_equal(back, v)
+        np.testing.assert_allclose(
+            local.to_caller(local.matvec(there)), a.matvec(v), rtol=1e-13, atol=1e-14
+        )
+
+    def test_built_once_at_first_use_and_cached(self):
+        a = ComplexSymmetricMatrix.from_dense(LOCALITY_CASES["random"].to_dense())
+        assert a._local is None
+        local = core_la._locality_copy(a)
+        assert isinstance(local, core_la._LocalityCopy)
+        assert core_la._locality_copy(a) is local
+
+    def test_gate_and_overriding_classes_keep_file_order(self, monkeypatch):
+        d = LOCALITY_CASES["random"].to_dense()
+
+        class Wrapped(ComplexSymmetricMatrix):
+            def matvec(self, v):
+                return super().matvec(v)
+
+        assert core_la._locality_copy(Wrapped.from_dense(d)) is None
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", d.shape[0] + 1)
+        a = ComplexSymmetricMatrix.from_dense(d)
+        assert core_la._locality_copy(a) is None
+        assert a._local is None
 
 
 # past 46,340 the key row * n + col no longer fits in int32, so int32

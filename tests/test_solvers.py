@@ -14,6 +14,7 @@ import qr_reference
 from conftest import child_env
 
 import cskrylov.solvers as solvers_module
+from cskrylov import core_la
 from cskrylov.core_la import ComplexSymmetricMatrix, fro_norm, t_gram
 from cskrylov.oracle import ProblemSpec, direct_solve, gen_problem, gen_rhs
 from cskrylov.solvers import (
@@ -608,6 +609,97 @@ class TestKernelBits:
                 assert new[name] == old[name], f"{case} {name}"
 
 
+def _local_problem(p):
+    return gen_problem(
+        ProblemSpec(n=300, p=p, kind="diagdominant", density=0.02, seed=20 + p)
+    )
+
+
+def _x0(b):
+    return np.asfortranarray(gen_rhs(b.shape[0], b.shape[1], 9, complex_values=True))
+
+
+class TestLocalityOrder:
+    """Solves through the locality copy, with its gate patched down to
+    the test problems' order, against the same solves in file order."""
+
+    @pytest.fixture
+    def local_gate(self, monkeypatch):
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_solves_match_file_order(self, name, solver, with_x0, p, monkeypatch):
+        a, b = _local_problem(p)
+        x0 = _x0(b) if with_x0 else None
+        cfg = SolverConfig(tol=1e-10)
+        plain = solver(a, b, x0, cfg)
+        assert core_la._locality_copy(a) is None
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        local = solver(a, b, x0, cfg)
+        again = solver(a, b, x0, cfg)
+        assert isinstance(a._local, core_la._LocalityCopy)
+        assert plain.converged
+        assert (local.iterations, local.status) == (plain.iterations, plain.status)
+        # X is returned in the caller's row order and meets tol on its
+        # own true residual, from the file-order product
+        assert local.x.flags.f_contiguous and local.x.shape == b.shape
+        assert true_relative_residual(a, b, local.x) == local.trr
+        assert local.trr <= math.log10(cfg.tol)
+        np.testing.assert_allclose(local.x, plain.x, rtol=1e-8)
+        assert again.history == local.history
+        assert again.x.tobytes() == local.x.tobytes()
+
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_observer_sees_caller_order(self, name, solver, monkeypatch):
+        a, b = _local_problem(3)
+
+        def at_m1(states):
+            def observe(m, state):
+                if m == 1:
+                    states.update(state)
+
+            return SolverConfig(observer=observe)
+
+        plain_state, local_state = {}, {}
+        solver(a, b, cfg=at_m1(plain_state))
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        solver(a, b, cfg=at_m1(local_state))
+        assert a._local is not None
+        assert set(local_state) == set(plain_state)
+        x, x_plain = local_state["X"], plain_state["X"]
+        assert fro_norm(x - x_plain) <= 1e-12 * fro_norm(x_plain)
+
+    def test_overriding_matvec_keeps_file_order(self, local_gate):
+        class CountingMatrix(ComplexSymmetricMatrix):
+            def matvec(self, v):
+                self.count = getattr(self, "count", 0) + 1
+                return super().matvec(v)
+
+        base, b = _local_problem(3)
+        a = CountingMatrix(
+            base.n, row_ptr=base.row_ptr, col_idx=base.col_idx, values=base.values
+        )
+        for name, solver in ALL:
+            counts = []
+            res = solver(a, b, cfg=SolverConfig(
+                observer=lambda m, state: counts.append(getattr(a, "count", 0))
+            ))
+            assert res.converged
+            assert np.all(np.diff(counts) == 1), name
+        assert a._local is None
+
+    def test_public_arrays_and_product_stay_in_file_order(self, local_gate):
+        a, b = _local_problem(8)
+        arrays = [arr.tobytes() for arr in (a.row_ptr, a.col_idx, a.values)]
+        before = a.matvec(b)
+        bl_cocg(a, b)
+        assert a._local is not None
+        assert [arr.tobytes() for arr in (a.row_ptr, a.col_idx, a.values)] == arrays
+        assert a.matvec(b).tobytes() == before.tobytes()
+
+
 class TestTrueRelativeResidual:
     def test_zero_x_gives_zero_exactly(self):
         a, b = _problem(seed=0)
@@ -720,6 +812,35 @@ class TestScipyLoading:
             "generate_and_check": False,
             "csr_matvec": True,
         }
+
+    def test_locality_order_loads_no_csgraph(self):
+        # the breadth-first order is numpy alone: scipy.sparse.csgraph
+        # would add ~11 MB to a solving process's peak RSS
+        child = textwrap.dedent(
+            """
+            import json, sys
+            from cskrylov import ProblemSpec, bl_cocr_rq, core_la, gen_problem
+            core_la._LOCALITY_MIN_ORDER = 100
+            a, b = gen_problem(ProblemSpec(n=2000, p=4, kind="diagdominant",
+                                           density=1e-3, seed=2))
+            res = bl_cocr_rq(a, b)
+            print(json.dumps({
+                "converged": res.converged,
+                "local": a._local is not None,
+                "csgraph": [m for m in sys.modules if "csgraph" in m],
+            }))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        seen = json.loads(out.stdout)
+        assert seen == {"converged": True, "local": True, "csgraph": []}
 
     def test_no_solve_builds_a_csr_array(self, monkeypatch):
         # the products run scipy's kernel on the matrix's own arrays; no
