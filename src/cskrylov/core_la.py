@@ -29,6 +29,7 @@ product gathers each column from nearby rows.
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -622,6 +623,10 @@ def _householder_qr(w, q, xi):
 # relative breakdown threshold of solve_small: a pivot of magnitude below
 # _PIVOT_FLOOR * max|M| is a breakdown
 _PIVOT_FLOOR = 1e-14
+# below this max|M| a pivot above the floor can be subnormal, and the
+# reciprocal of a subnormal overflows, in OpenBLAS's zgetrf and in numpy's
+# complex division alike; solve_small scales such an M up by a power of 2
+_SCALE_MIN = np.finfo(np.float64).tiny / _PIVOT_FLOOR
 
 
 def solve_small(m, rhs):
@@ -632,11 +637,13 @@ def solve_small(m, rhs):
     1-by-1 system is one complex division. Larger systems go to LAPACK
     ``zgesv`` in the library numpy itself links (see `_routine`), which
     picks each pivot by the largest |re| + |im| in its column, as
-    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, and
-    where LAPACK stops at an exact zero pivot that the floor lets
-    through (a NaN in M), a Python LU that picks each pivot by the
-    largest modulus runs instead. The two rules can choose different
-    rows, so their results may differ in the last bits.
+    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, a
+    Python LU that picks each pivot by the largest modulus runs instead.
+    The two rules can choose different rows, so their results may differ
+    in the last bits. An M whose largest modulus is below `_SCALE_MIN`
+    is solved as M 2^-e, with e the binary exponent of max|M|, and Z
+    scaled back: the scaling is exact, and it keeps every pivot that
+    passes the floor out of the subnormal range.
 
     Parameters
     ----------
@@ -648,14 +655,16 @@ def solve_small(m, rhs):
     Returns
     -------
     ndarray
-        Z with M @ Z = RHS, shape (p, k). Non-finite when M or RHS has a
-        NaN entry; that raises no `BreakdownError`.
+        Z with M @ Z = RHS, shape (p, k). All NaN when M has a NaN or
+        infinite entry, and non-finite when RHS has one; neither raises
+        `BreakdownError`.
 
     Raises
     ------
     BreakdownError
         If a pivot, a diagonal entry of U in elimination order, has a
-        magnitude below `_PIVOT_FLOOR` * max|M|.
+        magnitude below `_PIVOT_FLOOR` * max|M|. An exact zero pivot is
+        always one.
     """
     a = _as_small(m, "m")
     b = np.asarray(rhs, dtype=np.complex128)
@@ -665,16 +674,32 @@ def solve_small(m, rhs):
     if squeeze:
         b = b[:, None]
     scale = float(np.abs(a).max())
-    if scale == 0.0:
+    if not math.isfinite(scale):
+        z = np.full(b.shape, np.nan, dtype=np.complex128)
+    elif scale == 0.0:
         raise BreakdownError(0, 0.0)
-    floor = _PIVOT_FLOOR * scale
-    if a.shape[0] == 1:
+    elif scale < _SCALE_MIN:
+        e = math.frexp(scale)[1]
+        try:
+            z = _ldexp(solve_small(_ldexp(a, -e), b), -e)
+        except BreakdownError as err:
+            mag = math.ldexp(err.pivot_magnitude, e)
+            raise BreakdownError(err.pivot_index, mag) from None
+    elif a.shape[0] == 1:
         z = b / a[0, 0]
+    elif _routine("zgesv") is not None:
+        z = _lapack_solve(a, b, _PIVOT_FLOOR * scale)
     else:
-        z = _lapack_solve(a, b, floor) if _routine("zgesv") is not None else None
-        if z is None:
-            z = _python_solve(a, b, floor)
+        z = _python_solve(a, b, _PIVOT_FLOOR * scale)
     return z[:, 0] if squeeze else z
+
+
+def _ldexp(x, e):
+    """x * 2^e for a complex array, exact wherever the result is normal."""
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
 
 
 # (symbol pattern, integer type) in the order tried: the scipy-openblas
@@ -753,8 +778,7 @@ def _bind(lib, name, lapack):
 
 
 def _lapack_solve(a, b, floor):
-    """Z for M Z = B by zgesv, or None if zgesv stopped at an exact zero
-    pivot below no floor; it then leaves B unsolved."""
+    """Z for M Z = B by zgesv."""
     fn, int_t = _routine("zgesv")
     p, k = b.shape
     lu = np.array(a, order="F")
@@ -765,7 +789,10 @@ def _lapack_solve(a, b, floor):
     for i, mag in enumerate(np.abs(lu.diagonal()).tolist()):
         if mag < floor:
             raise BreakdownError(i, mag)
-    return None if info.value else z
+    if info.value:
+        # zgesv stopped at an exact zero pivot and left B unsolved
+        raise BreakdownError(info.value - 1, 0.0)
+    return z
 
 
 def _python_solve(a, b, floor):

@@ -25,12 +25,12 @@ Every method applies the operator exactly once per iteration after
 setup. A large matrix is solved through its locality copy (see
 `core_la`): B is permuted into the copy's row order once, the
 recurrence runs there, and X comes back in the caller's order.
-Convergence is declared on the recursive residual; the true
-residual is recomputed from a fresh operator application at exit and
-reported as log10 of the relative Frobenius norm. A singular small
-Gram system aborts the run with a breakdown report (no look-ahead, no
-deflation); rank loss in xi_m is a warning, not an abort, since columns
-converging at different rates is expected.
+Convergence is declared on the recursive residual relative to
+||B||_F; the true residual is recomputed from a fresh operator
+application at exit and reported as log10 of the relative Frobenius
+norm. A singular small Gram system aborts the run with a breakdown
+report (no look-ahead, no deflation); rank loss in xi_m is a warning,
+not an abort, since columns converging at different rates is expected.
 """
 
 import math
@@ -82,12 +82,9 @@ class SolverConfig:
     Parameters
     ----------
     tol : float
-        Relative residual threshold, > 0.
+        Threshold on the relative residual ||R||_F / ||B||_F, > 0.
     max_iter : int or None
         Iteration cap; None means the matrix order.
-    norm_reference : str
-        "rhs" normalizes residuals by ||B||_F, "r0" by ||R_0||_F.
-        They coincide when x0 is zero.
     observer : callable or None
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
@@ -100,7 +97,6 @@ class SolverConfig:
 
     tol: float = 1e-10
     max_iter: Optional[int] = None
-    norm_reference: str = "rhs"
     observer: Optional[Callable] = None
 
     def __post_init__(self):
@@ -115,10 +111,6 @@ class SolverConfig:
                 ) from None
             if self.max_iter < 1:
                 raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.norm_reference not in ("rhs", "r0"):
-            raise ValueError(
-                f"norm_reference must be 'rhs' or 'r0', got {self.norm_reference!r}"
-            )
 
 
 @dataclass
@@ -229,15 +221,17 @@ def true_relative_residual(a, b, x):
         return float(np.log10(fro_norm(r) / norm_b))
 
 
-def _setup(a, b, x0, cfg):
-    """Validation and initial residual shared by both recurrences.
+def _solve(recurrence, a, b, x0, cfg, factored):
+    """Validate, form the initial residual, run one recurrence and
+    assemble the result.
 
-    Returns (cfg, b, local, x, r0, ref, h0, max_iter, done). local is
-    the locality copy the recurrence runs on, or None where it runs on
-    a itself; x and r0 are in the row order of that operator, b in the
-    caller's. done flags an immediate exit: the initial residual already
-    meets tol, is exactly zero, or is not finite.
+    X and R_0 are in the row order of the operator the recurrence runs
+    on: the locality copy of a, or a itself. The recurrence is skipped
+    when the initial residual already meets tol, is exactly zero, or is
+    not finite. It returns before X goes back to the caller's row order
+    and the true residual is taken, so none of its blocks is live then.
     """
+    t0 = time.perf_counter()
     if cfg is None:
         cfg = SolverConfig()
     if not check_complex_symmetric(a):
@@ -275,30 +269,16 @@ def _setup(a, b, x0, cfg):
         else:
             x = local.to_local(x)
             r0 = local.to_local(b) - block_matvec(local, x)
-    r0_norm = fro_norm(r0)
-    ref = norm_b if cfg.norm_reference == "rhs" else r0_norm
-    h0 = 0.0 if r0_norm == 0.0 else r0_norm / ref
-    max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
-    done = (not math.isfinite(h0)) or h0 <= cfg.tol
-    return cfg, b, local, x, r0, ref, h0, max_iter, done
-
-
-def _solve(recurrence, a, b, x0, cfg, factored):
-    """Run one recurrence from `_setup`'s start and assemble the result.
-
-    The recurrence returns before X goes back to the caller's row order
-    and the true residual is taken, so none of its blocks is live then.
-    """
-    t0 = time.perf_counter()
-    cfg, b, local, x, r, ref, h0, max_iter, done = _setup(a, b, x0, cfg)
-    history = [h0]
-    converged, breakdown, iterations = h0 <= cfg.tol, None, 0
-    if not done:
+    history = [fro_norm(r0) / norm_b]
+    converged, breakdown, iterations = history[0] <= cfg.tol, None, 0
+    if math.isfinite(history[0]) and not converged:
         op = a if local is None else local
+        max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
+        observe = _observer_hook(cfg.observer, local)
         x, converged, breakdown, iterations = recurrence(
-            op, local, x, r, ref, history, max_iter, cfg, factored
+            op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
         )
-    del r
+    del r0
     if local is not None:
         x = local.to_caller(x)
     return SolveResult(
@@ -312,18 +292,22 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     )
 
 
-def _observe(cfg, local, m, keys, blocks, xi):
-    """Hand the observer copies of this iteration's blocks by symbol, in
-    the caller's row order, xi last. xi is never updated in place, so it
-    is passed as it is."""
-    if cfg.observer is not None:
-        if local is None:
-            state = {k: v.copy(order="F") for k, v in zip(keys, blocks)}
-        else:
-            state = {k: local.to_caller(v) for k, v in zip(keys, blocks)}
+def _observer_hook(observer, local):
+    """observer as the recurrences call it, ``observe(m, keys, blocks,
+    xi)``, or None when there is none. It hands the observer copies of
+    the blocks by symbol, in the caller's row order, xi last; xi is never
+    updated in place, so it is passed as it is."""
+    if observer is None:
+        return None
+    to_caller = local.to_caller if local is not None else lambda v: v.copy(order="F")
+
+    def observe(m, keys, blocks, xi):
+        state = {k: to_caller(v) for k, v in zip(keys, blocks)}
         if xi is not None:
             state["xi"] = xi
-        cfg.observer(m, state)
+        observer(m, state)
+
+    return observe
 
 
 def _xi_rank_check(xi, warned):
@@ -354,7 +338,7 @@ def _factor(r, factored):
     return fac.q, fac.xi
 
 
-def _advance(x, s, q, w, alpha, xi, ref):
+def _advance(x, s, q, w, alpha, xi, norm_b):
     """The solution and residual step both recurrences share.
 
     X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
@@ -363,19 +347,19 @@ def _advance(x, s, q, w, alpha, xi, ref):
     taken and no product with xi or tau is formed. X and Q are updated
     in place.
 
-    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ref),
+    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ||B||_F),
     with tau and xi None when unfactored.
     """
     x = axpy_block(x, s, alpha if xi is None else alpha @ xi)
     q = axpy_block(q, w, -alpha)
     if xi is None:
-        return x, q, None, None, fro_norm(q) / ref
+        return x, q, None, None, fro_norm(q) / norm_b
     fac = thin_qr(q)
     xi = fac.xi @ xi
-    return x, fac.q, fac.xi, xi, fro_norm(xi) / ref
+    return x, fac.q, fac.xi, xi, fro_norm(xi) / norm_b
 
 
-def _cocg(a, local, x, r, ref, history, max_iter, cfg, factored):
+def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     """Block COCG on R_m = Q_m xi_m, or on R_m itself when not factored.
 
     In the factored form the search block is S_m and the Grams are
@@ -383,8 +367,10 @@ def _cocg(a, local, x, r, ref, history, max_iter, cfg, factored):
     The Gram Q^T Q of one iteration is reused in the next, so each
     iteration forms two Gram products.
 
-    Runs from `_setup`'s X and R_0 on the operator a and appends to
-    history. Returns (X, converged, breakdown, iterations).
+    Runs from `_solve`'s X and R_0 on the operator a, calls observe
+    (None: no observer) at the top of every iteration, and appends
+    residual norms relative to norm_b = ||B||_F to history. Returns
+    (X, converged, breakdown, iterations).
     """
     q, xi = _factor(r, factored)
     warned = factored and _xi_rank_check(xi, False)
@@ -394,18 +380,19 @@ def _cocg(a, local, x, r, ref, history, max_iter, cfg, factored):
     qq = t_gram(q, q)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
-        _observe(cfg, local, m, keys, (x, q, s), xi)
+        if observe is not None:
+            observe(m, keys, (x, q, s), xi)
         as_ = block_matvec(a, s)
         try:
             alpha = solve_small(t_gram(s, as_), qq)
         except BreakdownError as e:
             breakdown = BreakdownInfo(grams[0], m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q_new, tau, xi, h = _advance(x, s, q, as_, alpha, xi, ref)
+        x, q_new, tau, xi, h = _advance(x, s, q, as_, alpha, xi, norm_b)
         history.append(h)
         iterations = m + 1
-        if not math.isfinite(h) or h <= cfg.tol:
-            converged = h <= cfg.tol
+        if not math.isfinite(h) or h <= tol:
+            converged = h <= tol
             break
         # a converged block is all noise; rank only matters while iterating
         if factored:
@@ -422,7 +409,7 @@ def _cocg(a, local, x, r, ref, history, max_iter, cfg, factored):
     return x, converged, breakdown, iterations
 
 
-def _cocr(a, local, x, r, ref, history, max_iter, cfg, factored):
+def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     """Block COCR on R_m = Q_m xi_m, or on R_m itself when not factored.
 
     V_m = A Q_m is the one operator application per iteration, and
@@ -439,17 +426,18 @@ def _cocr(a, local, x, r, ref, history, max_iter, cfg, factored):
     qv = t_gram(q, v)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
-        _observe(cfg, local, m, keys, (x, q, s, u, v), xi)
+        if observe is not None:
+            observe(m, keys, (x, q, s, u, v), xi)
         try:
             alpha = solve_small(t_gram(u, u), qv)
         except BreakdownError as e:
             breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q_new, tau, xi, h = _advance(x, s, q, u, alpha, xi, ref)
+        x, q_new, tau, xi, h = _advance(x, s, q, u, alpha, xi, norm_b)
         history.append(h)
         iterations = m + 1
-        if not math.isfinite(h) or h <= cfg.tol:
-            converged = h <= cfg.tol
+        if not math.isfinite(h) or h <= tol:
+            converged = h <= tol
             break
         if factored:
             warned = _xi_rank_check(xi, warned)

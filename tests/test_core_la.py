@@ -157,6 +157,19 @@ class TestComplexSymmetricMatrix:
         np.testing.assert_allclose(y_csr, d @ v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(y_dense, d @ v, rtol=0, atol=1e-13)
 
+    def test_matvec_handles_empty_rows(self):
+        # rows 0 and 2 store nothing; reductions must not bleed across rows
+        v = np.asfortranarray(np.arange(1, 9, dtype=np.complex128).reshape(4, 2))
+        m = ComplexSymmetricMatrix(
+            4, row_ptr=[0, 0, 2, 2, 3], col_idx=[0, 3, 1], values=[2.0, 1j, -1.0]
+        )
+        dense = np.zeros((4, 4), dtype=np.complex128)
+        dense[1, 0], dense[1, 3], dense[3, 1] = 2.0, 1j, -1.0
+        np.testing.assert_array_equal(m.matvec(v), dense @ v)
+        # a matrix that stores nothing at all maps every block to zero
+        empty = ComplexSymmetricMatrix(4, row_ptr=[0] * 5, col_idx=[], values=[])
+        np.testing.assert_array_equal(empty.matvec(v), np.zeros((4, 2)))
+
     def test_matvec_dimension_mismatch(self):
         m = ComplexSymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -641,6 +654,25 @@ class TestTGram:
             t_gram(np.ones((3, 1), dtype=complex), np.ones((4, 1), dtype=complex))
 
 
+def _qr_draws():
+    """Seeded thin-QR inputs, id -> (n, p, block seed): 25 draws with
+    2 <= n < 40 and p <= 8, and 50 smaller ones with 1 <= n < 30 and
+    p <= 6, among them n = 1."""
+    draws = {}
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        draws[str(seed)] = (n, int(rng.integers(1, min(n, 8) + 1)), seed + 1000)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        draws[f"small-{seed}"] = (n, int(rng.integers(1, min(n, 6) + 1)), seed + 500)
+    return draws
+
+
+QR_DRAWS = _qr_draws()
+
+
 class TestThinQr:
     def test_hand_case(self):
         w = np.array([[3.0], [4.0j]], order="F")
@@ -648,12 +680,10 @@ class TestThinQr:
         np.testing.assert_allclose(fac.xi, [[5.0]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(fac.q, [[0.6], [0.8j]], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_factor_properties(self, seed, householder_calls):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 40))
-        p = int(rng.integers(1, min(n, 8) + 1))
-        w = _rand_block(n, p, seed + 1000)
+    @pytest.mark.parametrize("draw", QR_DRAWS.values(), ids=QR_DRAWS)
+    def test_factor_properties(self, draw, householder_calls):
+        n, p, seed = draw
+        w = _rand_block(n, p, seed)
         fac = thin_qr(w)
         np.testing.assert_allclose(fac.q @ fac.xi, w, rtol=0, atol=1e-13)
         np.testing.assert_allclose(
@@ -827,13 +857,30 @@ class TestSolveSmall:
             # the third of a rank-2 matrix, the second and third of a rank-1
             ([[2, 1, 3], [1, 1, 2], [1, 0, 1]], 2),
             ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 1),
+            # a rank-1 matrix so small that its pivots are subnormal and
+            # the floor, 1e-14 * max|M|, underflows to zero
+            ([[1e-312, 1e-312], [1e-312, 1e-312]], 1),
         ],
     )
     def test_breakdown_names_the_first_small_pivot(self, m, index):
+        m = np.array(m, dtype=complex)
         with pytest.raises(BreakdownError) as exc:
-            solve_small(np.array(m, dtype=complex), np.ones((3, 1), dtype=complex))
+            solve_small(m, np.ones((m.shape[0], 1), dtype=complex))
         assert exc.value.pivot_index == index
         assert exc.value.pivot_magnitude == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_tiny_system_is_the_scaled_system(self, p):
+        # M and RHS times 2^-1000 have the same solution; unscaled, the
+        # reciprocals of their subnormal pivots would overflow
+        rng = np.random.default_rng(p)
+        m = rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p))
+        rhs = rng.uniform(-1, 1, (p, 2)) + 1j * rng.uniform(-1, 1, (p, 2))
+        tiny = 2.0**-1000
+        assert np.abs(m * tiny).max() < core_la._SCALE_MIN
+        np.testing.assert_array_equal(
+            solve_small(m * tiny, rhs * tiny), solve_small(m, rhs)
+        )
 
     def test_zero_matrix_raises_breakdown(self):
         with pytest.raises(BreakdownError) as exc:
@@ -846,16 +893,20 @@ class TestSolveSmall:
         [
             [[np.nan]],
             [[1, np.nan], [1, 1]],
-            # LAPACK itself stops at the exact zero pivot of this one and
-            # leaves the right-hand side as it was, finite
+            # an elimination stops at the exact zero pivot of this one and
+            # leaves the right-hand side finite
             [[0, 1], [np.nan, 1]],
+            # with Inf the floor is Inf: every pivot would be "small", and
+            # an elimination would give zeros or a breakdown at pivot 1
+            [[np.inf, 0], [0, 1]],
+            [[1, np.inf], [np.inf, 1]],
+            [[np.inf]],
         ],
     )
     def test_nan_matrix_gives_non_finite_solution(self, m):
         m = np.array(m, dtype=complex)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = solve_small(m, np.ones(m.shape[0], dtype=complex))
-        assert not np.isfinite(z).all()
+        z = solve_small(m, np.ones(m.shape[0], dtype=complex))
+        assert np.isnan(z).all()
 
     def test_one_by_one_is_the_lu_division(self):
         rng = np.random.default_rng(3)
@@ -979,6 +1030,45 @@ class TestBlockOps:
             axpy_block(x, np.ones((5, 2), dtype=complex), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="nonconformable"):
             axpy_block(x, x, np.eye(3, dtype=complex))
+
+
+def _run_all_kernels(seed, n=40, p=3):
+    """Every kernel once on seeded inputs: (the inputs, the outputs by
+    kernel)."""
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    sparse = np.where(np.abs(dense) < 1.0, 0.0, dense)
+    v, w = _rand_block(n, p, seed + 1), _rand_block(n, p, seed + 2)
+    c = np.ascontiguousarray(_rand_block(p, p, seed + 3))
+    fac = thin_qr(v)
+    out = {
+        "csr_matvec": ComplexSymmetricMatrix.from_dense(sparse).matvec(v),
+        "dense_matvec": ComplexSymmetricMatrix.from_dense(dense).matvec(v),
+        "t_gram": t_gram(v, w),
+        # axpy_block updates its first argument in place; v stays the
+        # input of the reference formulas
+        "axpy": axpy_block(v.copy(order="F"), w, c),
+        "fro": fro_norm(v),
+        "qr_q": fac.q,
+        "qr_xi": fac.xi,
+    }
+    return (sparse, dense, v, w, c), out
+
+
+class TestEveryKernel:
+    def test_reference_formulas(self):
+        (sparse, dense, v, w, c), out = _run_all_kernels(seed=42)
+        np.testing.assert_allclose(out["csr_matvec"], sparse @ v, atol=1e-13)
+        np.testing.assert_allclose(out["dense_matvec"], dense @ v, atol=1e-13)
+        np.testing.assert_allclose(out["t_gram"], v.T @ w, atol=1e-13)
+        np.testing.assert_allclose(out["axpy"], v + w @ c, atol=1e-13)
+        assert out["fro"] == pytest.approx(np.linalg.norm(v), rel=1e-14)
+        np.testing.assert_allclose(out["qr_q"] @ out["qr_xi"], v, atol=1e-13)
+
+    def test_repeat_calls_give_the_same_bits(self):
+        first, second = _run_all_kernels(seed=7)[1], _run_all_kernels(seed=7)[1]
+        for key in first:
+            np.testing.assert_array_equal(first[key], second[key])
 
 
 def _parent_axpy(x, y, c):
