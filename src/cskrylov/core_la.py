@@ -13,18 +13,25 @@ Hermitian machinery of standard libraries do not apply to them. The
 thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 
-Blocks stay in Fortran order through every kernel: the CSR product
-runs scipy's one-vector kernel on each column of the result; the block
-update X <- X + Y C is made in place, on large blocks by one ``zgemm``
-call; and the thin QR forms its Hermitian Grams by ``zgemm`` on the
-block's own memory. Every kernel but `axpy_block` returns a new array;
-`axpy_block` updates and returns X.
+Every kernel keeps its input's layout: a block in Fortran order gives
+Fortran-order results, a row-major (C-order) block row-major ones, and
+any other layout is first copied to Fortran order. The block update
+X <- X + Y C is made in place, on large blocks by one ``zgemm`` call,
+and the thin QR forms its Hermitian Grams by ``zgemm`` on the block's
+own memory, in either layout. Every kernel but `axpy_block` returns a
+new array; `axpy_block` updates and returns X.
 
 A matrix's public arrays and its `matvec` stay in the order the matrix
-was built in (file order). The solvers run a large matrix through its
-locality copy instead (`_locality_copy`): P A P^T in a breadth-first
-row order, built at the first solve and cached on the matrix, whose
-product gathers each column from nearby rows.
+was built in (file order), and its product runs scipy's one-vector CSR
+kernel on each column into a Fortran-order result, whatever the input's
+layout. The solvers run a large matrix through its locality copy
+instead (`_locality_copy`): P A P^T in a breadth-first row order, built
+at the first solve and cached on the matrix. The solvers hand it
+row-major blocks, and its product reads the matrix once for all p
+columns (scipy's multi-vector kernel) into a row-major result. Below
+the copy's order gate the solvers' blocks stay in Fortran order, which
+keeps their bits: a row-major block's BLAS products round differently
+wherever n or p is not a multiple of 4 (see `axpy_block`).
 """
 
 import ctypes
@@ -68,7 +75,11 @@ class BreakdownError(Exception):
 
 
 def _as_block(v, name="block vector"):
-    arr = np.asfortranarray(v, dtype=np.complex128)
+    """v as a complex128 array: a contiguous one in its own layout, any
+    other copied to Fortran order."""
+    arr = np.asarray(v, dtype=np.complex128)
+    if not arr.flags.forc:
+        arr = np.asfortranarray(arr)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
@@ -257,9 +268,9 @@ class ComplexSymmetricMatrix:
         """Return A @ v for an (n, p) block vector v, in Fortran order.
 
         Each column of the result is scipy's CSR kernel applied to the
-        matching column of v, written in place. The kernel reads the
-        public arrays, in file order, whatever the size of the matrix;
-        only the solvers run through the locality copy.
+        matching column of v, written in place, in any layout of v. The
+        kernel reads the public arrays, in file order, whatever the size
+        of the matrix; only the solvers run through the locality copy.
         """
         return _csr_product(self, v)
 
@@ -273,15 +284,24 @@ class ComplexSymmetricMatrix:
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
-def _csr_product(a, v):
-    """A @ v, column by column, from the CSR arrays a holds."""
+def _csr_product(a, v, by_rows=False):
+    """A @ v from the CSR arrays a holds, column by column into a
+    Fortran-order result. With by_rows, a row-major v of p >= 2 columns
+    takes scipy's multi-vector kernel instead: one pass over A into a
+    row-major result, each entry summed in the same order, so with the
+    same bits."""
     v = _as_block(v)
     if v.shape[0] != a.n:
         raise ValueError(
             f"dimension mismatch: matrix is {a.n}x{a.n}, "
             f"block vector has {v.shape[0]} rows"
         )
-    # the kernel adds each row's sum to what the output holds
+    # the kernels add each row's sum to what the output holds
+    if by_rows and not v.flags.f_contiguous:
+        out = np.zeros(v.shape, dtype=np.complex128)
+        _csr_matvecs()(a.n, a.n, v.shape[1], a.row_ptr, a.col_idx, a.values,
+                       v.ravel(), out.ravel())
+        return out
     out = np.zeros(v.shape, dtype=np.complex128, order="F")
     csr_matvec = _csr_matvec()
     for j in range(v.shape[1]):
@@ -363,21 +383,31 @@ class _LocalityCopy:
         np.take(a.values, src[order], out=self.values)
 
     def matvec(self, v):
-        """P A P^T @ v for an (n, p) block v in the copy's row order."""
-        return _csr_product(self, v)
+        """P A P^T @ v for an (n, p) block v in the copy's row order, in
+        v's layout: a row-major block of p >= 2 columns in one
+        multi-vector pass into a row-major result, any other block column
+        by column into a Fortran-order one, with the same bits.
+
+        At n = 1e5, p = 8 (the seed-0 gen1e5-p8 copy, 2-core guest) the
+        one pass took 7.3 ms against 15.1 ms column by column; at p = 1
+        the one-vector kernel is the faster.
+        """
+        return _csr_product(self, v, by_rows=True)
 
     def to_local(self, v):
-        """A new Fortran-order block of v's rows in the copy's order."""
-        out = np.empty(v.shape, dtype=np.complex128, order="F")
-        for j in range(v.shape[1]):
-            np.take(v[:, j], self.perm, out=out[:, j])
-        return out
+        """A new row-major block of v's rows in the copy's order.
+
+        This is where the solvers' blocks take the row-major layout that
+        every kernel then keeps (see `matvec`).
+        """
+        # indexing gathers rows from v as it lies; np.take would first
+        # copy a Fortran-order v to row-major, one more n x p block live
+        return np.asarray(v, dtype=np.complex128)[self.perm]
 
     def to_caller(self, v):
         """A new Fortran-order block of v's rows in file order."""
         out = np.empty(v.shape, dtype=np.complex128, order="F")
-        for j in range(v.shape[1]):
-            out[self.perm, j] = v[:, j]
+        out[self.perm] = v
         return out
 
 
@@ -429,6 +459,15 @@ def _csr_matvec():
     return _sparsetools.csr_matvec
 
 
+@functools.cache
+def _csr_matvecs():
+    """scipy's multi-vector CSR kernel, Y += A X for row-major X and Y,
+    each entry summed in the order of `_csr_matvec`."""
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools.csr_matvecs
+
+
 @dataclass
 class QrFactors:
     """Economy QR factors: q has conjugate-orthonormal columns (Q^H Q = I),
@@ -442,10 +481,12 @@ class QrFactors:
 def block_matvec(a, v):
     """Compute A @ V into a new block.
 
-    A `ComplexSymmetricMatrix` forms it one column at a time with
-    scipy's CSR kernel, so no row-major copy of V or of the result is
-    made. The product is the operator's own: a matrix multiplies in
-    file order, its locality copy in the copy's row order.
+    The product is the operator's own, and no layout copy of V is
+    made. A `ComplexSymmetricMatrix` multiplies in file order, one
+    column at a time with scipy's CSR kernel, into a Fortran-order
+    result. Its locality copy multiplies in the copy's row order, and a
+    row-major V of p >= 2 columns in one multi-vector pass into a
+    row-major result.
 
     Parameters
     ----------
@@ -458,7 +499,7 @@ def block_matvec(a, v):
     Returns
     -------
     ndarray
-        A @ V, shape (a.n, p), complex128, Fortran order.
+        A @ V, shape (a.n, p), complex128.
     """
     return a.matvec(v)
 
@@ -506,19 +547,21 @@ def thin_qr(w):
     Returns
     -------
     QrFactors
-        q of shape (n, p), xi of shape (p, p).
+        q of shape (n, p), in w's layout (row-major for a row-major w,
+        else Fortran order), and xi of shape (p, p).
     """
     w = _as_block(w, "w")
     n, p = w.shape
     if n < p:
         raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
-    q = np.empty((n, p), dtype=np.complex128, order="F")
+    q = np.empty((n, p), dtype=np.complex128, order=_layout(w))
     xi = np.zeros((p, p), dtype=np.complex128)
     if p == 1:
         # a squared norm that underflows or overflows goes to Householder,
-        # whose norm is scaled
+        # whose norm is scaled; fro_norm would rescale it, and 1 / nrm
+        # could then overflow
         with np.errstate(over="ignore"):
-            nrm = fro_norm(w)
+            nrm = float(np.linalg.norm(w))
         done = 0.0 < nrm < np.inf
         if done:
             # numpy's complex / real division computes (re + im * 0) *
@@ -555,7 +598,7 @@ def _cholesky_qr2(w, q, xi):
     r1 = _cholesky_r(_gram_h(w))
     if r1 is None:
         return False
-    q1 = np.matmul(w, np.linalg.inv(r1), order="F")
+    q1 = np.matmul(w, np.linalg.inv(r1), order=_layout(w))
     g2 = _gram_h(q1)
     if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
         return False
@@ -571,31 +614,49 @@ def _cholesky_qr2(w, q, xi):
 
 
 def _gram_h(v):
-    """v^H @ v for a Fortran-order block v, summed over row chunks.
+    """v^H @ v for a Fortran-order or row-major block v, summed over row
+    chunks.
 
-    Each chunk's product is one ``zgemm('C', 'N')`` call on v's own
-    memory (see `_routine`), so no conjugate copy is made. Where numpy
-    exposes no such symbol, each chunk's conjugate copy goes to numpy's
-    product instead.
+    Each chunk's product is one ``zgemm`` call on v's own memory (see
+    `_routine`), so no conjugate copy is made: ``zgemm('C', 'N')`` on a
+    Fortran-order chunk v, and ``zgemm('R', 'T')`` on a row-major one,
+    which a column-major routine reads as v^T; 'R' (conjugate, not
+    transposed) is an OpenBLAS extension. A block and its row-major copy
+    give the same bits (`zgemm('N', 'C')`, the other way to read a
+    row-major chunk, does not). Where numpy exposes no such symbol, or a
+    row-major block meets a library that is not OpenBLAS, each chunk's
+    conjugate copy goes to numpy's product instead, which gives both
+    layouts the same bits too.
     """
     n, p = v.shape
     g = np.zeros((p, p), dtype=np.complex128)
-    gemm = _routine("zgemm")
+    layout = _layout(v)
+    gemm = _routine("zgemm") if layout == "F" or _is_openblas() else None
     if gemm is None:
         for i in range(0, n, _ROW_CHUNK):
             rows = v[i : i + _ROW_CHUNK]
             g += np.conjugate(rows).T @ rows
         return g
     fn, int_t = gemm
+    if layout == "F":
+        ops, ld, row_bytes = (b"C", b"N"), int_t(n), v.itemsize
+    else:
+        ops, ld, row_bytes = (b"R", b"T"), int_t(p), p * v.itemsize
     part = np.empty((p, p), dtype=np.complex128, order="F")
-    ld, width = int_t(n), int_t(p)
+    width = int_t(p)
     start, out = v.ctypes.data, part.ctypes.data
     for i in range(0, n, _ROW_CHUNK):
-        rows = start + i * v.itemsize
-        fn(b"C", b"N", width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
+        rows = start + i * row_bytes
+        fn(*ops, width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
            rows, ld, rows, ld, _ZERO_ADDRESS, out, width)
         g += part
     return g
+
+
+def _layout(v):
+    """numpy's order letter of a contiguous block: "F" for Fortran order,
+    which a single column also is, else "C"."""
+    return "F" if v.flags.f_contiguous else "C"
 
 
 def _cholesky_r(g):
@@ -743,6 +804,12 @@ def _lapack_report():
         return {}
 
 
+@functools.cache
+def _is_openblas():
+    """Whether numpy's build report shows an OpenBLAS configuration."""
+    return _report_int_type(_lapack_report()) is not None
+
+
 def _report_int_type(lapack):
     """The integer type of an OpenBLAS LAPACK as numpy's build report
     gives it, or None where the report shows no OpenBLAS configuration
@@ -818,8 +885,22 @@ def _python_solve(a, b, floor):
     return z
 
 
+# below this norm of a nonzero block, sqrt(tiny / eps), the squares of
+# its entries may have lost digits in the subnormal range
+_NORM_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
+
 def fro_norm(v):
     """Frobenius norm of a block vector or small matrix.
+
+    The squares are summed in the block's memory order (column-major for
+    a Fortran-order or non-contiguous block). Where that plain sum
+    overflows on finite entries, or gives a nonzero block a norm below
+    `_NORM_MIN` (~1.5e-146), the norm is taken again on the block scaled
+    by 2^-e, with e the binary exponent of its largest real or imaginary
+    part, and scaled back: the scaling is exact, so only such blocks
+    change their result. An overflowing plain sum may still raise
+    numpy's overflow warning.
 
     Parameters
     ----------
@@ -831,7 +912,23 @@ def fro_norm(v):
     float
         sqrt of the sum of squared entry moduli.
     """
-    return float(np.linalg.norm(_as_block(v, "v")))
+    arr = _as_block(v, "v")
+    nrm = float(np.linalg.norm(arr))
+    if nrm < _NORM_MIN or nrm == math.inf:
+        nrm = _scaled_norm(arr, nrm)
+    return nrm
+
+
+def _scaled_norm(arr, nrm):
+    """fro_norm of arr, whose plain norm nrm under- or overflowed, or nrm
+    itself where arr is zero or holds a NaN or infinite entry."""
+    top = max(float(np.abs(arr.real).max(initial=0.0)),
+              float(np.abs(arr.imag).max(initial=0.0)))
+    if top == 0.0 or not np.isfinite(arr).all():
+        return nrm
+    e = math.frexp(top)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(_ldexp(arr, -e)), e))
 
 
 # the zgemm scalars one (alpha of every call, beta of axpy_block's) and
@@ -850,18 +947,23 @@ def axpy_block(x, y, c):
     """Update X <- X + Y @ C in place, for block vectors X, Y and a small
     matrix C.
 
-    A block of at least `_GEMM_MIN_SIZE` entries is updated by one
-    ``zgemm`` call with beta = 1 in the library numpy links (see
-    `_routine`). Smaller blocks, and every block where numpy exposes no
-    such symbol, take ``x += np.matmul(y, c, order="F")``. Both give the
-    bits of X + Y @ C formed in a new Fortran-order block, except that
-    zgemm may round differently at p = 1.
+    X may be in Fortran order or row-major, and Y is used in X's layout
+    (copied to it where it differs). A block of at least
+    `_GEMM_MIN_SIZE` entries is updated by one ``zgemm`` call with
+    beta = 1 in the library numpy links (see `_routine`); a row-major X
+    is updated as X^T <- X^T + C^T Y^T, the same call with its operands
+    swapped. Smaller blocks, and every block where numpy exposes no such
+    symbol, take ``x += np.matmul(y, c, order="F")``. Both give the bits
+    of X + Y @ C formed in a new Fortran-order block, except that zgemm
+    may round differently at p = 1, and, on a row-major X, wherever n or
+    p is not a multiple of 4: OpenBLAS's edge tiles then fall on the
+    other dimension of the product.
 
     Parameters
     ----------
     x : ndarray
-        Block vector of shape (n, p): a writeable, Fortran-order
-        complex128 array, overwritten with the result.
+        Block vector of shape (n, p): a writeable complex128 array in
+        Fortran order or row-major, overwritten with the result.
     y : ndarray
         Block vector of shape (n, p), sharing no memory with x.
     c : ndarray
@@ -878,30 +980,42 @@ def axpy_block(x, y, c):
         If the shapes do not conform, if x cannot be updated in place,
         or if y or c shares memory with x.
     """
-    y = _as_block(y, "y")
-    c = _as_small(c, "c")
-    if np.shape(x) != y.shape or y.shape[1] != c.shape[0]:
-        raise ValueError(
-            f"nonconformable shapes: x {np.shape(x)}, y {y.shape}, c {c.shape}"
-        )
     if not (
         isinstance(x, np.ndarray)
         and x.dtype == np.complex128
-        and x.flags.f_contiguous
+        and x.flags.forc
         and x.flags.writeable
     ):
         raise ValueError(
-            "x must be a writeable Fortran-order complex128 array: "
+            "x must be a writeable contiguous complex128 array: "
             "it is updated in place"
+        )
+    row_major = not x.flags.f_contiguous
+    if row_major:
+        y = np.ascontiguousarray(y, dtype=np.complex128)
+    else:
+        y = np.asfortranarray(y, dtype=np.complex128)
+    c = _as_small(c, "c")
+    if x.ndim != 2 or x.shape != y.shape or y.shape[1] != c.shape[0]:
+        raise ValueError(
+            f"nonconformable shapes: x {x.shape}, y {y.shape}, c {c.shape}"
         )
     if np.shares_memory(x, y) or np.shares_memory(x, c):
         raise ValueError("x shares memory with y or c: it is updated in place")
     gemm = _routine("zgemm") if x.size >= _GEMM_MIN_SIZE else None
     if gemm is None:
+        # numpy's product into a Fortran-order block has the same bits
+        # for either layout of y; into a row-major one it has others
         x += np.matmul(y, c, order="F")
+        return x
+    fn, int_t = gemm
+    n, p = int_t(x.shape[0]), int_t(x.shape[1])
+    if row_major:
+        # to a column-major routine the buffers of x, y and c are X^T,
+        # Y^T and C^T
+        fn(b"N", b"N", p, n, p, _ONE_ADDRESS, c.ctypes.data, p,
+           y.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, p)
     else:
-        fn, int_t = gemm
-        n, p = int_t(x.shape[0]), int_t(x.shape[1])
         # c is row-major, so its buffer is C^T to a column-major routine
         fn(b"N", b"T", n, p, p, _ONE_ADDRESS, y.ctypes.data, n,
            c.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, n)

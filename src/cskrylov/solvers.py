@@ -23,8 +23,11 @@ products by those identities skipped rather than taken.
 
 Every method applies the operator exactly once per iteration after
 setup. A large matrix is solved through its locality copy (see
-`core_la`): B is permuted into the copy's row order once, the
-recurrence runs there, and X comes back in the caller's order.
+`core_la`): B is permuted into the copy's row order, as a row-major
+block, once; the recurrence runs there on row-major blocks, and X
+comes back in the caller's order, in Fortran order. Every other solve
+runs on Fortran-order blocks. The recurrences keep whichever layout
+R_0 has.
 Convergence is declared on the recursive residual relative to
 ||B||_F; the true residual is recomputed from a fresh operator
 application at exit and reported as log10 of the relative Frobenius
@@ -226,7 +229,8 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     assemble the result.
 
     X and R_0 are in the row order of the operator the recurrence runs
-    on: the locality copy of a, or a itself. The recurrence is skipped
+    on: the locality copy of a, where they are row-major, or a itself,
+    where they are in Fortran order. The recurrence is skipped
     when the initial residual already meets tol, is exactly zero, or is
     not finite. It returns before X goes back to the caller's row order
     and the true residual is taken, so none of its blocks is live then.
@@ -258,7 +262,7 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         # block. With X first, the young1c-sweep benchmark's peak RSS rose
         # from 84 to 93 MB (glibc placement)
         r0 = b.copy(order="F") if local is None else local.to_local(b)
-        x = np.zeros((n, p), dtype=np.complex128, order="F")
+        x = np.zeros_like(r0)
     else:
         x = np.asfortranarray(x0, dtype=np.complex128)
         if x.shape != (n, p):
@@ -356,7 +360,9 @@ def _advance(x, s, q, w, alpha, xi, norm_b):
         return x, q, None, None, fro_norm(q) / norm_b
     fac = thin_qr(q)
     xi = fac.xi @ xi
-    return x, fac.q, fac.xi, xi, fro_norm(xi) / norm_b
+    # xi is row-major; its squares are summed column by column, the order
+    # that fixes the bits of every factored history
+    return x, fac.q, fac.xi, xi, fro_norm(np.asfortranarray(xi)) / norm_b
 
 
 def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
@@ -376,7 +382,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S") if factored else ("X", "R", "P")
     grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
-    s = q.copy(order="F")
+    s = q.copy(order="K")
     qq = t_gram(q, q)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
@@ -404,7 +410,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
-        s = axpy_block(q_new.copy(order="F"), s, beta)
+        s = axpy_block(q_new.copy(order="K"), s, beta)
         q, qq = q_new, qq_new
     return x, converged, breakdown, iterations
 
@@ -420,9 +426,9 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     q, xi = _factor(r, factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
-    s = q.copy(order="F")
+    s = q.copy(order="K")
     v = block_matvec(a, q)
-    u = v.copy(order="F")
+    u = v.copy(order="K")
     qv = t_gram(q, v)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
@@ -450,8 +456,8 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} and V_{m+1} live on, so S and U start from copies
-        s = axpy_block(q_new.copy(order="F"), s, beta)
-        u = axpy_block(v_new.copy(order="F"), u, beta)
+        s = axpy_block(q_new.copy(order="K"), s, beta)
+        u = axpy_block(v_new.copy(order="K"), u, beta)
         q, v, qv = q_new, v_new, qv_new
     return x, converged, breakdown, iterations
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import math
 import types
 
 import coo_reference
@@ -205,6 +206,15 @@ class TestComplexSymmetricMatrix:
         out = m.matvec(v)
         assert out.flags.f_contiguous and out.shape == (n, p)
         np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_matvec_of_a_row_major_block_keeps_the_fortran_bits(self, p):
+        # the file-order product never takes the multi-vector kernel
+        m = ComplexSymmetricMatrix.from_dense(_dense_pattern(50, "random", seed=p))
+        v = _rand_block(50, p, p)
+        out = m.matvec(np.ascontiguousarray(v))
+        assert out.flags.f_contiguous
+        assert out.tobytes() == m.matvec(v).tobytes()
 
     def test_block_matvec_delegates(self):
         m = ComplexSymmetricMatrix.from_dense(2 * np.eye(2))
@@ -566,7 +576,7 @@ class TestLocalityCopy:
         local = core_la._LocalityCopy(a)
         v = _rand_block(a.n, 3, 1)
         there = local.to_local(v)
-        assert there.flags.f_contiguous
+        assert there.flags.c_contiguous and there.dtype == np.complex128
         np.testing.assert_array_equal(there, v[local.perm])
         back = local.to_caller(there)
         assert back.flags.f_contiguous
@@ -574,6 +584,17 @@ class TestLocalityCopy:
         np.testing.assert_allclose(
             local.to_caller(local.matvec(there)), a.matvec(v), rtol=1e-13, atol=1e-14
         )
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_product_keeps_the_block_layout_and_bits(self, p):
+        # a row-major block takes the multi-vector kernel, a Fortran-order
+        # one the one-vector kernel column by column: same bits
+        local = core_la._LocalityCopy(LOCALITY_CASES["random"])
+        v = _rand_block(local.n, p, p)
+        by_rows = local.matvec(np.ascontiguousarray(v))
+        by_columns = local.matvec(v)
+        assert by_rows.flags.c_contiguous and by_columns.flags.f_contiguous
+        assert np.asfortranarray(by_rows).tobytes() == by_columns.tobytes()
 
     def test_built_once_at_first_use_and_cached(self):
         a = ComplexSymmetricMatrix.from_dense(LOCALITY_CASES["random"].to_dense())
@@ -1017,6 +1038,35 @@ class TestBlockOps:
         v = _rand_block(15, 4, 9)
         assert fro_norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-14)
 
+    def test_fro_norm_keeps_the_plain_sum_of_squares(self):
+        for scale in (1.0, 1e-140, 1e150):
+            v = _rand_block(15, 4, 9) * scale
+            assert fro_norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e170, 1e300])
+    def test_fro_norm_rescales_what_under_or_overflows(self, scale):
+        # the plain sum of squares gives 0.0 and inf on these blocks
+        v = np.full((3, 1), scale, dtype=np.complex128)
+        with np.errstate(under="ignore", over="ignore"):
+            assert float(np.linalg.norm(v)) in (0.0, np.inf)
+        w = _rand_block(15, 4, 9)
+        # the plain sum, taken first, may warn of its overflow
+        with np.errstate(over="ignore"):
+            assert fro_norm(v) == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
+            assert fro_norm(w * scale) == pytest.approx(
+                np.linalg.norm(w) * scale, rel=1e-14
+            )
+
+    @pytest.mark.parametrize(
+        "entry,expected", [(0.0, 0.0), (np.inf, np.inf), (np.nan, np.nan)]
+    )
+    def test_fro_norm_of_zero_and_non_finite_blocks(self, entry, expected):
+        v = np.full((3, 2), 1e-170, dtype=np.complex128)
+        v[1, 1] = entry
+        if entry == 0.0:
+            v[:] = 0.0
+        np.testing.assert_equal(fro_norm(v), expected)
+
     def test_axpy_block(self):
         x = _rand_block(10, 2, 1)
         y = _rand_block(10, 2, 2)
@@ -1142,7 +1192,6 @@ class TestAxpyBlockInPlace:
         "make_x",
         [
             pytest.param(lambda x: x.tolist(), id="list"),
-            pytest.param(np.ascontiguousarray, id="c-order"),
             pytest.param(lambda x: np.asfortranarray(x, dtype=np.complex64), id="complex64"),
             pytest.param(lambda x: np.asfortranarray(x.real), id="float64"),
             pytest.param(lambda x: np.asfortranarray(np.hstack([x, x]))[:, ::2], id="strided"),
@@ -1156,6 +1205,18 @@ class TestAxpyBlockInPlace:
         with pytest.raises(ValueError, match="updated in place"):
             axpy_block(x, _rand_block(6, 2, 11), np.eye(2, dtype=complex))
         np.testing.assert_array_equal(np.asarray(x), before)
+
+    @pytest.mark.parametrize(
+        "n,p", [(6, 2), (core_la._GEMM_MIN_SIZE, 8)], ids=["numpy", "zgemm"]
+    )
+    def test_updates_a_row_major_x_in_place(self, n, p):
+        # a row-major x keeps its layout, with the Fortran-order bits
+        x, y, c = self._operands(n, p, 10)
+        x_rows, y_rows = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        assert axpy_block(x_rows, y_rows, c) is x_rows
+        assert axpy_block(x, y, c) is x
+        assert x_rows.flags.c_contiguous
+        assert np.asfortranarray(x_rows).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("case", ["y-is-x", "y-overlaps-x", "c-views-x"])
     def test_rejects_y_or_c_sharing_memory_with_x(self, case):

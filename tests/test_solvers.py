@@ -460,20 +460,27 @@ class TestDeterminism:
 
 
     def test_bitwise_repeatability_under_blas_threads(self):
-        # each child solves twice with every solver; both runs in one
-        # process must match bit for bit whatever the BLAS thread count
+        # each child solves twice with every solver, in file order and
+        # then through the locality copy on row-major blocks, its gate
+        # patched to the problem's order; both runs in one process must
+        # match bit for bit whatever the BLAS thread count
         child = textwrap.dedent(
             """
             import hashlib, json
-            from cskrylov import SOLVERS, ProblemSpec, gen_problem
+            from cskrylov import SOLVERS, ProblemSpec, core_la, gen_problem
             a, b = gen_problem(ProblemSpec(
                 n=2000, p=8, kind="diagdominant", density=1e-3, seed=11))
             def digest(res):
                 h = hashlib.sha256(repr(res.history).encode())
                 h.update(res.x.tobytes())
                 return h.hexdigest()
-            print(json.dumps({name: [digest(fn(a, b)) for _ in range(2)]
-                              for name, fn in SOLVERS.items()}))
+            runs = {name: [digest(fn(a, b)) for _ in range(2)]
+                    for name, fn in SOLVERS.items()}
+            core_la._LOCALITY_MIN_ORDER = a.n
+            for name, fn in SOLVERS.items():
+                runs[name + " local"] = [digest(fn(a, b)) for _ in range(2)]
+            assert a._local is not None
+            print(json.dumps(runs))
             """
         )
         for threads in ("1", "2"):
@@ -486,7 +493,7 @@ class TestDeterminism:
             )
             assert out.returncode == 0, out.stderr
             digests = json.loads(out.stdout)
-            assert list(digests) == list(SOLVERS)
+            assert list(digests) == list(SOLVERS) + [f"{k} local" for k in SOLVERS]
             for name, (first, second) in digests.items():
                 assert first == second, f"{name} under {threads} BLAS threads"
 
@@ -684,6 +691,170 @@ class TestLocalityOrder:
         assert a._local is not None
         assert [arr.tobytes() for arr in (a.row_ptr, a.col_idx, a.values)] == arrays
         assert a.matvec(b).tobytes() == before.tobytes()
+
+
+def _count_multi_vector_products(monkeypatch):
+    """Count the calls of scipy's multi-vector CSR kernel; returns the
+    list that grows by one per call."""
+    calls = []
+    kernel = core_la._csr_matvecs()
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(core_la, "_csr_matvecs", lambda: counting)
+    return calls
+
+
+class TestLayoutBits:
+    """Row-major blocks, on which the solvers run a locality copy,
+    against the same blocks in Fortran order.
+
+    A zgemm product whose output is an n x p block rounds differently
+    row-major wherever n or p is not a multiple of 4: OpenBLAS's 4-wide
+    edge tiles fall on the other dimension. That touches `axpy_block`'s
+    zgemm branch and both products of `thin_qr`. The blocks here have
+    n a multiple of 4, so those kernels keep their bits at p = 4 and 8
+    and agree to rounding at the other widths below."""
+
+    ROUNDING_WIDTHS = (2, 3, 5, 6, 7, 9)
+
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_solves_match_the_fortran_order_solve(self, name, solver, p, monkeypatch):
+        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        a, b = _local_problem(p)
+        by_rows = _count_multi_vector_products(monkeypatch)
+        rows = solver(a, b)
+        # one product per iteration, all by the multi-vector kernel
+        assert len(by_rows) == rows.iterations
+        # the same solve on Fortran-order blocks, which every kernel keeps
+        to_local = core_la._LocalityCopy.to_local
+        monkeypatch.setattr(
+            core_la._LocalityCopy,
+            "to_local",
+            lambda self, v: np.asfortranarray(to_local(self, v)),
+        )
+        columns = solver(a, b)
+        assert len(by_rows) == rows.iterations
+        assert (rows.iterations, rows.status) == (columns.iterations, columns.status)
+        assert rows.converged
+        if p in self.ROUNDING_WIDTHS and name.endswith("_rq"):
+            np.testing.assert_allclose(rows.x, columns.x, rtol=1e-12)
+        else:
+            assert rows.x.tobytes() == columns.x.tobytes()
+
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_kernels_give_the_fortran_order_bits(self, p):
+        n = 5000
+        assert n % 4 == 0 and n * p >= core_la._GEMM_MIN_SIZE
+        rng = np.random.default_rng(p)
+        v, w = (
+            np.asfortranarray(rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+            for _ in range(2)
+        )
+        v_rows, w_rows = np.ascontiguousarray(v), np.ascontiguousarray(w)
+        c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        exact = p not in self.ROUNDING_WIDTHS
+
+        def check(rows_out, fortran_out, always):
+            rows_out = np.asfortranarray(rows_out)
+            if always or exact:
+                assert rows_out.tobytes() == fortran_out.tobytes()
+            else:
+                np.testing.assert_allclose(rows_out, fortran_out, rtol=1e-13, atol=1e-13)
+
+        check(t_gram(v_rows, w_rows), t_gram(v, w), always=True)
+        check(core_la._gram_h(v_rows), core_la._gram_h(v), always=True)
+        for m in ((core_la._GEMM_MIN_SIZE - 1) // p, n):
+            x, x_rows = v[:m].copy(order="F"), v_rows[:m].copy()
+            core_la.axpy_block(x, w[:m], c)
+            core_la.axpy_block(x_rows, w_rows[:m], c)
+            assert x_rows.flags.c_contiguous
+            check(x_rows, x, always=m < n)
+        fac, fac_rows = core_la.thin_qr(v), core_la.thin_qr(v_rows)
+        assert fac_rows.q.flags.c_contiguous
+        check(fac_rows.q, fac.q, always=False)
+        check(fac_rows.xi, fac.xi, always=False)
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_gram_without_zgemm_or_openblas_takes_numpy(self, p, monkeypatch):
+        # 'R' is an OpenBLAS option of zgemm: where the library is not
+        # OpenBLAS a row-major Gram is numpy's product of conjugate copies,
+        # which gives both layouts the same bits
+        rng = np.random.default_rng(p)
+        v = np.asfortranarray(rng.standard_normal((841, p)) + 1j * rng.standard_normal((841, p)))
+        v_rows = np.ascontiguousarray(v)
+        with monkeypatch.context() as patch:
+            patch.setattr(core_la, "_is_openblas", lambda: False)
+            other_blas = core_la._gram_h(v_rows)
+        monkeypatch.setattr(core_la, "_routine", lambda name: None)
+        assert other_blas.tobytes() == core_la._gram_h(v_rows).tobytes()
+        assert core_la._gram_h(v_rows).tobytes() == core_la._gram_h(v).tobytes()
+
+    def test_file_order_solves_see_only_fortran_blocks(self, monkeypatch):
+        # below the gate no kernel is handed, or returns, a row-major
+        # block, so none makes a layout copy on the way
+        a, b = _problem(n=40, p=3)
+        seen = []
+        for kernel in ("block_matvec", "t_gram", "axpy_block", "thin_qr", "fro_norm"):
+            fn = getattr(solvers_module, kernel)
+
+            def recording(*args, _fn=fn):
+                out = _fn(*args)
+                for arr in (*args, getattr(out, "q", out)):
+                    if isinstance(arr, np.ndarray) and arr.shape == b.shape:
+                        seen.append(arr.flags.f_contiguous)
+                return out
+
+            monkeypatch.setattr(solvers_module, kernel, recording)
+        by_rows = _count_multi_vector_products(monkeypatch)
+        for name, solver in ALL:
+            assert solver(a, b).converged, name
+        assert seen and all(seen)
+        assert by_rows == []
+
+    @pytest.mark.parametrize("local", [False, True], ids=["file-order", "locality"])
+    def test_factored_norm_sums_xi_column_by_column(self, local, monkeypatch):
+        # ||xi||_F is summed in column-major order on both paths; xi
+        # itself is row-major, and its row-major sum has other bits
+        if local:
+            monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        a, b = _local_problem(8)
+        small = []
+
+        def recording(v):
+            if np.shape(v) == (8, 8):
+                small.append(v.flags.f_contiguous)
+            return fro_norm(v)
+
+        monkeypatch.setattr(solvers_module, "fro_norm", recording)
+        for solver in (bl_cocg_rq, bl_cocr_rq):
+            res = solver(a, b)
+            assert len(small) >= res.iterations
+        assert all(small)
+
+
+class TestScaleInvariance:
+    """fro_norm rescales blocks whose plain sum of squares under- or
+    overflows, so the factored solvers, whose Grams are of orthonormal
+    blocks, solve B * 1e-160 and B * 1e160 as they solve B. The plain
+    solvers' Grams of R itself leave that range; they are not tested."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("name", ["bl_cocg_rq", "bl_cocr_rq"])
+    def test_factored_solves_keep_their_unit_scale_run(self, name, scale):
+        a, b = _problem()
+        unit = SOLVERS[name](a, b)
+        with np.errstate(over="ignore"):
+            scaled = SOLVERS[name](a, b * scale)
+        assert (scaled.iterations, scaled.status) == (unit.iterations, unit.status)
+        assert unit.converged
+        np.testing.assert_allclose(scaled.history, unit.history, rtol=1e-9)
+        assert scaled.trr == pytest.approx(unit.trr, abs=0.01)
+        x = scaled.x / scale
+        assert fro_norm(x - unit.x) <= 1e-9 * fro_norm(unit.x)
 
 
 class TestTrueRelativeResidual:
