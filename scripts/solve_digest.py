@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print a digest of the benchmark's solves, to show that a change keeps
+their bits.
+
+For each case and solver one line gives the iteration count, the
+status, ``repr(trr)``, and the first 16 hex digits of the SHA-256 of
+the residual history (as float64) and of X. The cases:
+
+- young1c with p in {1, 8, 32}, right-hand sides ``gen_rhs(841, p, 0)``
+- the seed-0 gen1e5-p8 problem (n = 1e5, p = 8, diagdominant)
+- the same seed-0 matrix with ``gen_rhs(n, 1, 0)`` (n = 1e5, p = 1)
+
+Every case runs in a child process under OPENBLAS_NUM_THREADS=1 and
+again under =2, one child after the other, importing the package from
+the ``src/`` of the tree this script sits in. To compare two trees, run
+each tree's copy of the script and diff the outputs:
+
+    python3 scripts/solve_digest.py > after.txt
+    python3 ../parent/scripts/solve_digest.py > before.txt
+    diff before.txt after.txt
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = (1, 2)
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cases(ck):
+    """(name, matrix, right-hand sides) of every case."""
+    _, young = ck.read_matrix_market(ROOT / "tests" / "fixtures" / "young1c.mtx")
+    for p in (1, 8, 32):
+        yield f"young1c-p{p}", young, ck.gen_rhs(young.n, p, 0)
+    spec = ck.ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
+    a, b = ck.gen_problem(spec)
+    yield "gen1e5-p8", a, b
+    yield "gen1e5-p1", a, ck.gen_rhs(a.n, 1, 0)
+
+
+def run_cases():
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    import cskrylov as ck
+
+    if Path(ck.__file__).resolve().parent != ROOT / "src" / "cskrylov":
+        raise SystemExit(f"imported cskrylov from {ck.__file__}, not {ROOT / 'src'}")
+    threads = os.environ["OPENBLAS_NUM_THREADS"]
+    for case, a, b in _cases(ck):
+        for name, solver in ck.SOLVERS.items():
+            res = solver(a, b)
+            history = np.asarray(res.history, dtype=np.float64).tobytes()
+            print(
+                f"threads={threads} {case} {name} iters={res.iterations} "
+                f"status={res.status!r} trr={res.trr!r} "
+                f"history={_digest(history)} x={_digest(res.x.tobytes())}",
+                flush=True,
+            )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        run_cases()
+        return 0
+    for threads in THREADS:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, __file__, "--child"], env=env, check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """
 Benchmark harness: load or generate a problem, run selected solvers,
-report iterations / TRR / CPU per solver, optionally dump residual
-histories.
+report iterations / TRR / time per solver, optionally dump residual
+histories. The report's cpu column is each solve's wall time in seconds
+(`SolveResult.elapsed`, from `time.perf_counter`), not processor time.
 
 Report determinism contract: for fixed (matrix, p, tol, seed, solver)
 the CSV report and history files are byte-identical across
@@ -102,7 +103,8 @@ def _check_writable(path):
 def run_benchmark(args):
     """Execute the benchmark described by parsed CLI args.
 
-    Solvers run one after another, so each row's cpu time is its own.
+    Solvers run one after another, so each row's cpu time (the solve's
+    wall time) is its own.
     The report destination and the history directory are checked before
     the first solver runs, so a run whose output cannot be written
     solves nothing.

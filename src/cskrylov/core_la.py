@@ -13,25 +13,26 @@ Hermitian machinery of standard libraries do not apply to them. The
 thin QR is the exception: its Q is orthonormal in the Hermitian sense
 (Q^H Q = I), so it may factor the Hermitian Gram W^H W.
 
-Every kernel keeps its input's layout: a block in Fortran order gives
-Fortran-order results, a row-major (C-order) block row-major ones, and
-any other layout is first copied to Fortran order. The block update
-X <- X + Y C is made in place, on large blocks by one ``zgemm`` call,
-and the thin QR forms its Hermitian Grams by ``zgemm`` on the block's
-own memory, in either layout. Every kernel but `axpy_block` returns a
-new array; `axpy_block` updates and returns X.
+Every kernel, the CSR product included, keeps its input's layout: a
+block in Fortran order gives Fortran-order results, a row-major
+(C-order) block row-major ones, and any other layout is first copied to
+Fortran order. The product takes scipy's one-vector CSR kernel column
+by column on a Fortran-order block, and its multi-vector kernel, one
+pass over the matrix, on a row-major one, with the same bits. The block
+update X <- X + Y C is made in place, on large blocks by one ``zgemm``
+call, and the thin QR forms its Hermitian Grams by ``zgemm`` on the
+block's own memory, in either layout. Every kernel but `axpy_block`
+returns a new array; `axpy_block` updates and returns X.
 
 A matrix's public arrays and its `matvec` stay in the order the matrix
-was built in (file order), and its product runs scipy's one-vector CSR
-kernel on each column into a Fortran-order result, whatever the input's
-layout. The solvers run a large matrix through its locality copy
-instead (`_locality_copy`): P A P^T in a breadth-first row order, built
-at the first solve and cached on the matrix. The solvers hand it
-row-major blocks, and its product reads the matrix once for all p
-columns (scipy's multi-vector kernel) into a row-major result. Below
-the copy's order gate the solvers' blocks stay in Fortran order, which
-keeps their bits: a row-major block's BLAS products round differently
-wherever n or p is not a multiple of 4 (see `axpy_block`).
+was built in (file order). The solvers run a large matrix through its
+locality copy instead (`_locality_copy`): P A P^T in a breadth-first
+row order, built by `ComplexSymmetricMatrix.from_coo` at the first
+solve and cached on the matrix, and multiplied by the matrix's own
+`matvec`. The solvers hand it row-major blocks. Below the copy's order
+gate the solvers' blocks stay in Fortran order, which keeps their bits:
+a row-major block's BLAS products round differently wherever n or p is
+not a multiple of 4 (see `axpy_block`).
 """
 
 import ctypes
@@ -265,12 +266,12 @@ class ComplexSymmetricMatrix:
         return self._symmetric
 
     def matvec(self, v):
-        """Return A @ v for an (n, p) block vector v, in Fortran order.
+        """Return A @ v for an (n, p) block vector v, in v's layout (see
+        `_csr_product`).
 
-        Each column of the result is scipy's CSR kernel applied to the
-        matching column of v, written in place, in any layout of v. The
-        kernel reads the public arrays, in file order, whatever the size
-        of the matrix; only the solvers run through the locality copy.
+        The kernel reads the public arrays, in file order, whatever the
+        size of the matrix; only the solvers run through the locality
+        copy, whose `matvec` this is too.
         """
         return _csr_product(self, v)
 
@@ -284,12 +285,15 @@ class ComplexSymmetricMatrix:
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
-def _csr_product(a, v, by_rows=False):
-    """A @ v from the CSR arrays a holds, column by column into a
-    Fortran-order result. With by_rows, a row-major v of p >= 2 columns
-    takes scipy's multi-vector kernel instead: one pass over A into a
-    row-major result, each entry summed in the same order, so with the
-    same bits."""
+def _csr_product(a, v):
+    """A @ v from the CSR arrays a holds, in v's layout: a row-major v of
+    p >= 2 columns in one pass of scipy's multi-vector kernel into a
+    row-major result, any other v column by column through the
+    one-vector kernel into a Fortran-order result. Each entry is summed
+    in the same order either way, so with the same bits. At n = 1e5, p =
+    8 (the seed-0 gen1e5-p8 locality copy, 2-core guest) the one pass
+    took 7.3 ms against 15.1 ms column by column; at p = 1 the
+    one-vector kernel is the faster."""
     v = _as_block(v)
     if v.shape[0] != a.n:
         raise ValueError(
@@ -297,7 +301,7 @@ def _csr_product(a, v, by_rows=False):
             f"block vector has {v.shape[0]} rows"
         )
     # the kernels add each row's sum to what the output holds
-    if by_rows and not v.flags.f_contiguous:
+    if not v.flags.f_contiguous:
         out = np.zeros(v.shape, dtype=np.complex128)
         _csr_matvecs()(a.n, a.n, v.shape[1], a.row_ptr, a.col_idx, a.values,
                        v.ravel(), out.ravel())
@@ -340,65 +344,38 @@ class _LocalityCopy:
     perm : ndarray
         The order: file row of each row of the copy.
     row_ptr, col_idx, values : ndarray
-        CSR arrays of P A P^T, columns increasing within each row. The
-        index arrays are int32 where n and nnz fit in it, else int64;
-        the kernel's sums are the same on either width.
+        CSR arrays of P A P^T, as `ComplexSymmetricMatrix.from_coo`
+        builds them from A's renamed entries. The index arrays are int32
+        where n and nnz fit in it, else int64; the kernel's sums are the
+        same on either width.
     """
 
     def __init__(self, a):
         n = a.n
         index_t = np.int32 if max(n, a.nnz) <= _KERNEL_INT32_MAX else np.int64
         perm = _bfs_order(n, a.row_ptr, a.col_idx)
-        self.n = n
-        self.perm = perm.astype(index_t)
-        # the nnz-long arrays the copy keeps are allocated before the
-        # build's temporaries: after them, they held the heap above the
-        # freed temporaries, and a gen1e5-p8 solving process's peak RSS
-        # rose by another ~10 MB (glibc placement)
-        self.col_idx = np.empty(a.nnz, dtype=index_t)
-        self.values = np.empty(a.nnz, dtype=np.complex128)
         position = np.empty(n, dtype=np.int64)
         position[perm] = np.arange(n)
-        lens = np.diff(a.row_ptr)[perm]
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=row_ptr[1:])
-        # the file-order entry behind each entry of the copy, row by row
-        src = np.repeat(a.row_ptr[:-1][perm] - row_ptr[:-1], lens)
-        src += np.arange(a.nnz)
-        cols = position[a.col_idx[src]]
-        del position
-        # the rows are in place; the key row * n + col sorts the columns
-        # within each, formed in place to keep one nnz-long array fewer
-        # live. One stable sort by column alone would give the same
-        # arrays only for structurally symmetric storage, which an
-        # explicit zero without its mirror breaks
-        key = np.repeat(np.arange(n, dtype=np.int64), lens)
-        key *= n
-        key += cols
-        order = np.argsort(key)
-        del key
-        self.row_ptr = row_ptr.astype(index_t)
-        self.col_idx[:] = cols[order]
-        del cols
-        np.take(a.values, src[order], out=self.values)
+        local = ComplexSymmetricMatrix.from_coo(
+            n, position[a._csr_rows()], position[a.col_idx], a.values
+        )
+        self.n = n
+        self.perm = perm.astype(index_t)
+        self.row_ptr = local.row_ptr.astype(index_t)
+        self.col_idx = local.col_idx.astype(index_t)
+        # a copy lands in the heap the build's temporaries freed; the
+        # build's own array, above them, raised a gen1e5-p8 solving
+        # process's peak RSS from 271 to 283 MB (273 with the copy)
+        self.values = local.values.copy()
 
-    def matvec(self, v):
-        """P A P^T @ v for an (n, p) block v in the copy's row order, in
-        v's layout: a row-major block of p >= 2 columns in one
-        multi-vector pass into a row-major result, any other block column
-        by column into a Fortran-order one, with the same bits.
-
-        At n = 1e5, p = 8 (the seed-0 gen1e5-p8 copy, 2-core guest) the
-        one pass took 7.3 ms against 15.1 ms column by column; at p = 1
-        the one-vector kernel is the faster.
-        """
-        return _csr_product(self, v, by_rows=True)
+    # the matrix's own product, which keeps v's layout
+    matvec = ComplexSymmetricMatrix.matvec
 
     def to_local(self, v):
         """A new row-major block of v's rows in the copy's order.
 
         This is where the solvers' blocks take the row-major layout that
-        every kernel then keeps (see `matvec`).
+        every kernel, the product included, then keeps.
         """
         # indexing gathers rows from v as it lies; np.take would first
         # copy a Fortran-order v to row-major, one more n x p block live
@@ -482,11 +459,11 @@ def block_matvec(a, v):
     """Compute A @ V into a new block.
 
     The product is the operator's own, and no layout copy of V is
-    made. A `ComplexSymmetricMatrix` multiplies in file order, one
-    column at a time with scipy's CSR kernel, into a Fortran-order
-    result. Its locality copy multiplies in the copy's row order, and a
-    row-major V of p >= 2 columns in one multi-vector pass into a
-    row-major result.
+    made. A `ComplexSymmetricMatrix` and its locality copy share one
+    product, each in its own row order, in V's layout: a row-major V of
+    p >= 2 columns in one multi-vector pass into a row-major result, any
+    other V column by column into a Fortran-order result, with the same
+    bits.
 
     Parameters
     ----------

@@ -47,6 +47,7 @@ import numpy as np
 
 from .core_la import (
     BreakdownError,
+    _ldexp,
     _locality_copy,
     axpy_block,
     block_matvec,
@@ -72,6 +73,10 @@ __all__ = [
 
 # xi diagonal ratio under this emits RankLossWarning
 _RANK_FLOOR = 1e-12
+# a right-hand side whose norm has a binary exponent beyond this is solved
+# scaled to unit norm: the plain methods' Grams R^T R square the norm, so
+# at B * 1e-160 they fall into the subnormal range, at B * 1e160 overflow
+_RHS_EXP_WINDOW = 256
 
 
 class RankLossWarning(UserWarning):
@@ -94,8 +99,9 @@ class SolverConfig:
         iteration's blocks. The solvers update X and the residual in
         place, so the n-by-p blocks are copies in the caller's row
         order, taken only when an observer is installed; the observer
-        may keep them. Solver output is bitwise identical with or
-        without an observer.
+        may keep them. For a B far from unit norm they are the blocks
+        of the solve scaled to unit norm (see `_solve`). Solver output
+        is bitwise identical with or without an observer.
     """
 
     tol: float = 1e-10
@@ -230,7 +236,9 @@ def _solve(recurrence, a, b, x0, cfg, factored):
 
     X and R_0 are in the row order of the operator the recurrence runs
     on: the locality copy of a, where they are row-major, or a itself,
-    where they are in Fortran order. The recurrence is skipped
+    where they are in Fortran order. A B whose norm has a binary
+    exponent e beyond `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too),
+    and X scaled back. The recurrence is skipped
     when the initial residual already meets tol, is exactly zero, or is
     not finite. It returns before X goes back to the caller's row order
     and the true residual is taken, so none of its blocks is live then.
@@ -251,32 +259,37 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         raise ValueError(f"operator order {a.n} does not match RHS rows {n}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    norm_b = fro_norm(b)
+    # quietly: fro_norm rescales a plain sum of squares that overflows
+    with np.errstate(over="ignore"):
+        norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("right-hand side is identically zero; nothing to solve")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.complex128)
+        if x0.shape != (n, p):
+            raise ValueError(f"x0 shape {x0.shape} does not match RHS shape {b.shape}")
+    e = math.frexp(norm_b)[1]
+    shift = -e if abs(e) > _RHS_EXP_WINDOW else 0
+    if shift:
+        b, norm_b = _ldexp(b, shift), math.ldexp(norm_b, shift)
+        x0 = None if x0 is None else _ldexp(x0, shift)
     local = _locality_copy(a)
+    op = a if local is None else local
+    to_op = (lambda v: v.copy(order="F")) if local is None else local.to_local
+    r0 = to_op(b)
     if x0 is None:
         # R_0 is allocated before X, which the solve updates in place and
         # returns. The plain methods update R_0 in place too; freed at
         # exit, it leaves a block-sized gap below X for the caller's next
         # block. With X first, the young1c-sweep benchmark's peak RSS rose
         # from 84 to 93 MB (glibc placement)
-        r0 = b.copy(order="F") if local is None else local.to_local(b)
         x = np.zeros_like(r0)
     else:
-        x = np.asfortranarray(x0, dtype=np.complex128)
-        if x.shape != (n, p):
-            raise ValueError(f"x0 shape {x.shape} does not match RHS shape {b.shape}")
-        if local is None:
-            x = x.copy(order="F")
-            r0 = b - block_matvec(a, x)
-        else:
-            x = local.to_local(x)
-            r0 = local.to_local(b) - block_matvec(local, x)
+        x = to_op(x0)
+        r0 -= block_matvec(op, x)
     history = [fro_norm(r0) / norm_b]
     converged, breakdown, iterations = history[0] <= cfg.tol, None, 0
     if math.isfinite(history[0]) and not converged:
-        op = a if local is None else local
         max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
         observe = _observer_hook(cfg.observer, local)
         x, converged, breakdown, iterations = recurrence(
@@ -285,11 +298,15 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     del r0
     if local is not None:
         x = local.to_caller(x)
+    # the scaled pair gives the same ratio
+    trr = true_relative_residual(a, b, x)
+    if shift:
+        x = _ldexp(x, -shift)
     return SolveResult(
         x=x,
         iterations=iterations,
         converged=converged,
-        trr=true_relative_residual(a, b, x),
+        trr=trr,
         history=history,
         breakdown=breakdown,
         elapsed=time.perf_counter() - t0,

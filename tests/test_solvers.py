@@ -837,24 +837,38 @@ class TestLayoutBits:
 
 
 class TestScaleInvariance:
-    """fro_norm rescales blocks whose plain sum of squares under- or
-    overflows, so the factored solvers, whose Grams are of orthonormal
-    blocks, solve B * 1e-160 and B * 1e160 as they solve B. The plain
-    solvers' Grams of R itself leave that range; they are not tested."""
+    """A right-hand side far from unit norm is solved scaled by an exact
+    power of 2, so every solver solves B * 1e-160 and B * 1e160 as it
+    solves B, without a warning. B * 1e-160 is B rounded once more, so
+    the plain solvers, whose late residuals carry that rounding, keep
+    their unit-scale histories to 1e-8 and the factored ones to 1e-9."""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
-    @pytest.mark.parametrize("name", ["bl_cocg_rq", "bl_cocr_rq"])
-    def test_factored_solves_keep_their_unit_scale_run(self, name, scale):
+    @pytest.mark.parametrize("name", ["bl_cocg", "bl_cocr", "bl_cocg_rq", "bl_cocr_rq"])
+    def test_solves_keep_their_unit_scale_run(self, name, scale):
         a, b = _problem()
         unit = SOLVERS[name](a, b)
-        with np.errstate(over="ignore"):
-            scaled = SOLVERS[name](a, b * scale)
+        scaled = SOLVERS[name](a, b * scale)
         assert (scaled.iterations, scaled.status) == (unit.iterations, unit.status)
         assert unit.converged
-        np.testing.assert_allclose(scaled.history, unit.history, rtol=1e-9)
+        rtol = 1e-9 if name.endswith("_rq") else 1e-8
+        np.testing.assert_allclose(scaled.history, unit.history, rtol=rtol)
         assert scaled.trr == pytest.approx(unit.trr, abs=0.01)
         x = scaled.x / scale
         assert fro_norm(x - unit.x) <= 1e-9 * fro_norm(unit.x)
+
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_rescaling_by_a_power_of_2_keeps_the_bits(self, name, solver, monkeypatch):
+        # with no window every B is solved at unit norm; B * 2^200 then
+        # runs the unit solve's operations, each scaled exactly
+        a, b = _problem()
+        unit = solver(a, b)
+        monkeypatch.setattr(solvers_module, "_RHS_EXP_WINDOW", -1)
+        rescaled = solver(a, b * 2.0**200)
+        assert (rescaled.iterations, rescaled.trr) == (unit.iterations, unit.trr)
+        assert rescaled.history == unit.history
+        assert (rescaled.x * 2.0**-200).tobytes() == unit.x.tobytes()
 
 
 class TestTrueRelativeResidual:
