@@ -27,12 +27,11 @@ returns a new array; `axpy_block` updates and returns X.
 A matrix's public arrays and its `matvec` stay in the order the matrix
 was built in (file order). The solvers run a large matrix through its
 locality copy instead (`_locality_copy`): P A P^T in a breadth-first
-row order, built by `ComplexSymmetricMatrix.from_coo` at the first
-solve and cached on the matrix, and multiplied by the matrix's own
-`matvec`. The solvers hand it row-major blocks. Below the copy's order
-gate the solvers' blocks stay in Fortran order, which keeps their bits:
-a row-major block's BLAS products round differently wherever n or p is
-not a multiple of 4 (see `axpy_block`).
+row order, one more `ComplexSymmetricMatrix`, built by `from_coo` at
+the first solve and cached on the matrix. The solvers hand it row-major
+blocks. Below the copy's order gate the solvers' blocks stay in Fortran
+order, which keeps their bits: a row-major block's BLAS products round
+differently wherever n or p is not a multiple of 4 (see `axpy_block`).
 """
 
 import ctypes
@@ -113,9 +112,6 @@ def _sort_key(major, minor, n):
     return key
 
 
-# largest n and nnz for which a locality copy holds int32 index arrays:
-# every row offset is at most nnz, every column < n
-_KERNEL_INT32_MAX = np.iinfo(np.int32).max
 # smallest order solved through a locality copy. Below it the vector a
 # column product gathers from stays in a core's cache in any row order.
 # CSR product per column, file order against breadth-first order, on
@@ -266,14 +262,37 @@ class ComplexSymmetricMatrix:
         return self._symmetric
 
     def matvec(self, v):
-        """Return A @ v for an (n, p) block vector v, in v's layout (see
-        `_csr_product`).
+        """Return A @ v for an (n, p) block vector v, in v's layout.
 
-        The kernel reads the public arrays, in file order, whatever the
-        size of the matrix; only the solvers run through the locality
-        copy, whose `matvec` this is too.
+        A row-major v of p >= 2 columns takes one pass of scipy's
+        multi-vector CSR kernel into a row-major result, any other v
+        goes column by column through the one-vector kernel into a
+        Fortran-order result. Each entry is summed in the same order
+        either way, so with the same bits. At n = 1e5, p = 8 (the seed-0
+        gen1e5-p8 locality copy, 2-core guest) the one pass took 7.3 ms
+        against 15.1 ms column by column; at p = 1 the one-vector kernel
+        is the faster. The kernels read the public arrays, in the order
+        the matrix was built in, whatever its size.
         """
-        return _csr_product(self, v)
+        v = _as_block(v)
+        if v.shape[0] != self.n:
+            raise ValueError(
+                f"dimension mismatch: matrix is {self.n}x{self.n}, "
+                f"block vector has {v.shape[0]} rows"
+            )
+        # the kernels add each row's sum to what the output holds
+        if not v.flags.f_contiguous:
+            out = np.zeros(v.shape, dtype=np.complex128)
+            _sparsetools().csr_matvecs(self.n, self.n, v.shape[1], self.row_ptr,
+                                       self.col_idx, self.values, v.ravel(),
+                                       out.ravel())
+            return out
+        out = np.zeros(v.shape, dtype=np.complex128, order="F")
+        csr_matvec = _sparsetools().csr_matvec
+        for j in range(v.shape[1]):
+            csr_matvec(self.n, self.n, self.row_ptr, self.col_idx, self.values,
+                       v[:, j], out[:, j])
+        return out
 
     def to_dense(self):
         """Densify to a (n, n) complex array."""
@@ -285,107 +304,38 @@ class ComplexSymmetricMatrix:
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
-def _csr_product(a, v):
-    """A @ v from the CSR arrays a holds, in v's layout: a row-major v of
-    p >= 2 columns in one pass of scipy's multi-vector kernel into a
-    row-major result, any other v column by column through the
-    one-vector kernel into a Fortran-order result. Each entry is summed
-    in the same order either way, so with the same bits. At n = 1e5, p =
-    8 (the seed-0 gen1e5-p8 locality copy, 2-core guest) the one pass
-    took 7.3 ms against 15.1 ms column by column; at p = 1 the
-    one-vector kernel is the faster."""
-    v = _as_block(v)
-    if v.shape[0] != a.n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.n}x{a.n}, "
-            f"block vector has {v.shape[0]} rows"
-        )
-    # the kernels add each row's sum to what the output holds
-    if not v.flags.f_contiguous:
-        out = np.zeros(v.shape, dtype=np.complex128)
-        _csr_matvecs()(a.n, a.n, v.shape[1], a.row_ptr, a.col_idx, a.values,
-                       v.ravel(), out.ravel())
-        return out
-    out = np.zeros(v.shape, dtype=np.complex128, order="F")
-    csr_matvec = _csr_matvec()
-    for j in range(v.shape[1]):
-        csr_matvec(a.n, a.n, a.row_ptr, a.col_idx, a.values, v[:, j], out[:, j])
-    return out
-
-
 def _locality_copy(a):
-    """The locality copy the solvers run a on, or None where they run a
-    itself: below `_LOCALITY_MIN_ORDER`, and for any operator whose
-    class replaces `ComplexSymmetricMatrix.matvec`, so that a subclass
-    still sees every product. Built on the first call, then cached on a.
-    """
-    if type(a).matvec is not ComplexSymmetricMatrix.matvec:
-        return None
-    if a.n < _LOCALITY_MIN_ORDER:
-        return None
-    if a._local is None:
-        a._local = _LocalityCopy(a)
-    return a._local
-
-
-class _LocalityCopy:
-    """P A P^T for a ComplexSymmetricMatrix A, in a breadth-first order.
+    """(perm, P A P^T), the row order and the operator the solvers run a
+    on, or None where they run a itself: below `_LOCALITY_MIN_ORDER`,
+    and for any operator whose class replaces
+    `ComplexSymmetricMatrix.matvec`, so that a subclass still sees every
+    product. Built on the first call, then cached on a.
 
     Row i of the copy is row ``perm[i]`` of A, with its columns renamed
     the same way, so the copy is complex symmetric whenever A is and a
     solve of P A P^T (P X) = P B is a solve of A X = B. In breadth-first
     order a row's columns lie near the row, so the product gathers each
     column from a narrow window of the vector instead of all of it.
-
-    Attributes
-    ----------
-    n : int
-        Order of the matrix.
-    perm : ndarray
-        The order: file row of each row of the copy.
-    row_ptr, col_idx, values : ndarray
-        CSR arrays of P A P^T, as `ComplexSymmetricMatrix.from_coo`
-        builds them from A's renamed entries. The index arrays are int32
-        where n and nnz fit in it, else int64; the kernel's sums are the
-        same on either width.
     """
-
-    def __init__(self, a):
-        n = a.n
-        index_t = np.int32 if max(n, a.nnz) <= _KERNEL_INT32_MAX else np.int64
-        perm = _bfs_order(n, a.row_ptr, a.col_idx)
-        position = np.empty(n, dtype=np.int64)
-        position[perm] = np.arange(n)
-        local = ComplexSymmetricMatrix.from_coo(
-            n, position[a._csr_rows()], position[a.col_idx], a.values
+    if type(a).matvec is not ComplexSymmetricMatrix.matvec:
+        return None
+    if a.n < _LOCALITY_MIN_ORDER:
+        return None
+    if a._local is None:
+        perm = _bfs_order(a.n, a.row_ptr, a.col_idx)
+        position = np.empty(a.n, dtype=np.int64)
+        position[perm] = np.arange(a.n)
+        copy = ComplexSymmetricMatrix.from_coo(
+            a.n, position[a._csr_rows()], position[a.col_idx], a.values
         )
-        self.n = n
-        self.perm = perm.astype(index_t)
-        self.row_ptr = local.row_ptr.astype(index_t)
-        self.col_idx = local.col_idx.astype(index_t)
-        # a copy lands in the heap the build's temporaries freed; the
-        # build's own array, above them, raised a gen1e5-p8 solving
-        # process's peak RSS from 271 to 283 MB (273 with the copy)
-        self.values = local.values.copy()
-
-    # the matrix's own product, which keeps v's layout
-    matvec = ComplexSymmetricMatrix.matvec
-
-    def to_local(self, v):
-        """A new row-major block of v's rows in the copy's order.
-
-        This is where the solvers' blocks take the row-major layout that
-        every kernel, the product included, then keeps.
-        """
-        # indexing gathers rows from v as it lies; np.take would first
-        # copy a Fortran-order v to row-major, one more n x p block live
-        return np.asarray(v, dtype=np.complex128)[self.perm]
-
-    def to_caller(self, v):
-        """A new Fortran-order block of v's rows in file order."""
-        out = np.empty(v.shape, dtype=np.complex128, order="F")
-        out[self.perm] = v
-        return out
+        # copies land in the heap the build's temporaries freed; from_coo's
+        # own arrays, above them, raised a gen1e5-p8 solving process's peak
+        # RSS from 275 to 283 MB
+        copy.row_ptr, copy.col_idx, copy.values = (
+            copy.row_ptr.copy(), copy.col_idx.copy(), copy.values.copy()
+        )
+        a._local = perm, copy
+    return a._local
 
 
 def _bfs_order(n, row_ptr, col_idx):
@@ -425,24 +375,17 @@ def _bfs_order(n, row_ptr, col_idx):
 
 
 @functools.cache
-def _csr_matvec():
-    """scipy's one-vector CSR kernel, y += A x, sums in row order.
+def _sparsetools():
+    """scipy's compiled sparse kernels: ``csr_matvec``, y += A x, and
+    ``csr_matvecs``, Y += A X for row-major X and Y, both summing each
+    row in storage order.
 
     scipy is imported on the first product, not at module level, so
     that loading, generating and checking matrices never load it.
     """
     from scipy.sparse import _sparsetools
 
-    return _sparsetools.csr_matvec
-
-
-@functools.cache
-def _csr_matvecs():
-    """scipy's multi-vector CSR kernel, Y += A X for row-major X and Y,
-    each entry summed in the order of `_csr_matvec`."""
-    from scipy.sparse import _sparsetools
-
-    return _sparsetools.csr_matvecs
+    return _sparsetools
 
 
 @dataclass
@@ -458,18 +401,14 @@ class QrFactors:
 def block_matvec(a, v):
     """Compute A @ V into a new block.
 
-    The product is the operator's own, and no layout copy of V is
-    made. A `ComplexSymmetricMatrix` and its locality copy share one
-    product, each in its own row order, in V's layout: a row-major V of
-    p >= 2 columns in one multi-vector pass into a row-major result, any
-    other V column by column into a Fortran-order result, with the same
-    bits.
+    The product is the operator's own, in V's layout (see
+    `ComplexSymmetricMatrix.matvec`), and no layout copy of V is made.
 
     Parameters
     ----------
     a : ComplexSymmetricMatrix
         The operator (a matrix, the locality copy the solvers run a
-        large matrix through, or anything with a conforming ``matvec``).
+        large matrix on, or anything with a conforming ``matvec``).
     v : ndarray
         Block vector of shape (a.n, p), in any memory order.
 

@@ -277,7 +277,9 @@ def _entries(data, pos, first_line, header, n, count):
     loadtxt fails or an entry breaks a rule, _diagnose raises the line
     scan's message.
     """
-    values = np.empty(count, dtype=np.complex128)
+    # one entry per line at most: a size line may declare any count, and
+    # the line scan reports a count the section cannot hold
+    values = np.empty(min(count, data.count(b"\n", pos) + 1), dtype=np.complex128)
     fields = [("i", np.int64), ("j", np.int64)] if header.format == "coordinate" else []
     fields.append(("re", np.float64))
     if header.field == "complex":

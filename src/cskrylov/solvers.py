@@ -36,6 +36,7 @@ report (no look-ahead, no deflation); rank loss in xi_m is a warning,
 not an abort, since columns converging at different rates is expected.
 """
 
+import functools
 import math
 import operator
 import time
@@ -274,8 +275,12 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         b, norm_b = _ldexp(b, shift), math.ldexp(norm_b, shift)
         x0 = None if x0 is None else _ldexp(x0, shift)
     local = _locality_copy(a)
-    op = a if local is None else local
-    to_op = (lambda v: v.copy(order="F")) if local is None else local.to_local
+    if local is None:
+        op, to_op, to_caller = a, _fortran_copy, _fortran_copy
+    else:
+        perm, op = local
+        to_op = functools.partial(_to_copy_order, perm)
+        to_caller = functools.partial(_to_file_order, perm)
     r0 = to_op(b)
     if x0 is None:
         # R_0 is allocated before X, which the solve updates in place and
@@ -291,13 +296,13 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     converged, breakdown, iterations = history[0] <= cfg.tol, None, 0
     if math.isfinite(history[0]) and not converged:
         max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
-        observe = _observer_hook(cfg.observer, local)
+        observe = _observer_hook(cfg.observer, to_caller)
         x, converged, breakdown, iterations = recurrence(
             op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
         )
     del r0
     if local is not None:
-        x = local.to_caller(x)
+        x = to_caller(x)
     # the scaled pair gives the same ratio
     trr = true_relative_residual(a, b, x)
     if shift:
@@ -313,14 +318,37 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     )
 
 
-def _observer_hook(observer, local):
+def _fortran_copy(v):
+    """A new Fortran-order copy of v: the step into and out of a solve
+    that runs on the matrix itself."""
+    return v.copy(order="F")
+
+
+def _to_copy_order(perm, v):
+    """A new row-major block of v's rows in the locality copy's order.
+
+    This is where the solvers' blocks take the row-major layout that
+    every kernel, the product included, then keeps.
+    """
+    # indexing gathers rows from v as it lies; np.take would first copy
+    # a Fortran-order v to row-major, one more n x p block live
+    return v[perm]
+
+
+def _to_file_order(perm, v):
+    """A new Fortran-order block of v's rows in file order."""
+    out = np.empty(v.shape, dtype=np.complex128, order="F")
+    out[perm] = v
+    return out
+
+
+def _observer_hook(observer, to_caller):
     """observer as the recurrences call it, ``observe(m, keys, blocks,
     xi)``, or None when there is none. It hands the observer copies of
-    the blocks by symbol, in the caller's row order, xi last; xi is never
-    updated in place, so it is passed as it is."""
+    the blocks by symbol, made by to_caller in the caller's row order,
+    xi last; xi is never updated in place, so it is passed as it is."""
     if observer is None:
         return None
-    to_caller = local.to_caller if local is not None else lambda v: v.copy(order="F")
 
     def observe(m, keys, blocks, xi):
         state = {k: to_caller(v) for k, v in zip(keys, blocks)}

@@ -72,13 +72,13 @@ class TestSolveCommand:
         # the warm-up builds a large matrix's locality copy, so that no
         # solver's cpu cell carries it; the gate is patched down to n=30
         monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 30)
-        init = core_la._LocalityCopy.__init__
+        bfs_order = core_la._bfs_order
 
-        def recording(self, a):
+        def recording(*args):
             solver_calls.append("build")
-            init(self, a)
+            return bfs_order(*args)
 
-        monkeypatch.setattr(core_la._LocalityCopy, "__init__", recording)
+        monkeypatch.setattr(core_la, "_bfs_order", recording)
         code, text = _solve(tmp_path)
         assert code == 0
         assert solver_calls == ["build", *SOLVERS]
@@ -156,12 +156,12 @@ class TestSolveCommand:
         # kernel, so that one-off cost stays out of every cpu time
         from cskrylov import core_la
 
-        core_la._csr_matvec.cache_clear()
+        core_la._sparsetools.cache_clear()
         seen = []
         solve = SOLVERS["bl_cocg"]
 
         def checking(a, b, x0, cfg):
-            seen.append(core_la._csr_matvec.cache_info().currsize)
+            seen.append(core_la._sparsetools.cache_info().currsize)
             return solve(a, b, x0, cfg)
 
         monkeypatch.setitem(SOLVERS, "bl_cocg", checking)
@@ -264,6 +264,20 @@ class TestExitCodes:
         code = main(["solve", "--matrix", str(path)])
         assert code == 2
         assert f"error: matrix order {10**20} exceeds" in capsys.readouterr().err
+
+    def test_huge_declared_entry_count_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "short.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex symmetric\n"
+            "% one entry\n3 3 1000000000000\n1 1 1.0 0.0\n"
+        )
+        code = main(["solve", "--matrix", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: entry count mismatch: size line declares 1000000000000, "
+            "file has 1\n"
+        )
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_matrix_refused(self, tmp_path, capsys, bad):

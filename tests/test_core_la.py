@@ -11,7 +11,7 @@ import pytest
 import qr_reference
 from conftest import require_fixture
 
-from cskrylov import core_la
+from cskrylov import core_la, solvers
 from cskrylov.core_la import (
     BreakdownError,
     ComplexSymmetricMatrix,
@@ -395,27 +395,28 @@ def test_benchmark_matrix_bits(name):
 # locality copy, so that no change to the breadth-first search or to the
 # copy's build can change the operator the benchmark's solves run on
 GEN1E5_COPY_SHA256 = {
-    "perm": ("int32", "bc7e451e3c520cc8bee16b33ee5bf9bb8d661ab0507b17fac8cf22b563f23aa2"),
-    "row_ptr": ("int32", "986cefee91c04cf47116c2b54db09286ab0b502b0e48aa1944a4a671050f732c"),
-    "col_idx": ("int32", "e97228be556c385871ad71241fb7e35d40e81aead673f3d4190d188db07297a8"),
+    "perm": ("int64", "e4c0cfc81c4e658cc4d3fadf3d51093a936df487e01dfa0f9d4d78a2ec744c57"),
+    "row_ptr": ("int64", "b9e4c02fee37c85f4227eaf794bcdafa3d0a731adb1cae37953355383c1a0534"),
+    "col_idx": ("int64", "c5ea82a445181135858053cc911945e2667b6e1baf69195f7dc74d01d7dec935"),
     "values": ("complex128", "4efef6f8ba6a99ab52960644f3852b1fb0530dd1dfc8fb095da9964cb0ea1a6d"),
 }
 
 
 def test_benchmark_matrix_bits_after_a_solve():
-    from cskrylov.solvers import bl_cocg
-
     spec = ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
     m, b = gen_problem(spec)
     assert m.n >= core_la._LOCALITY_MIN_ORDER
-    assert bl_cocg(m, b[:, :1]).converged
+    assert solvers.bl_cocg(m, b[:, :1]).converged
     arrays = (m.row_ptr, m.col_idx, m.values)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
     assert digests == BENCHMARK_MATRIX_SHA256["gen1e5-p8"]
-    copy = {}
-    for name in GEN1E5_COPY_SHA256:
-        arr = getattr(m._local, name)
-        copy[name] = (str(arr.dtype), hashlib.sha256(arr.tobytes()).hexdigest())
+    perm, local = m._local
+    arrays = {"perm": perm, "row_ptr": local.row_ptr, "col_idx": local.col_idx,
+              "values": local.values}
+    copy = {
+        name: (str(arr.dtype), hashlib.sha256(arr.tobytes()).hexdigest())
+        for name, arr in arrays.items()
+    }
     assert copy == GEN1E5_COPY_SHA256
 
 
@@ -438,23 +439,27 @@ def _dense_pattern(n, pattern, seed):
 
 
 def _kernel_reads(monkeypatch):
-    """Record the (row_ptr, col_idx, values) of every CSR kernel call."""
+    """Record the (row_ptr, col_idx, values) of every one-vector CSR
+    kernel call."""
     reads = []
-    kernel = core_la._csr_matvec()
+    kernels = core_la._sparsetools()
 
     def recording(n_row, n_col, row_ptr, col_idx, values, x, y):
         reads.append((row_ptr, col_idx, values))
-        kernel(n_row, n_col, row_ptr, col_idx, values, x, y)
+        kernels.csr_matvec(n_row, n_col, row_ptr, col_idx, values, x, y)
 
-    monkeypatch.setattr(core_la, "_csr_matvec", lambda: recording)
+    patched = types.SimpleNamespace(
+        csr_matvec=recording, csr_matvecs=kernels.csr_matvecs
+    )
+    monkeypatch.setattr(core_la, "_sparsetools", lambda: patched)
     return reads
 
 
 class TestKernelIndex:
-    """One size gate for the kernel's index arrays: `matvec` reads the
-    public int64 arrays at every size, and no copy of them is made on the
-    matrix; only a locality copy (orders from `_LOCALITY_MIN_ORDER` on)
-    holds index arrays of its own, int32 where n and nnz fit in int32."""
+    """`matvec` reads the public int64 arrays at every size, and no copy
+    of them is made on the matrix; a locality copy (orders from
+    `_LOCALITY_MIN_ORDER` on) is one more matrix, with int64 arrays of
+    its own."""
 
     @pytest.mark.parametrize("name", BENCHMARK_MATRIX_SHA256)
     def test_benchmark_matrices_index_arrays(self, name, monkeypatch):
@@ -471,34 +476,19 @@ class TestKernelIndex:
         if m.n < core_la._LOCALITY_MIN_ORDER:
             assert local is None
         else:
-            for arr in (local.perm, local.row_ptr, local.col_idx):
-                assert arr.dtype == np.int32
-            assert local.values.dtype == np.complex128
-
-    @pytest.mark.parametrize("pattern", ["random", "empty-rows", "nothing-stored"])
-    def test_int64_copy_gives_the_same_bytes(self, pattern, monkeypatch):
-        n = 50
-        d = _dense_pattern(n, pattern, seed=11)
-        d = d + d.T
-        narrow = core_la._LocalityCopy(ComplexSymmetricMatrix.from_dense(d))
-        with monkeypatch.context() as patch:
-            patch.setattr(core_la, "_KERNEL_INT32_MAX", n - 1)
-            wide = core_la._LocalityCopy(ComplexSymmetricMatrix.from_dense(d))
-        assert narrow.col_idx.dtype == np.int32
-        for name in ("perm", "row_ptr", "col_idx"):
-            assert getattr(wide, name).dtype == np.int64
-            np.testing.assert_array_equal(getattr(wide, name), getattr(narrow, name))
-        for p in (1, 8, 32):
-            v = _rand_block(n, p, p)
-            assert narrow.matvec(v).tobytes() == wide.matvec(v).tobytes()
+            perm, copy = local
+            for arr in (perm, copy.row_ptr, copy.col_idx):
+                assert arr.dtype == np.int64
+            assert copy.values.dtype == np.complex128
 
 
-def _local_dense(local):
-    """The copy's CSR arrays as a dense matrix, through the validating
-    constructor, so that unsorted or repeated columns fail."""
-    return ComplexSymmetricMatrix(
-        local.n, row_ptr=local.row_ptr, col_idx=local.col_idx, values=local.values
-    ).to_dense()
+def _build_copy(a):
+    """(perm, copy) of a new matrix on a's arrays, so that no cached
+    copy is reused."""
+    fresh = ComplexSymmetricMatrix(
+        a.n, row_ptr=a.row_ptr, col_idx=a.col_idx, values=a.values
+    )
+    return core_la._locality_copy(fresh)
 
 
 def _locality_cases():
@@ -548,32 +538,38 @@ class TestLocalityCopy:
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_order_is_a_repeatable_permutation(self, name):
         a = LOCALITY_CASES[name]
-        first = core_la._LocalityCopy(a)
-        second = core_la._LocalityCopy(a)
-        assert np.array_equal(np.sort(first.perm), np.arange(a.n))
-        for attr in ("perm", "row_ptr", "col_idx", "values"):
+        (perm, first), (again, second) = _build_copy(a), _build_copy(a)
+        assert np.array_equal(np.sort(perm), np.arange(a.n))
+        assert perm.tobytes() == again.tobytes()
+        for attr in ("row_ptr", "col_idx", "values"):
             assert getattr(first, attr).tobytes() == getattr(second, attr).tobytes()
 
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_copy_is_the_permuted_matrix(self, name):
         a = LOCALITY_CASES[name]
-        local = core_la._LocalityCopy(a)
-        perm = local.perm
-        np.testing.assert_array_equal(
-            _local_dense(local), a.to_dense()[np.ix_(perm, perm)]
-        )
+        perm, copy = _build_copy(a)
+        np.testing.assert_array_equal(copy.to_dense(), a.to_dense()[np.ix_(perm, perm)])
         # every stored entry, explicit zeros included, maps back to the
         # matrix's own storage bit for bit
-        rows = np.repeat(np.arange(a.n), np.diff(local.row_ptr))
         back = ComplexSymmetricMatrix.from_coo(
-            a.n, perm[rows], perm[local.col_idx], local.values
+            a.n, perm[copy._csr_rows()], perm[copy.col_idx], copy.values
         )
         for attr in ("row_ptr", "col_idx", "values"):
             assert getattr(back, attr).tobytes() == getattr(a, attr).tobytes()
 
+    @pytest.mark.parametrize("name", LOCALITY_CASES)
+    def test_copy_has_the_matrix_dtypes_and_bytes(self, name):
+        # the benchmark's trace subtracts the matrix's own array bytes
+        # from every product a solve takes on its copy
+        a = LOCALITY_CASES[name]
+        _, copy = _build_copy(a)
+        arrays = [(getattr(copy, k), getattr(a, k)) for k in ("row_ptr", "col_idx", "values")]
+        assert all(mine.dtype == theirs.dtype for mine, theirs in arrays)
+        assert sum(mine.nbytes for mine, _ in arrays) == sum(t.nbytes for _, t in arrays)
+
     def test_breadth_first_from_the_fullest_row(self):
         a = LOCALITY_CASES["components"]
-        perm = core_la._LocalityCopy(a).perm
+        perm, _ = _build_copy(a)
         # the root is the first row with the most entries: row 3, inside
         # the chain 0, 3, 6, ...; the chain comes first, in breadth-first
         # levels from row 3, then every other row in file order
@@ -588,26 +584,27 @@ class TestLocalityCopy:
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_row_order_round_trip(self, name):
         a = LOCALITY_CASES[name]
-        local = core_la._LocalityCopy(a)
+        perm, copy = _build_copy(a)
         v = _rand_block(a.n, 3, 1)
-        there = local.to_local(v)
+        there = solvers._to_copy_order(perm, v)
         assert there.flags.c_contiguous and there.dtype == np.complex128
-        np.testing.assert_array_equal(there, v[local.perm])
-        back = local.to_caller(there)
+        np.testing.assert_array_equal(there, v[perm])
+        back = solvers._to_file_order(perm, there)
         assert back.flags.f_contiguous
         np.testing.assert_array_equal(back, v)
         np.testing.assert_allclose(
-            local.to_caller(local.matvec(there)), a.matvec(v), rtol=1e-13, atol=1e-14
+            solvers._to_file_order(perm, copy.matvec(there)), a.matvec(v),
+            rtol=1e-13, atol=1e-14,
         )
 
     @pytest.mark.parametrize("p", range(1, 10))
     def test_product_keeps_the_block_layout_and_bits(self, p):
         # a row-major block takes the multi-vector kernel, a Fortran-order
         # one the one-vector kernel column by column: same bits
-        local = core_la._LocalityCopy(LOCALITY_CASES["random"])
-        v = _rand_block(local.n, p, p)
-        by_rows = local.matvec(np.ascontiguousarray(v))
-        by_columns = local.matvec(v)
+        _, copy = _build_copy(LOCALITY_CASES["random"])
+        v = _rand_block(copy.n, p, p)
+        by_rows = copy.matvec(np.ascontiguousarray(v))
+        by_columns = copy.matvec(v)
         assert by_rows.flags.c_contiguous and by_columns.flags.f_contiguous
         assert np.asfortranarray(by_rows).tobytes() == by_columns.tobytes()
 
@@ -615,7 +612,8 @@ class TestLocalityCopy:
         a = ComplexSymmetricMatrix.from_dense(LOCALITY_CASES["random"].to_dense())
         assert a._local is None
         local = core_la._locality_copy(a)
-        assert isinstance(local, core_la._LocalityCopy)
+        perm, copy = local
+        assert perm.dtype == np.int64 and type(copy) is ComplexSymmetricMatrix
         assert core_la._locality_copy(a) is local
 
     def test_gate_and_overriding_classes_keep_file_order(self, monkeypatch):

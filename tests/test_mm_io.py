@@ -129,6 +129,15 @@ class TestCoordinateErrors:
         with pytest.raises(ValueError, match="declares 2, file has 1"):
             _read(f"{BANNER}\n2 2 2\n1 1 1 0\n")
 
+    def test_huge_declared_count_is_a_count_mismatch(self):
+        # the size line's count alone sizes no allocation; the frozen
+        # line reader would try 14.6 TiB
+        with pytest.raises(ValueError) as err:
+            _read(f"{BANNER}\n% one entry\n3 3 1000000000000\n1 1 1 0\n")
+        assert str(err.value) == (
+            "entry count mismatch: size line declares 1000000000000, file has 1"
+        )
+
     def test_too_many_entries(self):
         with pytest.raises(ValueError, match="file has more"):
             _read(f"{BANNER}\n2 2 1\n1 1 1 0\n2 1 1 0\n")

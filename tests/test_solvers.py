@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 from pathlib import Path
 
@@ -632,7 +633,7 @@ class TestLocalityOrder:
         monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
         local = solver(a, b, x0, cfg)
         again = solver(a, b, x0, cfg)
-        assert isinstance(a._local, core_la._LocalityCopy)
+        assert type(a._local[1]) is ComplexSymmetricMatrix
         assert plain.converged
         assert (local.iterations, local.status) == (plain.iterations, plain.status)
         # X is returned in the caller's row order and meets tol on its
@@ -697,13 +698,14 @@ def _count_multi_vector_products(monkeypatch):
     """Count the calls of scipy's multi-vector CSR kernel; returns the
     list that grows by one per call."""
     calls = []
-    kernel = core_la._csr_matvecs()
+    kernels = core_la._sparsetools()
 
     def counting(*args):
         calls.append(1)
-        return kernel(*args)
+        return kernels.csr_matvecs(*args)
 
-    monkeypatch.setattr(core_la, "_csr_matvecs", lambda: counting)
+    patched = types.SimpleNamespace(csr_matvec=kernels.csr_matvec, csr_matvecs=counting)
+    monkeypatch.setattr(core_la, "_sparsetools", lambda: patched)
     return calls
 
 
@@ -730,11 +732,11 @@ class TestLayoutBits:
         # one product per iteration, all by the multi-vector kernel
         assert len(by_rows) == rows.iterations
         # the same solve on Fortran-order blocks, which every kernel keeps
-        to_local = core_la._LocalityCopy.to_local
+        to_copy_order = solvers_module._to_copy_order
         monkeypatch.setattr(
-            core_la._LocalityCopy,
-            "to_local",
-            lambda self, v: np.asfortranarray(to_local(self, v)),
+            solvers_module,
+            "_to_copy_order",
+            lambda perm, v: np.asfortranarray(to_copy_order(perm, v)),
         )
         columns = solver(a, b)
         assert len(by_rows) == rows.iterations
