@@ -446,10 +446,14 @@ def t_gram(v, w):
 def thin_qr(w):
     """Economy QR of an (n, p) block with n >= p.
 
-    A single column is normalized; wider blocks are factored by
-    CholeskyQR2, or by Householder QR when the block is too
-    ill-conditioned or too near rank deficiency for CholeskyQR2 (see
-    `_cholesky_qr2`). Either way xi has a real nonnegative diagonal,
+    A single column is normalized. A wider block is factored by one pass
+    of CholeskyQR where its first Cholesky factor R1 shows the block,
+    with its columns scaled to unit norm, well conditioned
+    (||D R1^{-1}||_F <= 11, D the column norms), since that pass loses
+    orthogonality like u kappa^2; otherwise a second pass makes
+    CholeskyQR2, and a block too ill-conditioned or too near rank
+    deficiency for that goes to Householder QR (see `_cholesky_qr`).
+    Either way xi has a real nonnegative diagonal,
     which makes the factors unique for full-rank input and
     factorizations reproducible. Rank deficiency is not deflated; it
     shows up as (near) zero diagonal entries of xi for consumers to act
@@ -485,12 +489,28 @@ def thin_qr(w):
             np.multiply(w.view(np.float64), 1.0 / nrm, out=q.view(np.float64))
             xi[0, 0] = nrm
     else:
-        done = _cholesky_qr2(w, q, xi)
+        done = _cholesky_qr(w, q, xi)
     if not done:
         _householder_qr(w, q, xi)
     return QrFactors(q=q, xi=xi)
 
 
+# One pass of CholeskyQR, Q = W R1^{-1}, loses orthogonality like
+# u kappa(W)^2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015),
+# where kappa(W) = kappa(R1). The rounding of W^H W scales with W's
+# columns, so the kappa that counts is that of W D^{-1}, D the column
+# norms, which are R1's. Its bound ||R1 D^{-1}||_F ||D R1^{-1}||_F is
+# sqrt(p) e with e = ||D R1^{-1}||_F, which takes a few p x p operations
+# on the factor and the inverse the pass forms anyway. The first pass is
+# the factorization where e is at most this gate. A scan of the one-pass
+# defect ||Q^H Q - I||_F on 9,810 blocks (n up to 1e5, p from 2 to 32,
+# kappa_2 up to 1e4 before column scalings of up to 1e4 either way; see
+# docs/derivation.md section 5) kept every defect at e <= 16 under
+# 4.91 u e^2, at every p and scaling, so at 11 the defect is at most
+# 6.6e-14 (1.0e-13 on the largest ratio anywhere, 7.52 at e = 108). The
+# scan's worst block under the gate read 4.8e-14, and its first defect
+# above 1e-13 came at e = 16.6.
+_CHOLQR_ONE_PASS_BOUND = 11.0
 # CholeskyQR2 (Fukaya et al., ScalA 2014) is accurate to working precision
 # when its first pass leaves Q1 nearly orthonormal (Yamamoto et al., ETNA
 # 44, 2015). Below this defect ||Q1^H Q1 - I||_F, Q1's singular values lie
@@ -507,24 +527,32 @@ _CHOLQR_MIN_DIAG_RATIO = 1e-8
 _ROW_CHUNK = 4096
 
 
-def _cholesky_qr2(w, q, xi):
-    """CholeskyQR2 of w into q and xi. Returns False, with q and xi partly
-    written, when the block fails the module's accuracy conditions."""
+def _cholesky_qr(w, q, xi):
+    """CholeskyQR of w into q and xi: one pass where ||D R1^{-1}||_F,
+    D the column norms of w, is at most `_CHOLQR_ONE_PASS_BOUND`, else
+    CholeskyQR2. Returns False, with q and xi partly written, when the
+    block fails the module's accuracy conditions."""
     p = w.shape[1]
     r1 = _cholesky_r(_gram_h(w))
     if r1 is None:
         return False
-    q1 = np.matmul(w, np.linalg.inv(r1), order=_layout(w))
-    g2 = _gram_h(q1)
-    if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
-        return False
-    r2 = _cholesky_r(g2)
-    if r2 is None:
-        return False
-    np.matmul(q1, np.linalg.inv(r2), out=q)
-    # the diagonal of xi is the product of the factors' real positive
-    # diagonals, with exactly zero imaginary parts
-    np.matmul(r2, r1, out=xi)
+    r1_inv = np.linalg.inv(r1)
+    e = np.linalg.norm(np.linalg.norm(r1, axis=0)[:, None] * r1_inv)
+    if e <= _CHOLQR_ONE_PASS_BOUND:
+        np.matmul(w, r1_inv, out=q)
+        xi[:] = r1
+    else:
+        q1 = np.matmul(w, r1_inv, order=_layout(w))
+        g2 = _gram_h(q1)
+        if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
+            return False
+        r2 = _cholesky_r(g2)
+        if r2 is None:
+            return False
+        np.matmul(q1, np.linalg.inv(r2), out=q)
+        # the diagonal of xi is the product of the factors' real positive
+        # diagonals, with exactly zero imaginary parts
+        np.matmul(r2, r1, out=xi)
     d = np.diagonal(xi).real
     return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
 

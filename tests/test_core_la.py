@@ -779,8 +779,35 @@ def _qr_bits(fac):
     return fac.q.tobytes(), fac.xi.tobytes()
 
 
+@pytest.fixture
+def two_pass(monkeypatch):
+    """Shut the one-pass gate of `core_la._cholesky_qr`, so that every block
+    of p >= 2 columns takes the CholeskyQR2 path that `qr_reference` froze."""
+    monkeypatch.setattr(core_la, "_CHOLQR_ONE_PASS_BOUND", 0.0)
+
+
+def _gram_calls(monkeypatch):
+    """Row counts of the blocks handed to `core_la._gram_h` from now on."""
+    calls = []
+    gram_h = core_la._gram_h
+
+    def counting(v):
+        calls.append(v.shape[0])
+        return gram_h(v)
+
+    monkeypatch.setattr(core_la, "_gram_h", counting)
+    return calls
+
+
+def _defect(q):
+    return np.linalg.norm(np.conj(q.T) @ q - np.eye(q.shape[1]))
+
+
+@pytest.mark.usefixtures("two_pass")
 class TestAgainstQrReference:
-    """thin_qr against the frozen conjugate-copy version in qr_reference."""
+    """thin_qr against the frozen conjugate-copy version in qr_reference.
+    Blocks of p >= 2 columns run with the one-pass gate shut (`two_pass`):
+    the reference is the CholeskyQR2 path, which they pin bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 841, 5000, 100_000])
     def test_single_column_same_bits(self, n):
@@ -828,6 +855,81 @@ class TestAgainstQrReference:
         w[:, 3] *= 1e-10
         assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w))
         assert householder_calls == [(5000, 8)]
+
+
+def _first_pass(w):
+    """(q, xi) of one CholeskyQR pass built from the reference's own first
+    pass: R1 from its conjugate-copy Gram, Q = W R1^{-1} in w's layout (a
+    product whose output is row-major rounds differently in OpenBLAS's edge
+    tiles wherever n is not a multiple of 4)."""
+    buf = np.empty((min(w.shape[0], qr_reference._ROW_CHUNK), w.shape[1]),
+                   dtype=np.complex128, order="F")
+    r1 = qr_reference._cholesky_r(qr_reference._gram_h(w, buf))
+    return np.matmul(w, np.linalg.inv(r1), order="F"), r1
+
+
+class TestOnePass:
+    """The one-pass branch of `core_la._cholesky_qr` and its gate."""
+
+    @pytest.mark.parametrize("n", [841, 5000, 100_000])
+    @pytest.mark.parametrize("p", [4, 8, 32])
+    def test_first_pass_bits(self, n, p, monkeypatch):
+        w = _rand_block(n, p, n + p)
+        grams = _gram_calls(monkeypatch)
+        q, xi = _first_pass(w)
+        assert _qr_bits(thin_qr(w)) == (q.tobytes(), xi.tobytes())
+        assert grams == [n]
+
+    def test_numpy_fallback_first_pass_bits_at_every_width(self, monkeypatch):
+        routine = core_la._routine
+        monkeypatch.setattr(
+            core_la, "_routine", lambda name: None if name == "zgemm" else routine(name)
+        )
+        grams = _gram_calls(monkeypatch)
+        for n in (841, 5000):
+            for p in range(2, 34):
+                w = _rand_block(n, p, n + p)
+                q, xi = _first_pass(w)
+                grams.clear()
+                assert _qr_bits(thin_qr(w)) == (q.tobytes(), xi.tobytes()), (n, p)
+                assert grams == [n], (n, p)
+
+    def test_gaussian_block_takes_one_pass(self, monkeypatch, householder_calls):
+        rng = np.random.default_rng(8)
+        w = np.asfortranarray(
+            rng.standard_normal((5000, 8)) + 1j * rng.standard_normal((5000, 8))
+        )
+        grams = _gram_calls(monkeypatch)
+        fac = thin_qr(w)
+        assert grams == [5000] and householder_calls == []
+        assert _defect(fac.q) <= 1e-13
+        np.testing.assert_allclose(fac.q @ fac.xi, w, rtol=0, atol=1e-13)
+
+    def test_scaled_columns_take_one_pass(self, monkeypatch, householder_calls):
+        # the gate reads W with its columns scaled to unit norm, as the
+        # Gram's rounding does: scaling a column moves neither
+        w = _rand_block(5000, 8, 3)
+        w[:, 5] *= 1e-3
+        grams = _gram_calls(monkeypatch)
+        fac = thin_qr(w)
+        assert grams == [5000] and householder_calls == []
+        assert _defect(fac.q) <= 1e-13
+        np.testing.assert_allclose(fac.q @ fac.xi, w, rtol=0, atol=1e-13)
+
+    def test_above_the_gate_takes_the_second_pass(self, monkeypatch, householder_calls):
+        # two nearly parallel columns: e is far above the gate, and the
+        # diagonal of xi spans ~1e3, well inside the 1e8 Householder rule
+        w = _rand_block(5000, 8, 3)
+        w[:, 5] = w[:, 4] + 1e-3 * w[:, 5]
+        r1 = _first_pass(w)[1]
+        e = np.linalg.norm(np.linalg.norm(r1, axis=0)[:, None] * np.linalg.inv(r1))
+        assert e > core_la._CHOLQR_ONE_PASS_BOUND
+        grams = _gram_calls(monkeypatch)
+        fac = thin_qr(w)
+        assert grams == [5000, 5000] and householder_calls == []
+        d = np.diagonal(fac.xi).real
+        assert 1e-8 * d.max() <= d.min() <= 1e-2 * d.max()
+        assert _qr_bits(fac) == _qr_bits(qr_reference.thin_qr(w))
 
 
 class TestSolveSmall:

@@ -593,6 +593,9 @@ class TestKernelBits:
                 assert new[name] == old[name], f"{case} {name}"
 
     def test_thin_qr_keeps_the_bits_of_the_conjugate_copy_grams(self, monkeypatch):
+        # the reference is CholeskyQR2 throughout, so the live thin QR runs
+        # with its one-pass gate shut
+        monkeypatch.setattr(core_la, "_CHOLQR_ONE_PASS_BOUND", 0.0)
         factored = [(name, fn) for name, fn in ALL if name.endswith("_rq")]
         for case, a, b in self._cases():
             new = self._outcomes(a, b, factored)
@@ -601,6 +604,43 @@ class TestKernelBits:
                 old = self._outcomes(a, b, factored)
             for name in new:
                 assert new[name] == old[name], f"{case} {name}"
+
+
+def _calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of `owner.name` from now on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOnePassQr:
+    """Residual blocks that `thin_qr` factors in one CholeskyQR pass stay
+    orthonormal inside the `_rq` solves."""
+
+    @pytest.mark.parametrize("case", ["young1c p=32", "diagdominant n=2e4 p=8"])
+    @pytest.mark.parametrize("name,solver", [("bl_cocg_rq", bl_cocg_rq),
+                                             ("bl_cocr_rq", bl_cocr_rq)])
+    def test_q_stays_orthonormal(self, case, name, solver, monkeypatch):
+        a, b = next((a, b) for c, a, b in TestKernelBits._cases() if c == case)
+        factorings = _calls(monkeypatch, solvers_module, "thin_qr")
+        grams = _calls(monkeypatch, core_la, "_gram_h")
+        defects = []
+
+        def obs(m, state):
+            q = state["Q"]
+            defects.append(np.linalg.norm(np.conj(q.T) @ q - np.eye(q.shape[1])))
+
+        res = solver(a, b, cfg=SolverConfig(observer=obs))
+        assert res.converged and len(defects) == res.iterations
+        assert max(defects) <= 1e-12, f"{case} {name}"
+        # some factorizations took one pass, whose Q is the one at risk
+        assert 2 * len(factorings) > len(grams), f"{case} {name}"
 
 
 def _local_problem(p):
