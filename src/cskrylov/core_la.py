@@ -4,34 +4,34 @@ Core complex linear algebra shared by all solvers.
 Conventions
 -----------
 Block vectors (residuals, search directions, solutions) are plain numpy
-arrays of shape (n, p), complex128, Fortran order: each column is one
-right-hand side. Small coefficient matrices are (p, p) complex128 arrays.
-The matrices of interest are complex symmetric, A == A^T but A != A^H,
-so the Gram products of the recurrences are the unconjugated bilinear
-form V^T W, which can vanish on nonzero inputs; Cholesky and the
-Hermitian machinery of standard libraries do not apply to them. The
-thin QR is the exception: its Q is orthonormal in the Hermitian sense
-(Q^H Q = I), so it may factor the Hermitian Gram W^H W.
+arrays of shape (n, p), complex128: each column is one right-hand side.
+Small coefficient matrices are (p, p) complex128 arrays. The matrices of
+interest are complex symmetric, A == A^T but A != A^H, so the Gram
+products of the recurrences are the unconjugated bilinear form V^T W,
+which can vanish on nonzero inputs; Cholesky and the Hermitian machinery
+of standard libraries do not apply to them. The thin QR is the
+exception: its Q is orthonormal in the Hermitian sense (Q^H Q = I), so
+it may factor the Hermitian Gram W^H W.
 
-Every kernel, the CSR product included, keeps its input's layout: a
-block in Fortran order gives Fortran-order results, a row-major
-(C-order) block row-major ones, and any other layout is first copied to
-Fortran order. The product takes scipy's one-vector CSR kernel column
-by column on a Fortran-order block, and its multi-vector kernel, one
-pass over the matrix, on a row-major one, with the same bits. The block
-update X <- X + Y C is made in place, on large blocks by one ``zgemm``
-call, and the thin QR forms its Hermitian Grams by ``zgemm`` on the
-block's own memory, in either layout. Every kernel but `axpy_block`
-returns a new array; `axpy_block` updates and returns X.
+The solvers run every solve on row-major (C-order) blocks; a single
+column is both layouts. The CSR product returns a row-major block: one
+pass of scipy's multi-vector kernel for p >= 2, its one-vector kernel
+for a single column, with the same bits. The other kernels keep their
+input's layout: a row-major block gives row-major results, a
+Fortran-order one Fortran-order results, and any other layout is first
+copied to Fortran order. The two layouts' BLAS products round
+differently wherever n or p is not a multiple of 4 (see `axpy_block`).
+The block update X <- X + Y C is made in place, on large blocks by one
+``zgemm`` call, and the thin QR forms its Hermitian Grams by ``zgemm``
+on the block's own memory, in either layout. Every kernel but
+`axpy_block` returns a new array; `axpy_block` updates and returns X.
 
 A matrix's public arrays and its `matvec` stay in the order the matrix
 was built in (file order). The solvers run a large matrix through its
 locality copy instead (`_locality_copy`): P A P^T in a breadth-first
 row order, one more `ComplexSymmetricMatrix`, built by `from_coo` at
-the first solve and cached on the matrix. The solvers hand it row-major
-blocks. Below the copy's order gate the solvers' blocks stay in Fortran
-order, which keeps their bits: a row-major block's BLAS products round
-differently wherever n or p is not a multiple of 4 (see `axpy_block`).
+the first solve and cached on the matrix. The copy changes the row
+order only; the blocks are row-major either way.
 """
 
 import ctypes
@@ -112,7 +112,8 @@ def _sort_key(major, minor, n):
     return key
 
 
-# smallest order solved through a locality copy. Below it the vector a
+# smallest order solved through a locality copy. It decides the row
+# order only: every solve runs on row-major blocks. Below it the vector a
 # column product gathers from stays in a core's cache in any row order.
 # CSR product per column, file order against breadth-first order, on
 # diagdominant operators with ~3 entries per row (2-core guest, 4 MiB L2
@@ -262,36 +263,33 @@ class ComplexSymmetricMatrix:
         return self._symmetric
 
     def matvec(self, v):
-        """Return A @ v for an (n, p) block vector v, in v's layout.
+        """Return A @ v for an (n, p) block vector v, as a new row-major
+        block.
 
-        A row-major v of p >= 2 columns takes one pass of scipy's
-        multi-vector CSR kernel into a row-major result, any other v
-        goes column by column through the one-vector kernel into a
-        Fortran-order result. Each entry is summed in the same order
-        either way, so with the same bits. At n = 1e5, p = 8 (the seed-0
+        A single column takes scipy's one-vector CSR kernel, a block of
+        p >= 2 columns one pass of its multi-vector kernel, which reads
+        and writes row-major blocks; a v in another layout is copied to
+        row-major once. The two kernels sum each entry in the same
+        order, so with the same bits. At n = 1e5, p = 8 (the seed-0
         gen1e5-p8 locality copy, 2-core guest) the one pass took 7.3 ms
-        against 15.1 ms column by column; at p = 1 the one-vector kernel
-        is the faster. The kernels read the public arrays, in the order
-        the matrix was built in, whatever its size.
+        against 15.1 ms column by column; on a single column the
+        multi-vector kernel took 2.0 ms against the one-vector kernel's
+        1.5 ms. The kernels read the public arrays, in the order the
+        matrix was built in, whatever its size.
         """
-        v = _as_block(v)
-        if v.shape[0] != self.n:
+        v = np.ascontiguousarray(v, dtype=np.complex128)
+        if v.ndim != 2 or v.shape[0] != self.n:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
-                f"block vector has {v.shape[0]} rows"
+                f"block vector has shape {v.shape}"
             )
         # the kernels add each row's sum to what the output holds
-        if not v.flags.f_contiguous:
-            out = np.zeros(v.shape, dtype=np.complex128)
-            _sparsetools().csr_matvecs(self.n, self.n, v.shape[1], self.row_ptr,
-                                       self.col_idx, self.values, v.ravel(),
-                                       out.ravel())
-            return out
-        out = np.zeros(v.shape, dtype=np.complex128, order="F")
-        csr_matvec = _sparsetools().csr_matvec
-        for j in range(v.shape[1]):
-            csr_matvec(self.n, self.n, self.row_ptr, self.col_idx, self.values,
-                       v[:, j], out[:, j])
+        out = np.zeros(v.shape, dtype=np.complex128)
+        args = (self.row_ptr, self.col_idx, self.values, v.ravel(), out.ravel())
+        if v.shape[1] == 1:
+            _sparsetools().csr_matvec(self.n, self.n, *args)
+        else:
+            _sparsetools().csr_matvecs(self.n, self.n, v.shape[1], *args)
         return out
 
     def to_dense(self):
@@ -401,8 +399,8 @@ class QrFactors:
 def block_matvec(a, v):
     """Compute A @ V into a new block.
 
-    The product is the operator's own, in V's layout (see
-    `ComplexSymmetricMatrix.matvec`), and no layout copy of V is made.
+    The product is the operator's own: for a matrix, a row-major block
+    (see `ComplexSymmetricMatrix.matvec`).
 
     Parameters
     ----------
@@ -410,7 +408,8 @@ def block_matvec(a, v):
         The operator (a matrix, the locality copy the solvers run a
         large matrix on, or anything with a conforming ``matvec``).
     v : ndarray
-        Block vector of shape (a.n, p), in any memory order.
+        Block vector of shape (a.n, p), in any memory order; the solvers
+        hand it row-major blocks.
 
     Returns
     -------
@@ -897,11 +896,12 @@ def axpy_block(x, y, c):
     beta = 1 in the library numpy links (see `_routine`); a row-major X
     is updated as X^T <- X^T + C^T Y^T, the same call with its operands
     swapped. Smaller blocks, and every block where numpy exposes no such
-    symbol, take ``x += np.matmul(y, c, order="F")``. Both give the bits
-    of X + Y @ C formed in a new Fortran-order block, except that zgemm
-    may round differently at p = 1, and, on a row-major X, wherever n or
-    p is not a multiple of 4: OpenBLAS's edge tiles then fall on the
-    other dimension of the product.
+    symbol, take ``x += np.matmul(y, c, order=...)``, the product formed
+    in X's layout. Both give the bits of X + Y @ C formed in a new block
+    of X's layout, except that zgemm may round differently at p = 1. A
+    row-major X has other bits than the same X in Fortran order wherever
+    n or p is not a multiple of 4: OpenBLAS's edge tiles then fall on
+    the other dimension of the product.
 
     Parameters
     ----------
@@ -948,9 +948,7 @@ def axpy_block(x, y, c):
         raise ValueError("x shares memory with y or c: it is updated in place")
     gemm = _routine("zgemm") if x.size >= _GEMM_MIN_SIZE else None
     if gemm is None:
-        # numpy's product into a Fortran-order block has the same bits
-        # for either layout of y; into a row-major one it has others
-        x += np.matmul(y, c, order="F")
+        x += np.matmul(y, c, order=_layout(x))
         return x
     fn, int_t = gemm
     n, p = int_t(x.shape[0]), int_t(x.shape[1])

@@ -22,12 +22,11 @@ is its unfactored case, Q_m = R_m and xi_m = tau_m = I, with the
 products by those identities skipped rather than taken.
 
 Every method applies the operator exactly once per iteration after
-setup. A large matrix is solved through its locality copy (see
-`core_la`): B is permuted into the copy's row order, as a row-major
-block, once; the recurrence runs there on row-major blocks, and X
-comes back in the caller's order, in Fortran order. Every other solve
-runs on Fortran-order blocks. The recurrences keep whichever layout
-R_0 has.
+setup. Every solve runs on row-major blocks: B is copied into the
+operator's row order as a row-major block, once, and the recurrence
+keeps that layout. A large matrix is solved through its locality copy
+(see `core_la`), and X comes back in the caller's row order; X is
+row-major either way.
 Convergence is declared on the recursive residual relative to
 ||B||_F; the true residual is recomputed from a fresh operator
 application at exit and reported as log10 of the relative Frobenius
@@ -98,11 +97,11 @@ class SolverConfig:
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
         iteration's blocks. The solvers update X and the residual in
-        place, so the n-by-p blocks are copies in the caller's row
-        order, taken only when an observer is installed; the observer
-        may keep them. For a B far from unit norm they are the blocks
-        of the solve scaled to unit norm (see `_solve`). Solver output
-        is bitwise identical with or without an observer.
+        place, so the n-by-p blocks are row-major copies in the caller's
+        row order, taken only when an observer is installed; the
+        observer may keep them. For a B far from unit norm they are the
+        blocks of the solve scaled to unit norm (see `_solve`). Solver
+        output is bitwise identical with or without an observer.
     """
 
     tol: float = 1e-10
@@ -140,7 +139,7 @@ class SolveResult:
     Attributes
     ----------
     x : ndarray
-        Approximate solution block, (n, p).
+        Approximate solution block, (n, p), row-major.
     iterations : int
         Completed iterations at exit.
     converged : bool
@@ -210,7 +209,8 @@ def true_relative_residual(a, b, x):
     """log10(||B - AX||_F / ||B||_F) from a fresh operator application.
 
     Independent of any solver recurrence; this is the honest exit
-    metric. An exact solve returns -inf.
+    metric. An exact solve returns -inf. The squares of the residual
+    are summed column by column, whatever the layouts of B and X.
 
     Raises
     ------
@@ -226,7 +226,7 @@ def true_relative_residual(a, b, x):
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("relative residual undefined for a zero right-hand side")
-    r = b - block_matvec(a, x)
+    r = np.subtract(b, block_matvec(a, x), order="F")
     with np.errstate(divide="ignore"):
         return float(np.log10(fro_norm(r) / norm_b))
 
@@ -235,14 +235,15 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     """Validate, form the initial residual, run one recurrence and
     assemble the result.
 
-    X and R_0 are in the row order of the operator the recurrence runs
-    on: the locality copy of a, where they are row-major, or a itself,
-    where they are in Fortran order. A B whose norm has a binary
-    exponent e beyond `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too),
-    and X scaled back. The recurrence is skipped
-    when the initial residual already meets tol, is exactly zero, or is
-    not finite. It returns before X goes back to the caller's row order
-    and the true residual is taken, so none of its blocks is live then.
+    X and R_0 are row-major, in the row order of the operator the
+    recurrence runs on: the locality copy of a, or a itself. ||B||_F is
+    taken on B in that order and layout, so that history[0] is exactly 1
+    for x0 = 0. A B whose norm has a binary exponent e beyond
+    `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too), and X scaled back.
+    The recurrence is skipped when the initial residual already meets
+    tol, is exactly zero, or is not finite. It returns before X goes
+    back to the caller's row order and the true residual is taken, so
+    none of its blocks is live then.
     """
     t0 = time.perf_counter()
     if cfg is None:
@@ -252,7 +253,7 @@ def _solve(recurrence, a, b, x0, cfg, factored):
             "operator failed check_complex_symmetric; these methods require "
             "A equal to its unconjugated transpose"
         )
-    b = np.asfortranarray(b, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if b.ndim != 2:
         raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
     n, p = b.shape
@@ -260,28 +261,31 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         raise ValueError(f"operator order {a.n} does not match RHS rows {n}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    # quietly: fro_norm rescales a plain sum of squares that overflows
-    with np.errstate(over="ignore"):
-        norm_b = fro_norm(b)
-    if norm_b == 0.0:
-        raise ValueError("right-hand side is identically zero; nothing to solve")
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.complex128)
         if x0.shape != (n, p):
             raise ValueError(f"x0 shape {x0.shape} does not match RHS shape {b.shape}")
-    e = math.frexp(norm_b)[1]
-    shift = -e if abs(e) > _RHS_EXP_WINDOW else 0
-    if shift:
-        b, norm_b = _ldexp(b, shift), math.ldexp(norm_b, shift)
-        x0 = None if x0 is None else _ldexp(x0, shift)
     local = _locality_copy(a)
     if local is None:
-        op, to_op, to_caller = a, _fortran_copy, _fortran_copy
+        # copies: the solve updates R_0 and X in place, and the observer
+        # may keep the blocks it is handed
+        op, to_op, to_caller = a, functools.partial(np.array, order="C"), np.copy
     else:
         perm, op = local
         to_op = functools.partial(_to_copy_order, perm)
         to_caller = functools.partial(_to_file_order, perm)
     r0 = to_op(b)
+    # quietly: fro_norm rescales a plain sum of squares that overflows
+    with np.errstate(over="ignore"):
+        norm_b = fro_norm(r0)
+    if norm_b == 0.0:
+        raise ValueError("right-hand side is identically zero; nothing to solve")
+    e = math.frexp(norm_b)[1]
+    shift = -e if abs(e) > _RHS_EXP_WINDOW else 0
+    if shift:
+        b, r0 = _ldexp(b, shift), _ldexp(r0, shift)
+        x0 = None if x0 is None else _ldexp(x0, shift)
+        norm_b = fro_norm(r0)
     if x0 is None:
         # R_0 is allocated before X, which the solve updates in place and
         # returns. The plain methods update R_0 in place too; freed at
@@ -318,26 +322,16 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     )
 
 
-def _fortran_copy(v):
-    """A new Fortran-order copy of v: the step into and out of a solve
-    that runs on the matrix itself."""
-    return v.copy(order="F")
-
-
 def _to_copy_order(perm, v):
-    """A new row-major block of v's rows in the locality copy's order.
-
-    This is where the solvers' blocks take the row-major layout that
-    every kernel, the product included, then keeps.
-    """
+    """A new row-major block of v's rows in the locality copy's order."""
     # indexing gathers rows from v as it lies; np.take would first copy
     # a Fortran-order v to row-major, one more n x p block live
     return v[perm]
 
 
 def _to_file_order(perm, v):
-    """A new Fortran-order block of v's rows in file order."""
-    out = np.empty(v.shape, dtype=np.complex128, order="F")
+    """A new row-major block of v's rows in file order."""
+    out = np.empty(v.shape, dtype=np.complex128)
     out[perm] = v
     return out
 
@@ -418,8 +412,8 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     The Gram Q^T Q of one iteration is reused in the next, so each
     iteration forms two Gram products.
 
-    Runs from `_solve`'s X and R_0 on the operator a, calls observe
-    (None: no observer) at the top of every iteration, and appends
+    Runs from `_solve`'s row-major X and R_0 on the operator a, calls
+    observe (None: no observer) at the top of every iteration, and appends
     residual norms relative to norm_b = ||B||_F to history. Returns
     (X, converged, breakdown, iterations).
     """
@@ -427,7 +421,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S") if factored else ("X", "R", "P")
     grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
-    s = q.copy(order="K")
+    s = q.copy()
     qq = t_gram(q, q)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
@@ -455,7 +449,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
-        s = axpy_block(q_new.copy(order="K"), s, beta)
+        s = axpy_block(q_new.copy(), s, beta)
         q, qq = q_new, qq_new
     return x, converged, breakdown, iterations
 
@@ -471,9 +465,9 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     q, xi = _factor(r, factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
-    s = q.copy(order="K")
+    s = q.copy()
     v = block_matvec(a, q)
-    u = v.copy(order="K")
+    u = v.copy()
     qv = t_gram(q, v)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
@@ -501,8 +495,8 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} and V_{m+1} live on, so S and U start from copies
-        s = axpy_block(q_new.copy(order="K"), s, beta)
-        u = axpy_block(v_new.copy(order="K"), u, beta)
+        s = axpy_block(q_new.copy(), s, beta)
+        u = axpy_block(v_new.copy(), u, beta)
         q, v, qv = q_new, v_new, qv_new
     return x, converged, breakdown, iterations
 

@@ -154,7 +154,7 @@ class TestComplexSymmetricMatrix:
         v = _rand_block(n, 3, 7)
         y_csr = m_csr.matvec(v)
         y_dense = m_dense.matvec(v)
-        assert y_csr.flags.f_contiguous
+        assert y_csr.flags.c_contiguous
         np.testing.assert_allclose(y_csr, d @ v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(y_dense, d @ v, rtol=0, atol=1e-13)
 
@@ -204,24 +204,21 @@ class TestComplexSymmetricMatrix:
             (m.values, m.col_idx, m.row_ptr), shape=(n, n)
         ) @ v
         out = m.matvec(v)
-        # one layout contract: a row-major block of p >= 2 columns gives a
-        # row-major result, any other block a Fortran-order one
-        if layout == "C" and p >= 2:
-            assert out.flags.c_contiguous and not out.flags.f_contiguous
-        else:
-            assert out.flags.f_contiguous
-        assert out.shape == (n, p)
+        # one layout contract: every block gives a row-major result
+        assert out.flags.c_contiguous and out.shape == (n, p)
         np.testing.assert_array_equal(out, expected)
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_matvec_of_a_row_major_block_keeps_the_fortran_bits(self, p):
         # the multi-vector kernel sums each entry in the order of the
-        # one-vector kernel, so the two layouts hold the same bytes
+        # one-vector kernel, so both layouts of v give the same bytes
         m = ComplexSymmetricMatrix.from_dense(_dense_pattern(50, "random", seed=p))
         v = _rand_block(50, p, p)
         out = m.matvec(np.ascontiguousarray(v))
-        assert out.flags.c_contiguous
-        assert np.asfortranarray(out).tobytes() == m.matvec(v).tobytes()
+        assert out.flags.c_contiguous and m.matvec(v).flags.c_contiguous
+        assert out.tobytes() == m.matvec(v).tobytes()
+        columns = np.column_stack([m.matvec(v[:, j : j + 1]) for j in range(p)])
+        assert out.tobytes() == columns.tobytes()
 
     def test_block_matvec_delegates(self):
         m = ComplexSymmetricMatrix.from_dense(2 * np.eye(2))
@@ -439,17 +436,20 @@ def _dense_pattern(n, pattern, seed):
 
 
 def _kernel_reads(monkeypatch):
-    """Record the (row_ptr, col_idx, values) of every one-vector CSR
-    kernel call."""
+    """Record the kernel's name and the (row_ptr, col_idx, values) of
+    every CSR kernel call."""
     reads = []
     kernels = core_la._sparsetools()
 
-    def recording(n_row, n_col, row_ptr, col_idx, values, x, y):
-        reads.append((row_ptr, col_idx, values))
-        kernels.csr_matvec(n_row, n_col, row_ptr, col_idx, values, x, y)
+    def recording(name):
+        def read(*args):
+            reads.append((name, *args[-5:-2]))
+            getattr(kernels, name)(*args)
+
+        return read
 
     patched = types.SimpleNamespace(
-        csr_matvec=recording, csr_matvecs=kernels.csr_matvecs
+        csr_matvec=recording("csr_matvec"), csr_matvecs=recording("csr_matvecs")
     )
     monkeypatch.setattr(core_la, "_sparsetools", lambda: patched)
     return reads
@@ -469,8 +469,9 @@ class TestKernelIndex:
         assert arrays == {"row_ptr", "col_idx", "values"}
         reads = _kernel_reads(monkeypatch)
         m.matvec(_rand_block(m.n, 2, 0))
-        assert len(reads) == 2
-        for row_ptr, col_idx, values in reads:
+        m.matvec(_rand_block(m.n, 1, 0))
+        assert [name for name, *_ in reads] == ["csr_matvecs", "csr_matvec"]
+        for _, row_ptr, col_idx, values in reads:
             assert row_ptr is m.row_ptr and col_idx is m.col_idx and values is m.values
         local = core_la._locality_copy(m)
         if m.n < core_la._LOCALITY_MIN_ORDER:
@@ -590,7 +591,7 @@ class TestLocalityCopy:
         assert there.flags.c_contiguous and there.dtype == np.complex128
         np.testing.assert_array_equal(there, v[perm])
         back = solvers._to_file_order(perm, there)
-        assert back.flags.f_contiguous
+        assert back.flags.c_contiguous
         np.testing.assert_array_equal(back, v)
         np.testing.assert_allclose(
             solvers._to_file_order(perm, copy.matvec(there)), a.matvec(v),
@@ -598,15 +599,15 @@ class TestLocalityCopy:
         )
 
     @pytest.mark.parametrize("p", range(1, 10))
-    def test_product_keeps_the_block_layout_and_bits(self, p):
-        # a row-major block takes the multi-vector kernel, a Fortran-order
-        # one the one-vector kernel column by column: same bits
+    def test_product_is_row_major_with_the_bits_of_either_layout(self, p):
+        # a row-major block and its Fortran-order copy, which the product
+        # copies to row-major first, give the same row-major bytes
         _, copy = _build_copy(LOCALITY_CASES["random"])
         v = _rand_block(copy.n, p, p)
         by_rows = copy.matvec(np.ascontiguousarray(v))
         by_columns = copy.matvec(v)
-        assert by_rows.flags.c_contiguous and by_columns.flags.f_contiguous
-        assert np.asfortranarray(by_rows).tobytes() == by_columns.tobytes()
+        assert by_rows.flags.c_contiguous and by_columns.flags.c_contiguous
+        assert by_rows.tobytes() == by_columns.tobytes()
 
     def test_built_once_at_first_use_and_cached(self):
         a = ComplexSymmetricMatrix.from_dense(LOCALITY_CASES["random"].to_dense())
@@ -1325,13 +1326,16 @@ class TestAxpyBlockInPlace:
         "n,p", [(6, 2), (core_la._GEMM_MIN_SIZE, 8)], ids=["numpy", "zgemm"]
     )
     def test_updates_a_row_major_x_in_place(self, n, p):
-        # a row-major x keeps its layout, with the Fortran-order bits
+        # a row-major x keeps its layout, with the bits of the product
+        # formed row-major, and agrees with the Fortran-order x to rounding
         x, y, c = self._operands(n, p, 10)
         x_rows, y_rows = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        expected = x_rows + np.matmul(y_rows, c, order="C")
         assert axpy_block(x_rows, y_rows, c) is x_rows
         assert axpy_block(x, y, c) is x
         assert x_rows.flags.c_contiguous
-        assert np.asfortranarray(x_rows).tobytes() == x.tobytes()
+        assert x_rows.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(x_rows, x, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("case", ["y-is-x", "y-overlaps-x", "c-views-x"])
     def test_rejects_y_or_c_sharing_memory_with_x(self, case):
