@@ -828,6 +828,29 @@ class TestLayoutBits:
 
     ROUNDING_WIDTHS = (2, 3, 5, 6, 7, 9)
 
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_solves_match_the_fortran_order_solve(self, name, solver, p, monkeypatch):
+        # a row-major B and its Fortran-order copy reach the operator as
+        # the same row-major block, in file order and through the locality
+        # copy alike, so the two solves keep the same bits
+        a, b = _local_problem(p)
+        for gate in (core_la._LOCALITY_MIN_ORDER, 300):
+            monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", gate)
+            by_rows = _count_multi_vector_products(monkeypatch)
+            rows = solver(a, np.ascontiguousarray(b))
+            # one product per iteration and one for the exit check, all
+            # by the multi-vector kernel
+            assert len(by_rows) == rows.iterations + 1
+            columns = solver(a, np.asfortranarray(b))
+            assert len(by_rows) == 2 * (rows.iterations + 1)
+            assert (a._local is not None) == (gate == 300)
+            assert rows.converged
+            assert (rows.iterations, rows.status) == (columns.iterations, columns.status)
+            assert rows.history == columns.history and rows.trr == columns.trr
+            assert rows.x.flags.c_contiguous and columns.x.flags.c_contiguous
+            assert rows.x.tobytes() == columns.x.tobytes()
+
     @pytest.mark.parametrize("p", range(2, 10))
     def test_kernels_give_the_fortran_order_bits(self, p):
         n = 5000
