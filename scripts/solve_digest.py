@@ -9,6 +9,9 @@ the residual history (as float64) and of X. The cases:
 - young1c with p in {1, 8, 32}, right-hand sides ``gen_rhs(841, p, 0)``
 - the seed-0 gen1e5-p8 problem (n = 1e5, p = 8, diagdominant)
 - the same seed-0 matrix with ``gen_rhs(n, 1, 0)`` (n = 1e5, p = 1)
+- a tridiagonal matrix of order 1e5 (diagonal 4 + 1j, off-diagonals
+  -1) with ``gen_rhs(n, 8, 0)``: a banded operator, so solved in file
+  order where the two gen1e5 cases go through their locality copy
 
 Every case runs in a child process under OPENBLAS_NUM_THREADS=1 and
 again under =2, one child after the other, importing the package from
@@ -37,6 +40,8 @@ def _digest(data):
 
 def _cases(ck):
     """(name, matrix, right-hand sides) of every case."""
+    import numpy as np
+
     _, young = ck.read_matrix_market(ROOT / "tests" / "fixtures" / "young1c.mtx")
     for p in (1, 8, 32):
         yield f"young1c-p{p}", young, ck.gen_rhs(young.n, p, 0)
@@ -44,6 +49,15 @@ def _cases(ck):
     a, b = ck.gen_problem(spec)
     yield "gen1e5-p8", a, b
     yield "gen1e5-p1", a, ck.gen_rhs(a.n, 1, 0)
+    n = 100_000
+    i = np.arange(n)
+    tridiagonal = ck.ComplexSymmetricMatrix.from_coo(
+        n,
+        np.concatenate([i, i[1:], i[:-1]]),
+        np.concatenate([i, i[:-1], i[1:]]),
+        np.concatenate([np.full(n, 4 + 1j), np.full(2 * n - 2, -1.0)]),
+    )
+    yield "tridiag1e5-p8", tridiagonal, ck.gen_rhs(n, 8, 0)
 
 
 def run_cases():

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core_la import _locality_copy
+from .core_la import solve_operator
 from .mm_io import read_matrix_market
 from .oracle import KINDS, ProblemSpec, gen_problem, gen_rhs
 from .solvers import SOLVERS, SolverConfig, check_complex_symmetric
@@ -135,16 +135,16 @@ def run_benchmark(args):
     if hist_dir is not None:
         hist_dir.mkdir(parents=True, exist_ok=True)
     # one untimed product imports scipy.sparse and resolves its CSR
-    # kernel, and a large matrix's locality copy is built here, so no
-    # solver's cpu time is charged for either
+    # kernel, and the matrix's row order is decided here (a wide matrix's
+    # locality copy built), so no solver's cpu time is charged for either
     m.matvec(b[:, :1])
-    _locality_copy(m)
+    solve_operator(m)
     results = [SOLVERS[s](m, b, None, cfg) for s in solver_names]
     report = RunReport(
         matrix=name,
         n=m.n,
         nnz=m.nnz,
-        p=args.p if args.matrix is not None else b.shape[1],
+        p=b.shape[1],
         tol=args.tol,
         seed=args.seed,
     )

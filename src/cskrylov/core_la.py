@@ -26,12 +26,12 @@ The block update X <- X + Y C is made in place, on large blocks by one
 on the block's own memory, in either layout. Every kernel but
 `axpy_block` returns a new array; `axpy_block` updates and returns X.
 
-A matrix's public arrays and its `matvec` stay in the order the matrix
-was built in (file order). The solvers run a large matrix through its
-locality copy instead (`_locality_copy`): P A P^T in a breadth-first
-row order, one more `ComplexSymmetricMatrix`, built by `from_coo` at
-the first solve and cached on the matrix. The copy changes the row
-order only; the blocks are row-major either way.
+A matrix's public arrays and its `matvec` stay in file order, the order
+the matrix was built in. `solve_operator` decides once per matrix what
+the solvers run on: where the stored entries lie on average more than
+`_LOCALITY_WINDOW` rows from their row, a locality copy cached on the
+matrix (`_locality_copy`, P A P^T in a breadth-first row order); else
+(a banded matrix, say) the matrix itself. Blocks are row-major.
 """
 
 import ctypes
@@ -51,6 +51,7 @@ __all__ = [
     "solve_small",
     "fro_norm",
     "axpy_block",
+    "solve_operator",
 ]
 
 
@@ -112,14 +113,10 @@ def _sort_key(major, minor, n):
     return key
 
 
-# smallest order solved through a locality copy. It decides the row
-# order only: every solve runs on row-major blocks. Below it the vector a
-# column product gathers from stays in a core's cache in any row order.
-# CSR product per column, file order against breadth-first order, on
-# diagdominant operators with ~3 entries per row (2-core guest, 4 MiB L2
-# per core, medians of 15 calls): n=5e3 0.07 / 0.07 ms, 2e4 0.45 /
-# 0.34 ms, 5e4 1.3 / 1.0 ms, 1e5 3.3 / 2.1 ms
-_LOCALITY_MIN_ORDER = 50_000
+# mean |row - col| above which a matrix is solved through its locality
+# copy: the product gathers from ~2 x spread rows of the block, and at
+# p = 8 (128 bytes a row) 2 x 8,192 rows fill a 2 MiB L2 cache
+_LOCALITY_WINDOW = 8_192
 
 
 def _index_array(a, name):
@@ -136,10 +133,10 @@ class ComplexSymmetricMatrix:
     Use `from_coo` or `from_dense` to construct. The finiteness and the
     symmetry of the stored entries are verified lazily and cached;
     matrices that fail either check can still be held (file parsers
-    accept general input) but the solvers refuse them. A large matrix
-    also caches its locality copy (`_locality_copy`) at its first solve.
-    Like the checks, none of these caches sees later writes to the
-    arrays.
+    accept general input) but the solvers refuse them. At its first
+    solve a matrix also caches which row order it is solved in, and a
+    wide one its locality copy (see `solve_operator`). Like the checks,
+    none of these caches sees later writes to the arrays.
 
     Attributes
     ----------
@@ -180,6 +177,8 @@ class ComplexSymmetricMatrix:
         if unordered.any():
             k = int(np.argmax(unordered))
             row = int(np.searchsorted(row_ptr, k, side="right")) - 1
+            if col_idx[k] == col_idx[k + 1]:
+                raise ValueError(f"duplicate entry at ({row}, {col_idx[k]})")
             raise ValueError(
                 f"column indices must increase strictly within row {row}"
             )
@@ -193,9 +192,9 @@ class ComplexSymmetricMatrix:
         """Build CSR storage from coordinate triples.
 
         Entries are sorted by the int64 key row * n + col, which orders
-        them by (row, col); duplicate coordinates are an error rather
-        than summed. For the key to fit in int64 the order may be at
-        most 3_037_000_499.
+        them by (row, col); a duplicate coordinate is an error, named by
+        the constructor, rather than summed. For the key to fit in int64
+        the order may be at most 3_037_000_499.
         """
         _check_order(n)
         rows = _index_array(rows, "rows")
@@ -207,15 +206,9 @@ class ComplexSymmetricMatrix:
             if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
                 raise ValueError("coordinate index out of range")
         key = _sort_key(rows, cols, n)
+        # key lives until the gathers: freed before them, its hole raised a
+        # gen1e5-p8 solving process's peak RSS from 275 to 285 MB
         order = np.argsort(key)
-        # in place, not gathered through order: a gathered copy is one
-        # more nnz-long block live beside the sorted columns and values,
-        # which lifted peak RSS ~1.5 MB on a 3e5-entry Matrix Market read
-        key.sort()
-        same = key[1:] == key[:-1]
-        if np.any(same):
-            row, col = divmod(int(key[np.argmax(same)]), n)
-            raise ValueError(f"duplicate entry at ({row}, {col})")
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
         return cls(n, row_ptr=row_ptr, col_idx=cols[order], values=values[order])
@@ -302,38 +295,65 @@ class ComplexSymmetricMatrix:
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
+def solve_operator(a):
+    """(op, to_op, to_caller): the operator a solve of a runs on, and maps
+    of an (n, p) block into op's row order and of a row-major block back,
+    each to a new row-major block.
+
+    A matrix whose `_spread` is above `_LOCALITY_WINDOW` runs through its
+    locality copy; any other, and a subclass that replaces `matvec` (so
+    that it sees every product), in file order. The verdict (False for
+    file order) or the copy is cached on a at the first call.
+    """
+    own_product = type(a).matvec is ComplexSymmetricMatrix.matvec
+    if own_product and a._local is None:
+        a._local = _locality_copy(a) if _spread(a) > _LOCALITY_WINDOW else False
+    if not (own_product and a._local):
+        # copies: the solve updates R_0 and X in place, and the observer
+        # may keep the blocks it is handed
+        return a, functools.partial(np.array, order="C"), np.copy
+    perm, copy = a._local
+
+    def to_caller(v):
+        out = np.empty(v.shape, dtype=np.complex128)
+        out[perm] = v
+        return out
+
+    # indexing gathers rows from v as it lies; np.take would first copy a
+    # Fortran-order v to row-major, one more n x p block live
+    return copy, lambda v: v[perm], to_caller
+
+
+def _spread(a):
+    """Mean |row - col| over a's stored entries, in rows."""
+    gap = a.col_idx - a._csr_rows()
+    return float(np.abs(gap, out=gap).sum()) / max(gap.size, 1)
+
+
 def _locality_copy(a):
-    """(perm, P A P^T), the row order and the operator the solvers run a
-    on, or None where they run a itself: below `_LOCALITY_MIN_ORDER`,
-    and for any operator whose class replaces
-    `ComplexSymmetricMatrix.matvec`, so that a subclass still sees every
-    product. Built on the first call, then cached on a.
+    """(perm, P A P^T): a breadth-first row order of a and the copy of a
+    in that order.
 
     Row i of the copy is row ``perm[i]`` of A, with its columns renamed
     the same way, so the copy is complex symmetric whenever A is and a
     solve of P A P^T (P X) = P B is a solve of A X = B. In breadth-first
-    order a row's columns lie near the row, so the product gathers each
-    column from a narrow window of the vector instead of all of it.
+    order a row's columns lie near the row (Cuthill & McKee, 1969), so
+    the product gathers each column from a narrow window of the vector
+    instead of all of it.
     """
-    if type(a).matvec is not ComplexSymmetricMatrix.matvec:
-        return None
-    if a.n < _LOCALITY_MIN_ORDER:
-        return None
-    if a._local is None:
-        perm = _bfs_order(a.n, a.row_ptr, a.col_idx)
-        position = np.empty(a.n, dtype=np.int64)
-        position[perm] = np.arange(a.n)
-        copy = ComplexSymmetricMatrix.from_coo(
-            a.n, position[a._csr_rows()], position[a.col_idx], a.values
-        )
-        # copies land in the heap the build's temporaries freed; from_coo's
-        # own arrays, above them, raised a gen1e5-p8 solving process's peak
-        # RSS from 275 to 283 MB
-        copy.row_ptr, copy.col_idx, copy.values = (
-            copy.row_ptr.copy(), copy.col_idx.copy(), copy.values.copy()
-        )
-        a._local = perm, copy
-    return a._local
+    perm = _bfs_order(a.n, a.row_ptr, a.col_idx)
+    position = np.empty(a.n, dtype=np.int64)
+    position[perm] = np.arange(a.n)
+    copy = ComplexSymmetricMatrix.from_coo(
+        a.n, position[a._csr_rows()], position[a.col_idx], a.values
+    )
+    # copies land in the heap the build's temporaries freed; from_coo's
+    # own arrays, above them, raised a gen1e5-p8 solving process's peak
+    # RSS from 275 to 283 MB
+    copy.row_ptr, copy.col_idx, copy.values = (
+        copy.row_ptr.copy(), copy.col_idx.copy(), copy.values.copy()
+    )
+    return perm, copy
 
 
 def _bfs_order(n, row_ptr, col_idx):
@@ -406,7 +426,7 @@ def block_matvec(a, v):
     ----------
     a : ComplexSymmetricMatrix
         The operator (a matrix, the locality copy the solvers run a
-        large matrix on, or anything with a conforming ``matvec``).
+        wide matrix on, or anything with a conforming ``matvec``).
     v : ndarray
         Block vector of shape (a.n, p), in any memory order; the solvers
         hand it row-major blocks.

@@ -24,9 +24,9 @@ products by those identities skipped rather than taken.
 Every method applies the operator exactly once per iteration after
 setup. Every solve runs on row-major blocks: B is copied into the
 operator's row order as a row-major block, once, and the recurrence
-keeps that layout. A large matrix is solved through its locality copy
-(see `core_la`), and X comes back in the caller's row order; X is
-row-major either way.
+keeps that layout. A wide matrix is solved through its locality copy
+(see `core_la.solve_operator`), and X comes back in the caller's row
+order; X is row-major either way.
 Convergence is declared on the recursive residual relative to
 ||B||_F; the true residual is recomputed from a fresh operator
 application at exit and reported as log10 of the relative Frobenius
@@ -35,7 +35,6 @@ report (no look-ahead, no deflation); rank loss in xi_m is a warning,
 not an abort, since columns converging at different rates is expected.
 """
 
-import functools
 import math
 import operator
 import time
@@ -48,10 +47,10 @@ import numpy as np
 from .core_la import (
     BreakdownError,
     _ldexp,
-    _locality_copy,
     axpy_block,
     block_matvec,
     fro_norm,
+    solve_operator,
     solve_small,
     t_gram,
     thin_qr,
@@ -153,9 +152,9 @@ class SolveResult:
     breakdown : BreakdownInfo or None
         Set when a small Gram system was singular.
     elapsed : float
-        Wall seconds for the whole solve. The first solve on a large
-        matrix (see `core_la`) includes building its locality order and
-        copy, which is done once per matrix.
+        Wall seconds for the whole solve. The first solve on a matrix
+        includes deciding its row order, and on a wide one building its
+        locality copy, once per matrix (`core_la.solve_operator`).
     """
 
     x: np.ndarray
@@ -236,10 +235,11 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     assemble the result.
 
     X and R_0 are row-major, in the row order of the operator the
-    recurrence runs on: the locality copy of a, or a itself. ||B||_F is
-    taken on B in that order and layout, so that history[0] is exactly 1
-    for x0 = 0. A B whose norm has a binary exponent e beyond
-    `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too), and X scaled back.
+    recurrence runs on (`solve_operator`): the locality copy of a wide
+    a, or a itself. ||B||_F is taken on B in that order and layout, so
+    that history[0] is exactly 1 for x0 = 0. A B whose norm has a binary
+    exponent e beyond `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too),
+    and X scaled back.
     The recurrence is skipped when the initial residual already meets
     tol, is exactly zero, or is not finite. It returns before X goes
     back to the caller's row order and the true residual is taken, so
@@ -265,15 +265,7 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         x0 = np.asarray(x0, dtype=np.complex128)
         if x0.shape != (n, p):
             raise ValueError(f"x0 shape {x0.shape} does not match RHS shape {b.shape}")
-    local = _locality_copy(a)
-    if local is None:
-        # copies: the solve updates R_0 and X in place, and the observer
-        # may keep the blocks it is handed
-        op, to_op, to_caller = a, functools.partial(np.array, order="C"), np.copy
-    else:
-        perm, op = local
-        to_op = functools.partial(_to_copy_order, perm)
-        to_caller = functools.partial(_to_file_order, perm)
+    op, to_op, to_caller = solve_operator(a)
     r0 = to_op(b)
     # quietly: fro_norm rescales a plain sum of squares that overflows
     with np.errstate(over="ignore"):
@@ -305,7 +297,8 @@ def _solve(recurrence, a, b, x0, cfg, factored):
             op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
         )
     del r0
-    if local is not None:
+    # no exit copy in file order: one raised young1c-sweep's peak RSS
+    if op is not a:
         x = to_caller(x)
     # the scaled pair gives the same ratio
     trr = true_relative_residual(a, b, x)
@@ -320,20 +313,6 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         breakdown=breakdown,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _to_copy_order(perm, v):
-    """A new row-major block of v's rows in the locality copy's order."""
-    # indexing gathers rows from v as it lies; np.take would first copy
-    # a Fortran-order v to row-major, one more n x p block live
-    return v[perm]
-
-
-def _to_file_order(perm, v):
-    """A new row-major block of v's rows in file order."""
-    out = np.empty(v.shape, dtype=np.complex128)
-    out[perm] = v
-    return out
 
 
 def _observer_hook(observer, to_caller):

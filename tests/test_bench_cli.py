@@ -69,9 +69,9 @@ class TestSolveCommand:
     def test_locality_copy_built_before_the_first_solver(
         self, tmp_path, monkeypatch, solver_calls
     ):
-        # the warm-up builds a large matrix's locality copy, so that no
-        # solver's cpu cell carries it; the gate is patched down to n=30
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 30)
+        # the warm-up builds a wide matrix's locality copy, so that no
+        # solver's cpu cell carries it; the window is patched down to 0
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
         bfs_order = core_la._bfs_order
 
         def recording(*args):

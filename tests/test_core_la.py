@@ -46,6 +46,15 @@ class TestComplexSymmetricMatrix:
         with pytest.raises(ValueError, match="duplicate entry"):
             ComplexSymmetricMatrix.from_coo(2, [0, 0], [1, 1], [1.0, 2.0])
 
+    def test_constructor_names_a_repeated_column_as_a_duplicate(self):
+        # from_coo leaves duplicates to this check: the first pair out of
+        # order names the smallest duplicate of sorted storage
+        csr = dict(row_ptr=[0, 1, 4, 5], values=[1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match=r"^duplicate entry at \(1, 2\)$"):
+            ComplexSymmetricMatrix(3, col_idx=[0, 0, 2, 2, 1], **csr)
+        with pytest.raises(ValueError, match="increase strictly within row 1"):
+            ComplexSymmetricMatrix(3, col_idx=[0, 2, 0, 2, 1], **csr)
+
     def test_from_coo_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ComplexSymmetricMatrix.from_coo(2, [0, 2], [0, 0], [1.0, 1.0])
@@ -402,7 +411,7 @@ GEN1E5_COPY_SHA256 = {
 def test_benchmark_matrix_bits_after_a_solve():
     spec = ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
     m, b = gen_problem(spec)
-    assert m.n >= core_la._LOCALITY_MIN_ORDER
+    assert core_la._spread(m) > core_la._LOCALITY_WINDOW
     assert solvers.bl_cocg(m, b[:, :1]).converged
     arrays = (m.row_ptr, m.col_idx, m.values)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
@@ -457,9 +466,9 @@ def _kernel_reads(monkeypatch):
 
 class TestKernelIndex:
     """`matvec` reads the public int64 arrays at every size, and no copy
-    of them is made on the matrix; a locality copy (orders from
-    `_LOCALITY_MIN_ORDER` on) is one more matrix, with int64 arrays of
-    its own."""
+    of them is made on the matrix; a locality copy (of a matrix whose
+    spread is above `_LOCALITY_WINDOW`) is one more matrix, with int64
+    arrays of its own."""
 
     @pytest.mark.parametrize("name", BENCHMARK_MATRIX_SHA256)
     def test_benchmark_matrices_index_arrays(self, name, monkeypatch):
@@ -473,23 +482,21 @@ class TestKernelIndex:
         assert [name for name, *_ in reads] == ["csr_matvecs", "csr_matvec"]
         for _, row_ptr, col_idx, values in reads:
             assert row_ptr is m.row_ptr and col_idx is m.col_idx and values is m.values
-        local = core_la._locality_copy(m)
-        if m.n < core_la._LOCALITY_MIN_ORDER:
-            assert local is None
+        core_la.solve_operator(m)
+        if name == "young1c":
+            assert m._local is False
         else:
-            perm, copy = local
+            perm, copy = m._local
             for arr in (perm, copy.row_ptr, copy.col_idx):
                 assert arr.dtype == np.int64
             assert copy.values.dtype == np.complex128
 
 
-def _build_copy(a):
-    """(perm, copy) of a new matrix on a's arrays, so that no cached
-    copy is reused."""
-    fresh = ComplexSymmetricMatrix(
+def _fresh(a):
+    """A new matrix on a's arrays, with nothing cached on it."""
+    return ComplexSymmetricMatrix(
         a.n, row_ptr=a.row_ptr, col_idx=a.col_idx, values=a.values
     )
-    return core_la._locality_copy(fresh)
 
 
 def _locality_cases():
@@ -530,16 +537,16 @@ LOCALITY_CASES = _locality_cases()
 
 class TestLocalityCopy:
     """P A P^T in breadth-first order, the operator the solvers run a
-    large matrix on; here the gate is patched down to every order."""
+    wide matrix on; here the window is patched below every spread."""
 
     @pytest.fixture(autouse=True)
-    def every_order(self, monkeypatch):
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 1)
+    def every_spread(self, monkeypatch):
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", -1)
 
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_order_is_a_repeatable_permutation(self, name):
         a = LOCALITY_CASES[name]
-        (perm, first), (again, second) = _build_copy(a), _build_copy(a)
+        (perm, first), (again, second) = core_la._locality_copy(a), core_la._locality_copy(a)
         assert np.array_equal(np.sort(perm), np.arange(a.n))
         assert perm.tobytes() == again.tobytes()
         for attr in ("row_ptr", "col_idx", "values"):
@@ -548,7 +555,7 @@ class TestLocalityCopy:
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_copy_is_the_permuted_matrix(self, name):
         a = LOCALITY_CASES[name]
-        perm, copy = _build_copy(a)
+        perm, copy = core_la._locality_copy(a)
         np.testing.assert_array_equal(copy.to_dense(), a.to_dense()[np.ix_(perm, perm)])
         # every stored entry, explicit zeros included, maps back to the
         # matrix's own storage bit for bit
@@ -563,14 +570,14 @@ class TestLocalityCopy:
         # the benchmark's trace subtracts the matrix's own array bytes
         # from every product a solve takes on its copy
         a = LOCALITY_CASES[name]
-        _, copy = _build_copy(a)
+        _, copy = core_la._locality_copy(a)
         arrays = [(getattr(copy, k), getattr(a, k)) for k in ("row_ptr", "col_idx", "values")]
         assert all(mine.dtype == theirs.dtype for mine, theirs in arrays)
         assert sum(mine.nbytes for mine, _ in arrays) == sum(t.nbytes for _, t in arrays)
 
     def test_breadth_first_from_the_fullest_row(self):
         a = LOCALITY_CASES["components"]
-        perm, _ = _build_copy(a)
+        perm, _ = core_la._locality_copy(a)
         # the root is the first row with the most entries: row 3, inside
         # the chain 0, 3, 6, ...; the chain comes first, in breadth-first
         # levels from row 3, then every other row in file order
@@ -584,25 +591,26 @@ class TestLocalityCopy:
 
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_row_order_round_trip(self, name):
-        a = LOCALITY_CASES[name]
-        perm, copy = _build_copy(a)
+        a = _fresh(LOCALITY_CASES[name])
+        copy, to_op, to_caller = core_la.solve_operator(a)
+        perm, cached = a._local
+        assert copy is cached
         v = _rand_block(a.n, 3, 1)
-        there = solvers._to_copy_order(perm, v)
+        there = to_op(v)
         assert there.flags.c_contiguous and there.dtype == np.complex128
         np.testing.assert_array_equal(there, v[perm])
-        back = solvers._to_file_order(perm, there)
+        back = to_caller(there)
         assert back.flags.c_contiguous
         np.testing.assert_array_equal(back, v)
         np.testing.assert_allclose(
-            solvers._to_file_order(perm, copy.matvec(there)), a.matvec(v),
-            rtol=1e-13, atol=1e-14,
+            to_caller(copy.matvec(there)), a.matvec(v), rtol=1e-13, atol=1e-14,
         )
 
     @pytest.mark.parametrize("p", range(1, 10))
     def test_product_is_row_major_with_the_bits_of_either_layout(self, p):
         # a row-major block and its Fortran-order copy, which the product
         # copies to row-major first, give the same row-major bytes
-        _, copy = _build_copy(LOCALITY_CASES["random"])
+        _, copy = core_la._locality_copy(LOCALITY_CASES["random"])
         v = _rand_block(copy.n, p, p)
         by_rows = copy.matvec(np.ascontiguousarray(v))
         by_columns = copy.matvec(v)
@@ -612,10 +620,12 @@ class TestLocalityCopy:
     def test_built_once_at_first_use_and_cached(self):
         a = ComplexSymmetricMatrix.from_dense(LOCALITY_CASES["random"].to_dense())
         assert a._local is None
-        local = core_la._locality_copy(a)
-        perm, copy = local
+        copy, _, _ = core_la.solve_operator(a)
+        local = a._local
+        perm, cached = local
         assert perm.dtype == np.int64 and type(copy) is ComplexSymmetricMatrix
-        assert core_la._locality_copy(a) is local
+        assert core_la.solve_operator(a)[0] is cached is copy
+        assert a._local is local
 
     def test_gate_and_overriding_classes_keep_file_order(self, monkeypatch):
         d = LOCALITY_CASES["random"].to_dense()
@@ -624,11 +634,20 @@ class TestLocalityCopy:
             def matvec(self, v):
                 return super().matvec(v)
 
-        assert core_la._locality_copy(Wrapped.from_dense(d)) is None
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", d.shape[0] + 1)
+        wrapped = Wrapped.from_dense(d)
+        assert core_la.solve_operator(wrapped)[0] is wrapped
+        assert wrapped._local is None
+        # a spread equal to the window is not above it
         a = ComplexSymmetricMatrix.from_dense(d)
-        assert core_la._locality_copy(a) is None
-        assert a._local is None
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", core_la._spread(a))
+        op, to_op, to_caller = core_la.solve_operator(a)
+        assert op is a and a._local is False
+        v = _rand_block(a.n, 3, 1)
+        there = to_op(v)
+        back = to_caller(there)
+        assert there.flags.c_contiguous and back.flags.c_contiguous
+        assert not np.shares_memory(there, v) and not np.shares_memory(back, there)
+        np.testing.assert_array_equal(back, v)
 
 
 # past 46,340 the key row * n + col no longer fits in int32, so int32

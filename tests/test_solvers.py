@@ -462,25 +462,27 @@ class TestDeterminism:
 
     def test_bitwise_repeatability_under_blas_threads(self):
         # each child solves twice with every solver, in file order and
-        # then through the locality copy, its gate patched to the
-        # problem's order; both runs in one process must
+        # then, on a new copy of the matrix, through the locality copy,
+        # its window patched to 0; both runs in one process must
         # match bit for bit whatever the BLAS thread count
         child = textwrap.dedent(
             """
             import hashlib, json
             from cskrylov import SOLVERS, ProblemSpec, core_la, gen_problem
-            a, b = gen_problem(ProblemSpec(
-                n=2000, p=8, kind="diagdominant", density=1e-3, seed=11))
+            spec = ProblemSpec(n=2000, p=8, kind="diagdominant", density=1e-3, seed=11)
+            a, b = gen_problem(spec)
             def digest(res):
                 h = hashlib.sha256(repr(res.history).encode())
                 h.update(res.x.tobytes())
                 return h.hexdigest()
             runs = {name: [digest(fn(a, b)) for _ in range(2)]
                     for name, fn in SOLVERS.items()}
-            core_la._LOCALITY_MIN_ORDER = a.n
+            assert a._local is False
+            core_la._LOCALITY_WINDOW = 0
+            a, b = gen_problem(spec)
             for name, fn in SOLVERS.items():
                 runs[name + " local"] = [digest(fn(a, b)) for _ in range(2)]
-            assert a._local is not None
+            assert a._local
             print(json.dumps(runs))
             """
         )
@@ -660,12 +662,13 @@ def _x0(b):
 
 
 class TestLocalityOrder:
-    """Solves through the locality copy, with its gate patched down to
-    the test problems' order, against the same solves in file order."""
+    """Solves through the locality copy, with its window patched down to
+    0, against the same solves in file order. The row order is cached on
+    a matrix at its first solve, so the copy is taken on a new matrix."""
 
     @pytest.fixture
     def local_gate(self, monkeypatch):
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
 
     @pytest.mark.parametrize("p", [1, 3, 8])
     @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
@@ -675,11 +678,12 @@ class TestLocalityOrder:
         x0 = _x0(b) if with_x0 else None
         cfg = SolverConfig(tol=1e-10)
         plain = solver(a, b, x0, cfg)
-        assert core_la._locality_copy(a) is None
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
-        local = solver(a, b, x0, cfg)
-        again = solver(a, b, x0, cfg)
-        assert type(a._local[1]) is ComplexSymmetricMatrix
+        assert a._local is False
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        wide, _ = _local_problem(p)
+        local = solver(wide, b, x0, cfg)
+        again = solver(wide, b, x0, cfg)
+        assert type(wide._local[1]) is ComplexSymmetricMatrix
         assert plain.converged
         assert (local.iterations, local.status) == (plain.iterations, plain.status)
         if x0 is None:
@@ -708,9 +712,10 @@ class TestLocalityOrder:
 
         plain_state, local_state = {}, {}
         solver(a, b, cfg=at_m1(plain_state))
-        monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        a, b = _local_problem(3)
         solver(a, b, cfg=at_m1(local_state))
-        assert a._local is not None
+        assert a._local
         assert set(local_state) == set(plain_state)
         x, x_plain = local_state["X"], plain_state["X"]
         assert fro_norm(x - x_plain) <= 1e-12 * fro_norm(x_plain)
@@ -739,9 +744,94 @@ class TestLocalityOrder:
         arrays = [arr.tobytes() for arr in (a.row_ptr, a.col_idx, a.values)]
         before = a.matvec(b)
         bl_cocg(a, b)
-        assert a._local is not None
+        assert a._local
         assert [arr.tobytes() for arr in (a.row_ptr, a.col_idx, a.values)] == arrays
         assert a.matvec(b).tobytes() == before.tobytes()
+
+
+def _tridiagonal(n):
+    """Diagonal 4 + 1j, off-diagonals -1: a chain, banded in file order."""
+    i = np.arange(n)
+    rows = np.concatenate([i, i[1:], i[:-1]])
+    cols = np.concatenate([i, i[:-1], i[1:]])
+    vals = np.concatenate([np.full(n, 4 + 1j), np.full(2 * n - 2, -1.0)])
+    return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+
+
+def _grid(m, perm=None):
+    """The five-point -Laplacian - k^2 (1 + 0.1i) on an m x m grid at
+    kh = 0.3, with row k the grid point numbered perm[k] in natural
+    order (natural order itself for perm None)."""
+    k = np.arange(m * m)
+    right, down = k[k % m < m - 1], k[k < m * m - m]
+    rows = np.concatenate([k, right, right + 1, down, down + m])
+    cols = np.concatenate([k, right + 1, right, down + m, down])
+    vals = np.where(rows == cols, 4 - 0.09 * (1 + 0.1j), -1.0)
+    if perm is not None:
+        position = np.empty(m * m, dtype=np.int64)
+        position[perm] = k
+        rows, cols = position[rows], position[cols]
+    return ComplexSymmetricMatrix.from_coo(m * m, rows, cols, vals)
+
+
+class TestLocalityGate:
+    """The row order follows the operator's spread, not its order: a
+    banded operator of any order is solved in file order, a wide one
+    through its locality copy."""
+
+    @pytest.mark.parametrize("build", [lambda: _tridiagonal(100_000), lambda: _grid(316)],
+                             ids=["tridiagonal n=1e5", "grid 316x316"])
+    def test_banded_operators_build_no_copy(self, build, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a banded operator ran the breadth-first search")
+
+        monkeypatch.setattr(core_la, "_bfs_order", refuse)
+        a = build()
+        assert a.n >= 50_000 and core_la._spread(a) < 200
+        b = gen_rhs(a.n, 2, 0)
+        for name, solver in ALL:
+            res = solver(a, b, cfg=SolverConfig(max_iter=2))
+            assert res.iterations == 2 and np.isfinite(res.trr), name
+        assert a._local is False
+
+    def test_wide_operator_of_any_order_takes_its_copy(self):
+        natural = _grid(200)
+        a = _grid(200, np.random.default_rng(0).permutation(natural.n))
+        assert core_la._spread(natural) < 200 < core_la._LOCALITY_WINDOW < core_la._spread(a)
+        b = gen_rhs(a.n, 4, 0)
+        cfg = SolverConfig(max_iter=3)
+        for m in (natural, a):
+            assert bl_cocg(m, b, cfg=cfg).iterations == 3
+        assert natural._local is False
+        perm, copy = a._local
+        assert core_la._spread(copy) < 200
+
+    def test_overriding_matvec_on_a_wide_operator_keeps_file_order(self, monkeypatch):
+        class CountingMatrix(ComplexSymmetricMatrix):
+            def matvec(self, v):
+                self.count = getattr(self, "count", 0) + 1
+                return super().matvec(v)
+
+        m = 200
+        base = _grid(m, np.random.default_rng(0).permutation(m * m))
+        a = CountingMatrix(
+            base.n, row_ptr=base.row_ptr, col_idx=base.col_idx, values=base.values
+        )
+        assert core_la._spread(a) > core_la._LOCALITY_WINDOW
+        spreads = _calls(monkeypatch, core_la, "_spread")
+        for name, solver in ALL:
+            res = solver(a, gen_rhs(a.n, 4, 0), cfg=SolverConfig(max_iter=3))
+            # one product per iteration, one for COCR's set-up, one at exit
+            assert a.count == res.iterations + (2 if "cocr" in name else 1), name
+            a.count = 0
+        assert a._local is None and not spreads
+
+    def test_narrow_verdict_is_read_once_per_matrix(self, monkeypatch):
+        spreads = _calls(monkeypatch, core_la, "_spread")
+        a, b = _local_problem(3)
+        for name, solver in ALL:
+            assert solver(a, b).converged, name
+        assert a._local is False and len(spreads) == 1
 
 
 def _count_multi_vector_products(monkeypatch):
@@ -772,7 +862,7 @@ class TestRowMajorSolves:
         elif case == "n=40 p=3":
             a, b = _problem(n=40, p=3)
         else:
-            monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
             a, b = _local_problem(8)
         seen, products = [], []
         # the exit check sums the true residual column by column on
@@ -834,9 +924,9 @@ class TestLayoutBits:
         # a row-major B and its Fortran-order copy reach the operator as
         # the same row-major block, in file order and through the locality
         # copy alike, so the two solves keep the same bits
-        a, b = _local_problem(p)
-        for gate in (core_la._LOCALITY_MIN_ORDER, 300):
-            monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", gate)
+        for window in (core_la._LOCALITY_WINDOW, 0):
+            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", window)
+            a, b = _local_problem(p)
             by_rows = _count_multi_vector_products(monkeypatch)
             rows = solver(a, np.ascontiguousarray(b))
             # one product per iteration and one for the exit check, all
@@ -844,7 +934,7 @@ class TestLayoutBits:
             assert len(by_rows) == rows.iterations + 1
             columns = solver(a, np.asfortranarray(b))
             assert len(by_rows) == 2 * (rows.iterations + 1)
-            assert (a._local is not None) == (gate == 300)
+            assert bool(a._local) == (window == 0)
             assert rows.converged
             assert (rows.iterations, rows.status) == (columns.iterations, columns.status)
             assert rows.history == columns.history and rows.trr == columns.trr
@@ -908,7 +998,7 @@ class TestLayoutBits:
         # ||xi||_F is summed in column-major order on both paths; xi
         # itself is row-major, and its row-major sum has other bits
         if local:
-            monkeypatch.setattr(core_la, "_LOCALITY_MIN_ORDER", 300)
+            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
         a, b = _local_problem(8)
         small = []
 
@@ -1079,13 +1169,13 @@ class TestScipyLoading:
             """
             import json, sys
             from cskrylov import ProblemSpec, bl_cocr_rq, core_la, gen_problem
-            core_la._LOCALITY_MIN_ORDER = 100
+            core_la._LOCALITY_WINDOW = 0
             a, b = gen_problem(ProblemSpec(n=2000, p=4, kind="diagdominant",
                                            density=1e-3, seed=2))
             res = bl_cocr_rq(a, b)
             print(json.dumps({
                 "converged": res.converged,
-                "local": a._local is not None,
+                "local": bool(a._local),
                 "csgraph": [m for m in sys.modules if "csgraph" in m],
             }))
             """
