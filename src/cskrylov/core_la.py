@@ -13,18 +13,16 @@ of standard libraries do not apply to them. The thin QR is the
 exception: its Q is orthonormal in the Hermitian sense (Q^H Q = I), so
 it may factor the Hermitian Gram W^H W.
 
-The solvers run every solve on row-major (C-order) blocks; a single
-column is both layouts. The CSR product returns a row-major block: one
-pass of scipy's multi-vector kernel for p >= 2, its one-vector kernel
-for a single column, with the same bits. The other kernels keep their
-input's layout: a row-major block gives row-major results, a
-Fortran-order one Fortran-order results, and any other layout is first
-copied to Fortran order. The two layouts' BLAS products round
-differently wherever n or p is not a multiple of 4 (see `axpy_block`).
-The block update X <- X + Y C is made in place, on large blocks by one
-``zgemm`` call, and the thin QR forms its Hermitian Grams by ``zgemm``
-on the block's own memory, in either layout. Every kernel but
-`axpy_block` returns a new array; `axpy_block` updates and returns X.
+The block kernels compute on row-major (C-order) blocks only; a single
+column is both layouts. The CSR product and the thin QR copy a block in
+any other layout to row-major once and return row-major blocks: the
+product is one pass of scipy's multi-vector kernel for p >= 2, its
+one-vector kernel for a single column, with the same bits. The block
+update X <- X + Y C is made in place, on large blocks by one ``zgemm``
+call, so X must be row-major; Y is copied to row-major where it is not.
+The thin QR forms its Hermitian Grams by ``zgemm`` on the block's own
+memory. Every kernel but `axpy_block` returns a new array;
+`axpy_block` updates and returns X.
 
 A matrix's public arrays and its `matvec` stay in file order, the order
 the matrix was built in. `solve_operator` decides once per matrix what
@@ -486,14 +484,14 @@ def thin_qr(w):
     Returns
     -------
     QrFactors
-        q of shape (n, p), in w's layout (row-major for a row-major w,
-        else Fortran order), and xi of shape (p, p).
+        q of shape (n, p), row-major whatever w's layout (w is copied to
+        row-major first where it is not), and xi of shape (p, p).
     """
-    w = _as_block(w, "w")
+    w = _as_block(np.ascontiguousarray(w, dtype=np.complex128), "w")
     n, p = w.shape
     if n < p:
         raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
-    q = np.empty((n, p), dtype=np.complex128, order=_layout(w))
+    q = np.empty((n, p), dtype=np.complex128)
     xi = np.zeros((p, p), dtype=np.complex128)
     if p == 1:
         # a squared norm that underflows or overflows goes to Householder,
@@ -561,7 +559,7 @@ def _cholesky_qr(w, q, xi):
         np.matmul(w, r1_inv, out=q)
         xi[:] = r1
     else:
-        q1 = np.matmul(w, r1_inv, order=_layout(w))
+        q1 = np.matmul(w, r1_inv)
         g2 = _gram_h(q1)
         if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
             return False
@@ -577,49 +575,34 @@ def _cholesky_qr(w, q, xi):
 
 
 def _gram_h(v):
-    """v^H @ v for a Fortran-order or row-major block v, summed over row
-    chunks.
+    """v^H @ v for a row-major block v, summed over row chunks.
 
-    Each chunk's product is one ``zgemm`` call on v's own memory (see
-    `_routine`), so no conjugate copy is made: ``zgemm('C', 'N')`` on a
-    Fortran-order chunk v, and ``zgemm('R', 'T')`` on a row-major one,
-    which a column-major routine reads as v^T; 'R' (conjugate, not
-    transposed) is an OpenBLAS extension. A block and its row-major copy
-    give the same bits (`zgemm('N', 'C')`, the other way to read a
-    row-major chunk, does not). Where numpy exposes no such symbol, or a
-    row-major block meets a library that is not OpenBLAS, each chunk's
-    conjugate copy goes to numpy's product instead, which gives both
-    layouts the same bits too.
+    Each chunk's product is one ``zgemm('R', 'T')`` call on v's own
+    memory (see `_routine`), which a column-major routine reads as v^T,
+    so no conjugate copy is made; 'R' (conjugate, not transposed) is an
+    OpenBLAS extension, and ``zgemm('N', 'C')``, the other way to read a
+    row-major chunk, rounds differently. Where numpy exposes no such
+    symbol, or the library is not OpenBLAS, each chunk's conjugate copy
+    goes to numpy's product instead.
     """
     n, p = v.shape
     g = np.zeros((p, p), dtype=np.complex128)
-    layout = _layout(v)
-    gemm = _routine("zgemm") if layout == "F" or _is_openblas() else None
+    gemm = _routine("zgemm") if _is_openblas() else None
     if gemm is None:
         for i in range(0, n, _ROW_CHUNK):
             rows = v[i : i + _ROW_CHUNK]
             g += np.conjugate(rows).T @ rows
         return g
     fn, int_t = gemm
-    if layout == "F":
-        ops, ld, row_bytes = (b"C", b"N"), int_t(n), v.itemsize
-    else:
-        ops, ld, row_bytes = (b"R", b"T"), int_t(p), p * v.itemsize
     part = np.empty((p, p), dtype=np.complex128, order="F")
     width = int_t(p)
     start, out = v.ctypes.data, part.ctypes.data
     for i in range(0, n, _ROW_CHUNK):
-        rows = start + i * row_bytes
-        fn(*ops, width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
-           rows, ld, rows, ld, _ZERO_ADDRESS, out, width)
+        rows = start + i * p * v.itemsize
+        fn(b"R", b"T", width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
+           rows, width, rows, width, _ZERO_ADDRESS, out, width)
         g += part
     return g
-
-
-def _layout(v):
-    """numpy's order letter of a contiguous block: "F" for Fortran order,
-    which a single column also is, else "C"."""
-    return "F" if v.flags.f_contiguous else "C"
 
 
 def _cholesky_r(g):
@@ -856,14 +839,18 @@ _NORM_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 def fro_norm(v):
     """Frobenius norm of a block vector or small matrix.
 
-    The squares are summed in the block's memory order (column-major for
-    a Fortran-order or non-contiguous block). Where that plain sum
-    overflows on finite entries, or gives a nonzero block a norm below
-    `_NORM_MIN` (~1.5e-146), the norm is taken again on the block scaled
-    by 2^-e, with e the binary exponent of its largest real or imaginary
-    part, and scaled back: the scaling is exact, so only such blocks
-    change their result. An overflowing plain sum may still raise
-    numpy's overflow warning.
+    The squares are summed in the block's memory order: row by row on a
+    row-major block, column by column on a Fortran-order one, which a
+    non-contiguous block is first copied to. Unlike the block kernels,
+    the norm keeps its input's layout, because the order fixes its bits;
+    callers that want the column order hand it a Fortran-order block.
+
+    Where that plain sum overflows on finite entries, or gives a nonzero
+    block a norm below `_NORM_MIN` (~1.5e-146), the norm is taken again
+    on the block scaled by 2^-e, with e the binary exponent of its
+    largest real or imaginary part, and scaled back: the scaling is
+    exact, so only such blocks change their result. An overflowing plain
+    sum may still raise numpy's overflow warning.
 
     Parameters
     ----------
@@ -910,26 +897,25 @@ def axpy_block(x, y, c):
     """Update X <- X + Y @ C in place, for block vectors X, Y and a small
     matrix C.
 
-    X may be in Fortran order or row-major, and Y is used in X's layout
-    (copied to it where it differs). A block of at least
-    `_GEMM_MIN_SIZE` entries is updated by one ``zgemm`` call with
-    beta = 1 in the library numpy links (see `_routine`); a row-major X
-    is updated as X^T <- X^T + C^T Y^T, the same call with its operands
-    swapped. Smaller blocks, and every block where numpy exposes no such
-    symbol, take ``x += np.matmul(y, c, order=...)``, the product formed
-    in X's layout. Both give the bits of X + Y @ C formed in a new block
-    of X's layout, except that zgemm may round differently at p = 1. A
-    row-major X has other bits than the same X in Fortran order wherever
-    n or p is not a multiple of 4: OpenBLAS's edge tiles then fall on
-    the other dimension of the product.
+    X is row-major, and Y is copied to row-major where it is not. A
+    block of at least `_GEMM_MIN_SIZE` entries is updated by one
+    ``zgemm`` call with beta = 1 in the library numpy links (see
+    `_routine`): a block of p >= 2 columns as X^T <- X^T + C^T Y^T,
+    which is how a column-major routine reads the row-major buffers, and
+    a single column by the column-major call itself. Smaller blocks, and
+    every block where numpy exposes no such symbol, take
+    ``x += y @ c``. Both give the bits of X + Y @ C formed in a new
+    row-major block.
 
     Parameters
     ----------
     x : ndarray
-        Block vector of shape (n, p): a writeable complex128 array in
-        Fortran order or row-major, overwritten with the result.
+        Block vector of shape (n, p): a writeable row-major complex128
+        array (a single column is both layouts), overwritten with the
+        result.
     y : ndarray
-        Block vector of shape (n, p), sharing no memory with x.
+        Block vector of shape (n, p) in any layout, sharing no memory
+        with x.
     c : ndarray
         Coefficient matrix of shape (p, p), sharing no memory with x.
 
@@ -947,18 +933,14 @@ def axpy_block(x, y, c):
     if not (
         isinstance(x, np.ndarray)
         and x.dtype == np.complex128
-        and x.flags.forc
+        and x.flags.c_contiguous
         and x.flags.writeable
     ):
         raise ValueError(
-            "x must be a writeable contiguous complex128 array: "
+            "x must be a writeable row-major complex128 array: "
             "it is updated in place"
         )
-    row_major = not x.flags.f_contiguous
-    if row_major:
-        y = np.ascontiguousarray(y, dtype=np.complex128)
-    else:
-        y = np.asfortranarray(y, dtype=np.complex128)
+    y = np.ascontiguousarray(y, dtype=np.complex128)
     c = _as_small(c, "c")
     if x.ndim != 2 or x.shape != y.shape or y.shape[1] != c.shape[0]:
         raise ValueError(
@@ -968,17 +950,18 @@ def axpy_block(x, y, c):
         raise ValueError("x shares memory with y or c: it is updated in place")
     gemm = _routine("zgemm") if x.size >= _GEMM_MIN_SIZE else None
     if gemm is None:
-        x += np.matmul(y, c, order=_layout(x))
+        x += y @ c
         return x
     fn, int_t = gemm
     n, p = int_t(x.shape[0]), int_t(x.shape[1])
-    if row_major:
+    if x.shape[1] == 1:
+        # the column-major call, whose bits are those of x + y @ c; the
+        # swapped call below gives a single column those of x + y * c
+        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, y.ctypes.data, n,
+           c.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, n)
+    else:
         # to a column-major routine the buffers of x, y and c are X^T,
         # Y^T and C^T
         fn(b"N", b"N", p, n, p, _ONE_ADDRESS, c.ctypes.data, p,
            y.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, p)
-    else:
-        # c is row-major, so its buffer is C^T to a column-major routine
-        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, y.ctypes.data, n,
-           c.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, n)
     return x

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import qr_reference
 from conftest import child_env
+from test_core_la import _two_pass
 
 import cskrylov.solvers as solvers_module
 from cskrylov import core_la
@@ -540,30 +540,29 @@ class TestDeterminism:
 
 def _csr_array_matvec(self, v):
     """The CSR product as it was before the multi-vector kernel: scipy's
-    `csr_array @ v`, copied into a fresh block of v's layout."""
+    `csr_array @ v`, copied into a fresh row-major block."""
     import scipy.sparse
 
     csr = scipy.sparse.csr_array(
         (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
     )
-    out = np.empty(np.shape(v), dtype=np.complex128, order=core_la._layout(v))
+    out = np.empty(np.shape(v), dtype=np.complex128)
     out[:] = csr @ v
     return out
 
 
 def _matmul_axpy(x, y, c):
     """The block update as it was before zgemm: X + Y C into a fresh
-    block of X's layout."""
-    out = np.empty(np.shape(x), dtype=np.complex128, order=core_la._layout(x))
+    row-major block."""
+    out = np.empty(np.shape(x), dtype=np.complex128)
     np.matmul(y, c, out=out)
     out += x
     return out
 
 
 class TestKernelBits:
-    """The multi-vector CSR product and the in-place block update give
-    the bits of the formulas they replaced, wherever the block has p >= 2
-    columns (zgemm's product of one column can round differently)."""
+    """The multi-vector CSR product, the in-place block update and the
+    thin QR give the bits of the formulas they replaced."""
 
     @staticmethod
     def _cases():
@@ -598,17 +597,16 @@ class TestKernelBits:
     def test_thin_qr_keeps_the_bits_of_the_conjugate_copy_grams(self, monkeypatch):
         # the reference is CholeskyQR2 throughout, so the live thin QR runs
         # with its one-pass gate shut. The reference works in Fortran
-        # order, whose products have the row-major bits only where n and p
-        # are multiples of 4, so young1c (n = 841) is left out; the
-        # Fortran-order kernel pins of TestAgainstQrReference cover it
+        # order, whose products have the row-major bits only where n is a
+        # multiple of 4 too, so the solves take its Grams and Cholesky
+        # factors with row-major products (`_two_pass`), as at n = 841
+        # in TestAgainstQrReference
         monkeypatch.setattr(core_la, "_CHOLQR_ONE_PASS_BOUND", 0.0)
         factored = [(name, fn) for name, fn in ALL if name.endswith("_rq")]
         for case, a, b in self._cases():
-            if case.startswith("young1c"):
-                continue
             new = self._outcomes(a, b, factored)
             with monkeypatch.context() as patch:
-                patch.setattr(solvers_module, "thin_qr", qr_reference.thin_qr)
+                patch.setattr(solvers_module, "thin_qr", _two_pass)
                 old = self._outcomes(a, b, factored)
             for name in new:
                 assert new[name] == old[name], f"{case} {name}"
@@ -906,17 +904,10 @@ class TestRowMajorSolves:
 
 
 class TestLayoutBits:
-    """Row-major blocks, on which the solvers run, against the same
-    blocks in Fortran order, which public callers may hand the kernels.
-
-    A zgemm product whose output is an n x p block rounds differently
-    row-major wherever n or p is not a multiple of 4: OpenBLAS's 4-wide
-    edge tiles fall on the other dimension. That touches both branches
-    of `axpy_block` and both products of `thin_qr`. The blocks here have
-    n a multiple of 4, so those kernels keep their bits at p = 4 and 8
-    and agree to rounding at the other widths below."""
-
-    ROUNDING_WIDTHS = (2, 3, 5, 6, 7, 9)
+    """Row-major blocks, on which the solvers and the kernels compute,
+    against the same blocks in Fortran order, which public callers may
+    hand them: such a block is copied to row-major, so both give the
+    same bits."""
 
     @pytest.mark.parametrize("p", [3, 8])
     @pytest.mark.parametrize("name,solver", ALL)
@@ -941,10 +932,9 @@ class TestLayoutBits:
             assert rows.x.flags.c_contiguous and columns.x.flags.c_contiguous
             assert rows.x.tobytes() == columns.x.tobytes()
 
-    @pytest.mark.parametrize("p", range(2, 10))
-    def test_kernels_give_the_fortran_order_bits(self, p):
-        n = 5000
-        assert n % 4 == 0 and n * p >= core_la._GEMM_MIN_SIZE
+    @pytest.mark.parametrize("n", [841, 5000])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+    def test_kernels_compute_on_row_major_blocks(self, n, p):
         rng = np.random.default_rng(p)
         v, w = (
             np.asfortranarray(rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
@@ -952,31 +942,19 @@ class TestLayoutBits:
         )
         v_rows, w_rows = np.ascontiguousarray(v), np.ascontiguousarray(w)
         c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        exact = p not in self.ROUNDING_WIDTHS
-
-        def check(rows_out, fortran_out, always):
-            rows_out = np.asfortranarray(rows_out)
-            if always or exact:
-                assert rows_out.tobytes() == fortran_out.tobytes()
-            else:
-                np.testing.assert_allclose(rows_out, fortran_out, rtol=1e-13, atol=1e-13)
-
-        check(t_gram(v_rows, w_rows), t_gram(v, w), always=True)
-        check(core_la._gram_h(v_rows), core_la._gram_h(v), always=True)
-        # numpy's product below the zgemm size, then zgemm's; both form
-        # the product in X's layout
-        for m in ((core_la._GEMM_MIN_SIZE - 1) // p // 4 * 4, n):
-            x, x_rows = v[:m].copy(order="F"), v_rows[:m].copy()
-            expected = x_rows + np.matmul(w_rows[:m], c, order="C")
+        assert t_gram(v, w).tobytes() == t_gram(v_rows, w_rows).tobytes()
+        fac, fac_rows = core_la.thin_qr(v), core_la.thin_qr(v_rows)
+        assert fac.q.flags.c_contiguous and fac_rows.q.flags.c_contiguous
+        assert fac.q.tobytes() == fac_rows.q.tobytes()
+        assert fac.xi.tobytes() == fac_rows.xi.tobytes()
+        # numpy's product below the zgemm size, then zgemm's from it on
+        # (at n = 5000, p >= 2); w[:m] is a strided Fortran-order block
+        for m in (min(n, (core_la._GEMM_MIN_SIZE - 1) // p), n):
+            x, x_rows = v_rows[:m].copy(), v_rows[:m].copy()
+            expected = x_rows + w_rows[:m] @ c
             core_la.axpy_block(x, w[:m], c)
             core_la.axpy_block(x_rows, w_rows[:m], c)
-            assert x_rows.flags.c_contiguous
-            assert x_rows.tobytes() == expected.tobytes()
-            check(x_rows, x, always=False)
-        fac, fac_rows = core_la.thin_qr(v), core_la.thin_qr(v_rows)
-        assert fac_rows.q.flags.c_contiguous
-        check(fac_rows.q, fac.q, always=False)
-        check(fac_rows.xi, fac.xi, always=False)
+            assert x.tobytes() == x_rows.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("p", [3, 8])
     def test_gram_without_zgemm_or_openblas_takes_numpy(self, p, monkeypatch):
