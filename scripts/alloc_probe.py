@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print how much memory each solver's iterations allocate.
+
+For the seed-0 gen1e5-p8 problem (n = 1e5, p = 8, diagdominant,
+density 2e-5, the benchmark's matrix) and each solver in turn, one
+line gives:
+
+- ``iters``: the iteration count of the solve
+- ``faults/iter``: minor page faults (``ru_minflt`` of this process)
+  over the second of two back-to-back solves, per iteration
+- ``peak_blocks``: the peak of the memory that a third solve allocates
+  and holds at once (``tracemalloc``), in units of one n x p complex128
+  block. It covers the whole solve: the copy of B, X, the iteration's
+  blocks and the exit check.
+
+The first solve of the run also builds the matrix's locality copy
+(`core_la.solve_operator`), so it is never measured. The package is
+imported from the ``src/`` of the tree this script sits in, so running
+each tree's copy compares two trees:
+
+    python3 scripts/alloc_probe.py
+"""
+
+import resource
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    import cskrylov as ck
+
+    if Path(ck.__file__).resolve().parent != ROOT / "src" / "cskrylov":
+        raise SystemExit(f"imported cskrylov from {ck.__file__}, not {ROOT / 'src'}")
+    spec = ck.ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
+    a, b = ck.gen_problem(spec)
+    block = b.size * b.itemsize
+    for name, solver in ck.SOLVERS.items():
+        solver(a, b)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        res = solver(a, b)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        tracemalloc.start()
+        solver(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        print(
+            f"{name} iters={res.iterations} "
+            f"faults/iter={faults / max(res.iterations, 1):.0f} "
+            f"peak_blocks={peak / block:.2f}",
+            flush=True,
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,15 +21,19 @@ one-vector kernel for a single column, with the same bits. The block
 update X <- X + Y C is made in place, on large blocks by one ``zgemm``
 call, so X must be row-major; Y is copied to row-major where it is not.
 The thin QR forms its Hermitian Grams by ``zgemm`` on the block's own
-memory. Every kernel but `axpy_block` returns a new array;
-`axpy_block` updates and returns X.
+memory. Every kernel but `axpy_block` returns a new array, except that
+the product and the thin QR take an ``out=`` block to write into
+(the thin QR then uses its input as scratch), which lets a solve run
+in blocks it allocates once; `axpy_block` updates and returns X.
 
 A matrix's public arrays and its `matvec` stay in file order, the order
 the matrix was built in. `solve_operator` decides once per matrix what
 the solvers run on: where the stored entries lie on average more than
-`_LOCALITY_WINDOW` rows from their row, a locality copy cached on the
-matrix (`_locality_copy`, P A P^T in a breadth-first row order); else
-(a banded matrix, say) the matrix itself. Blocks are row-major.
+`_LOCALITY_WINDOW` rows from their row, and a breadth-first row order
+brings them within it, a locality copy cached on the matrix
+(`_locality_copy`, P A P^T in that order); else (a banded matrix, say,
+or one of many small components) the matrix itself. Blocks are
+row-major.
 """
 
 import ctypes
@@ -82,6 +86,24 @@ def _as_block(v, name="block vector"):
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def _check_out(out, v):
+    """Refuse an out= block that cannot take a kernel's result for v in
+    place: it must be a writeable row-major complex128 array of v's
+    shape, sharing no memory with v."""
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.complex128
+        and out.shape == v.shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writeable row-major complex128 array of shape {v.shape}"
+        )
+    if np.shares_memory(out, v):
+        raise ValueError("out shares memory with the input block")
 
 
 def _as_small(c, name="coefficient matrix"):
@@ -253,9 +275,9 @@ class ComplexSymmetricMatrix:
             )
         return self._symmetric
 
-    def matvec(self, v):
+    def matvec(self, v, out=None):
         """Return A @ v for an (n, p) block vector v, as a new row-major
-        block.
+        block, or written into out.
 
         A single column takes scipy's one-vector CSR kernel, a block of
         p >= 2 columns one pass of its multi-vector kernel, which reads
@@ -267,6 +289,10 @@ class ComplexSymmetricMatrix:
         multi-vector kernel took 2.0 ms against the one-vector kernel's
         1.5 ms. The kernels read the public arrays, in the order the
         matrix was built in, whatever its size.
+
+        out, where given, is a writeable row-major complex128 block of
+        v's shape that shares no memory with v; it is overwritten and
+        returned, with the bits of the new block.
         """
         v = np.ascontiguousarray(v, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] != self.n:
@@ -275,7 +301,11 @@ class ComplexSymmetricMatrix:
                 f"block vector has shape {v.shape}"
             )
         # the kernels add each row's sum to what the output holds
-        out = np.zeros(v.shape, dtype=np.complex128)
+        if out is None:
+            out = np.zeros(v.shape, dtype=np.complex128)
+        else:
+            _check_out(out, v)
+            out.fill(0.0)
         args = (self.row_ptr, self.col_idx, self.values, v.ravel(), out.ravel())
         if v.shape[1] == 1:
             _sparsetools().csr_matvec(self.n, self.n, *args)
@@ -299,13 +329,14 @@ def solve_operator(a):
     each to a new row-major block.
 
     A matrix whose `_spread` is above `_LOCALITY_WINDOW` runs through its
-    locality copy; any other, and a subclass that replaces `matvec` (so
-    that it sees every product), in file order. The verdict (False for
-    file order) or the copy is cached on a at the first call.
+    locality copy where the copy's spread is within the window (see
+    `_locality_copy`); any other, and a subclass that replaces `matvec`
+    (so that it sees every product), in file order. The verdict (False
+    for file order) or the copy is cached on a at the first call.
     """
-    own_product = type(a).matvec is ComplexSymmetricMatrix.matvec
+    own_product = _has_own_product(a)
     if own_product and a._local is None:
-        a._local = _locality_copy(a) if _spread(a) > _LOCALITY_WINDOW else False
+        a._local = _spread(a) > _LOCALITY_WINDOW and _locality_copy(a)
     if not (own_product and a._local):
         # copies: the solve updates R_0 and X in place, and the observer
         # may keep the blocks it is handed
@@ -322,29 +353,46 @@ def solve_operator(a):
     return copy, lambda v: v[perm], to_caller
 
 
+def _has_own_product(a):
+    """Whether a's ``matvec`` is the matrix's own, not a replacement."""
+    return type(a).matvec is ComplexSymmetricMatrix.matvec
+
+
 def _spread(a):
     """Mean |row - col| over a's stored entries, in rows."""
-    gap = a.col_idx - a._csr_rows()
+    return _mean_gap(a._csr_rows(), a.col_idx)
+
+
+def _mean_gap(rows, cols):
+    """Mean |row - col| over paired entries of two index arrays."""
+    gap = cols - rows
     return float(np.abs(gap, out=gap).sum()) / max(gap.size, 1)
 
 
 def _locality_copy(a):
     """(perm, P A P^T): a breadth-first row order of a and the copy of a
-    in that order.
+    in that order, or False where that order leaves the copy's spread
+    above `_LOCALITY_WINDOW`.
 
     Row i of the copy is row ``perm[i]`` of A, with its columns renamed
     the same way, so the copy is complex symmetric whenever A is and a
     solve of P A P^T (P X) = P B is a solve of A X = B. In breadth-first
     order a row's columns lie near the row (Cuthill & McKee, 1969), so
     the product gathers each column from a narrow window of the vector
-    instead of all of it.
+    instead of all of it. Where the search leaves many rows in file
+    order (a graph of many small components, say), it may not: the
+    copy's spread, the mean |position[row] - position[col]| over the
+    stored entries, is taken before anything is built, and a copy that
+    would stay wide is not built.
     """
     perm = _bfs_order(a.n, a.row_ptr, a.col_idx)
     position = np.empty(a.n, dtype=np.int64)
     position[perm] = np.arange(a.n)
-    copy = ComplexSymmetricMatrix.from_coo(
-        a.n, position[a._csr_rows()], position[a.col_idx], a.values
-    )
+    rows, cols = position[a._csr_rows()], position[a.col_idx]
+    if _mean_gap(rows, cols) > _LOCALITY_WINDOW:
+        return False
+    copy = ComplexSymmetricMatrix.from_coo(a.n, rows, cols, a.values)
+    del rows, cols
     # copies land in the heap the build's temporaries freed; from_coo's
     # own arrays, above them, raised a gen1e5-p8 solving process's peak
     # RSS from 275 to 283 MB
@@ -414,11 +462,14 @@ class QrFactors:
     xi: np.ndarray
 
 
-def block_matvec(a, v):
-    """Compute A @ V into a new block.
+def block_matvec(a, v, out=None):
+    """Compute A @ V into a new block, or into out.
 
     The product is the operator's own: for a matrix, a row-major block
-    (see `ComplexSymmetricMatrix.matvec`).
+    (see `ComplexSymmetricMatrix.matvec`). With out given, a matrix
+    writes its product there; an operator whose ``matvec`` is not the
+    matrix's own (a subclass that replaces it, say) is still called as
+    ``matvec(v)``, and its result copied into out.
 
     Parameters
     ----------
@@ -428,13 +479,22 @@ def block_matvec(a, v):
     v : ndarray
         Block vector of shape (a.n, p), in any memory order; the solvers
         hand it row-major blocks.
+    out : ndarray or None
+        A writeable row-major complex128 block of v's shape, sharing no
+        memory with v, overwritten with the product.
 
     Returns
     -------
     ndarray
-        A @ V, shape (a.n, p), complex128.
+        A @ V, shape (a.n, p), complex128: out itself where given.
     """
-    return a.matvec(v)
+    if out is None:
+        return a.matvec(v)
+    if _has_own_product(a):
+        return a.matvec(v, out=out)
+    _check_out(out, v)
+    np.copyto(out, a.matvec(v))
+    return out
 
 
 def t_gram(v, w):
@@ -460,7 +520,7 @@ def t_gram(v, w):
     return v.T @ w
 
 
-def thin_qr(w):
+def thin_qr(w, out=None):
     """Economy QR of an (n, p) block with n >= p.
 
     A single column is normalized. A wider block is factored by one pass
@@ -476,22 +536,40 @@ def thin_qr(w):
     shows up as (near) zero diagonal entries of xi for consumers to act
     on.
 
+    With out given, CholeskyQR allocates no n x p block: Q, or the
+    first pass Q1 of CholeskyQR2, is written into out, and the second
+    pass writes Q over w, whose block it no longer needs. So w is
+    scratch then, and q is whichever of out and w holds Q. The bits are
+    those of the allocating form either way.
+
     Parameters
     ----------
     w : ndarray
-        Block vector of shape (n, p), n >= p.
+        Block vector of shape (n, p), n >= p. With out given, a
+        row-major complex128 w is overwritten (any other is copied
+        first), so it must be writeable.
+    out : ndarray or None
+        A writeable row-major complex128 block of w's shape, sharing no
+        memory with w.
 
     Returns
     -------
     QrFactors
         q of shape (n, p), row-major whatever w's layout (w is copied to
-        row-major first where it is not), and xi of shape (p, p).
+        row-major first where it is not), and xi of shape (p, p). With
+        out given, q is out or w (w's row-major copy where w was copied).
     """
     w = _as_block(np.ascontiguousarray(w, dtype=np.complex128), "w")
     n, p = w.shape
     if n < p:
         raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
-    q = np.empty((n, p), dtype=np.complex128)
+    if out is None:
+        q = np.empty((n, p), dtype=np.complex128)
+    else:
+        _check_out(out, w)
+        if not w.flags.writeable:
+            raise ValueError("w must be writeable: with out given it is scratch")
+        q = out
     xi = np.zeros((p, p), dtype=np.complex128)
     if p == 1:
         # a squared norm that underflows or overflows goes to Householder,
@@ -499,16 +577,17 @@ def thin_qr(w):
         # could then overflow
         with np.errstate(over="ignore"):
             nrm = float(np.linalg.norm(w))
-        done = 0.0 < nrm < np.inf
-        if done:
+        if 0.0 < nrm < np.inf:
             # numpy's complex / real division computes (re + im * 0) *
             # (1 / nrm) per part; this is that product without the loop
             np.multiply(w.view(np.float64), 1.0 / nrm, out=q.view(np.float64))
             xi[0, 0] = nrm
+            return QrFactors(q=q, xi=xi)
     else:
-        done = _cholesky_qr(w, q, xi)
-    if not done:
-        _householder_qr(w, q, xi)
+        factored = _cholesky_qr(w, q, xi, scratch=out is not None)
+        if factored is not None:
+            return QrFactors(q=factored, xi=xi)
+    _householder_qr(w, q, xi)
     return QrFactors(q=q, xi=xi)
 
 
@@ -544,32 +623,42 @@ _CHOLQR_MIN_DIAG_RATIO = 1e-8
 _ROW_CHUNK = 4096
 
 
-def _cholesky_qr(w, q, xi):
-    """CholeskyQR of w into q and xi: one pass where ||D R1^{-1}||_F,
-    D the column norms of w, is at most `_CHOLQR_ONE_PASS_BOUND`, else
-    CholeskyQR2. Returns False, with q and xi partly written, when the
-    block fails the module's accuracy conditions."""
+def _cholesky_qr(w, q, xi, scratch):
+    """CholeskyQR of w into xi and the block that it returns: one pass,
+    into q, where ||D R1^{-1}||_F, D the column norms of w, is at most
+    `_CHOLQR_ONE_PASS_BOUND`, else CholeskyQR2, whose first pass goes
+    into q and whose second into w where w is scratch, else into a new
+    block. Returns None, with q and xi partly written and w intact, when
+    the block fails the module's accuracy conditions."""
     p = w.shape[1]
     r1 = _cholesky_r(_gram_h(w))
     if r1 is None:
-        return False
+        return None
     r1_inv = np.linalg.inv(r1)
     e = np.linalg.norm(np.linalg.norm(r1, axis=0)[:, None] * r1_inv)
     if e <= _CHOLQR_ONE_PASS_BOUND:
-        np.matmul(w, r1_inv, out=q)
         xi[:] = r1
-    else:
-        q1 = np.matmul(w, r1_inv)
-        g2 = _gram_h(q1)
-        if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
-            return False
-        r2 = _cholesky_r(g2)
-        if r2 is None:
-            return False
-        np.matmul(q1, np.linalg.inv(r2), out=q)
-        # the diagonal of xi is the product of the factors' real positive
-        # diagonals, with exactly zero imaginary parts
-        np.matmul(r2, r1, out=xi)
+        if not _diagonal_resolved(xi):
+            return None
+        return np.matmul(w, r1_inv, out=q)
+    q1 = np.matmul(w, r1_inv, out=q)
+    g2 = _gram_h(q1)
+    if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
+        return None
+    r2 = _cholesky_r(g2)
+    if r2 is None:
+        return None
+    # the diagonal of xi is the product of the factors' real positive
+    # diagonals, with exactly zero imaginary parts
+    np.matmul(r2, r1, out=xi)
+    if not _diagonal_resolved(xi):
+        return None
+    return np.matmul(q1, np.linalg.inv(r2), out=w if scratch else None)
+
+
+def _diagonal_resolved(xi):
+    """Whether the smallest diagonal entry of xi is at least
+    `_CHOLQR_MIN_DIAG_RATIO` of the largest."""
     d = np.diagonal(xi).real
     return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
 

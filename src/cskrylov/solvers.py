@@ -22,11 +22,13 @@ is its unfactored case, Q_m = R_m and xi_m = tau_m = I, with the
 products by those identities skipped rather than taken.
 
 Every method applies the operator exactly once per iteration after
-setup. Every solve runs on row-major blocks: B is copied into the
-operator's row order as a row-major block, once, and the recurrence
-keeps that layout. A wide matrix is solved through its locality copy
-(see `core_la.solve_operator`), and X comes back in the caller's row
-order; X is row-major either way.
+setup, and allocates no n-by-p block in its iterations: each recurrence
+works in a fixed set of blocks, allocated once per solve and rotated
+(see `_cocg` and `_cocr`). Every solve runs on row-major blocks: B is
+copied into the operator's row order as a row-major block, once, and
+the recurrence keeps that layout. A wide matrix is solved through its
+locality copy (see `core_la.solve_operator`), and X comes back in the
+caller's row order; X is row-major either way.
 Convergence is declared on the recursive residual relative to
 ||B||_F; the true residual is recomputed from a fresh operator
 application at exit and reported as log10 of the relative Frobenius
@@ -352,35 +354,47 @@ def _xi_rank_check(xi, warned):
     return warned
 
 
-def _factor(r, factored):
-    """(Q_0, xi_0) of the initial residual; unfactored, (R_0, None)."""
+def _qr(w, free):
+    """(QR factors of w, the block left free): the QR writes into free
+    and over w (see `thin_qr`), and whichever of the two does not hold
+    Q is free after it."""
+    fac = thin_qr(w, out=free)
+    return fac, w if fac.q is free else free
+
+
+def _factor(r, free, factored):
+    """(Q_0, xi_0, the free block) of the initial residual, whose block
+    is scratch once factored; unfactored, (R_0, None, free)."""
     if not factored:
-        return r, None
-    fac = thin_qr(r)
-    return fac.q, fac.xi
+        return r, None, free
+    fac, free = _qr(r, free)
+    return fac.q, fac.xi, free
 
 
-def _advance(x, s, q, w, alpha, xi, norm_b):
+def _advance(x, s, q, w, alpha, xi, norm_b, free):
     """The solution and residual step both recurrences share.
 
     X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
     as Q_{m+1} tau_{m+1}, giving xi_{m+1} = tau_{m+1} xi_m. Unfactored
     (xi is None) the residual Q_m - W alpha is Q_{m+1} itself: no QR is
     taken and no product with xi or tau is formed. X and Q are updated
-    in place.
+    in place, and the QR writes into the free block, which may be w,
+    and over Q_m (see `_qr`).
 
-    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ||B||_F),
-    with tau and xi None when unfactored.
+    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ||B||_F,
+    the free block), with tau and xi None and free unchanged when
+    unfactored.
     """
     x = axpy_block(x, s, alpha if xi is None else alpha @ xi)
     q = axpy_block(q, w, -alpha)
     if xi is None:
-        return x, q, None, None, fro_norm(q) / norm_b
-    fac = thin_qr(q)
+        return x, q, None, None, fro_norm(q) / norm_b, free
+    fac, free = _qr(q, free)
     xi = fac.xi @ xi
     # xi is row-major; its squares are summed column by column, the order
     # that fixes the bits of every factored history
-    return x, fac.q, fac.xi, xi, fro_norm(np.asfortranarray(xi)) / norm_b
+    h = fro_norm(np.asfortranarray(xi)) / norm_b
+    return x, fac.q, fac.xi, xi, h, free
 
 
 def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
@@ -395,8 +409,13 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     observe (None: no observer) at the top of every iteration, and appends
     residual norms relative to norm_b = ||B||_F to history. Returns
     (X, converged, breakdown, iterations).
+
+    The iteration works in four n x p blocks, X, Q, S and W = A S,
+    allocated once: R_0 is Q unfactored, and scratch of the first QR
+    factored. W is dead once Q advances, so it takes the next QR and,
+    with a copy of Q_{m+1}, starts S_{m+1}, whose old block is the next W.
     """
-    q, xi = _factor(r, factored)
+    q, xi, w = _factor(r, np.empty_like(r), factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S") if factored else ("X", "R", "P")
     grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
@@ -406,13 +425,13 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     for m in range(max_iter):
         if observe is not None:
             observe(m, keys, (x, q, s), xi)
-        as_ = block_matvec(a, s)
+        w = block_matvec(a, s, out=w)
         try:
-            alpha = solve_small(t_gram(s, as_), qq)
+            alpha = solve_small(t_gram(s, w), qq)
         except BreakdownError as e:
             breakdown = BreakdownInfo(grams[0], m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q_new, tau, xi, h = _advance(x, s, q, as_, alpha, xi, norm_b)
+        x, q, tau, xi, h, w = _advance(x, s, q, w, alpha, xi, norm_b, w)
         history.append(h)
         iterations = m + 1
         if not math.isfinite(h) or h <= tol:
@@ -421,15 +440,16 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         # a converged block is all noise; rank only matters while iterating
         if factored:
             warned = _xi_rank_check(xi, warned)
-        qq_new = t_gram(q_new, q_new)
+        qq_new = t_gram(q, q)
         try:
             beta = solve_small(qq, tau.T @ qq_new if factored else qq_new)
         except BreakdownError as e:
             breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
-        s = axpy_block(q_new.copy(), s, beta)
-        q, qq = q_new, qq_new
+        np.copyto(w, q)
+        s, w = axpy_block(w, s, beta), s
+        qq = qq_new
     return x, converged, breakdown, iterations
 
 
@@ -440,8 +460,14 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     U_m = A S_m advances by recurrence. The right-hand side of the alpha
     system and the matrix of the beta system is Q^T V (R^T V unfactored);
     see `bl_cocr_rq` for why not Q^T U. Arguments and return as `_cocg`.
+
+    The iteration works in six n x p blocks, X, Q, S, U, V and a spare,
+    allocated once: R_0 is Q unfactored, and the first spare factored.
+    V is dead once Q advances, so it takes V_{m+1}; the spare takes the
+    QR and the copies of Q_{m+1} and V_{m+1} that start S_{m+1} and
+    U_{m+1}, and the blocks they replace become the spare in turn.
     """
-    q, xi = _factor(r, factored)
+    q, xi, spare = _factor(r, np.empty_like(r), factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
     s = q.copy()
@@ -457,7 +483,7 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         except BreakdownError as e:
             breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q_new, tau, xi, h = _advance(x, s, q, u, alpha, xi, norm_b)
+        x, q, tau, xi, h, spare = _advance(x, s, q, u, alpha, xi, norm_b, spare)
         history.append(h)
         iterations = m + 1
         if not math.isfinite(h) or h <= tol:
@@ -465,8 +491,8 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             break
         if factored:
             warned = _xi_rank_check(xi, warned)
-        v_new = block_matvec(a, q_new)
-        qv_new = t_gram(q_new, v_new)
+        v = block_matvec(a, q, out=v)
+        qv_new = t_gram(q, v)
         try:
             beta = solve_small(qv, tau.T @ qv_new if factored else qv_new)
         except BreakdownError as e:
@@ -474,9 +500,11 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
             break
         # Q_{m+1} and V_{m+1} live on, so S and U start from copies
-        s = axpy_block(q_new.copy(), s, beta)
-        u = axpy_block(v_new.copy(), u, beta)
-        q, v, qv = q_new, v_new, qv_new
+        np.copyto(spare, q)
+        s, spare = axpy_block(spare, s, beta), s
+        np.copyto(spare, v)
+        u, spare = axpy_block(spare, u, beta), u
+        qv = qv_new
     return x, converged, breakdown, iterations
 
 

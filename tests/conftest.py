@@ -22,6 +22,16 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def every_operator_wide(monkeypatch):
+    """Read every matrix's file-order spread as infinite for the rest of
+    the test, so that its solves go through its locality copy. The copy
+    is still built only where its own spread is within the window, which
+    holds at every order up to `core_la._LOCALITY_WINDOW`."""
+    from cskrylov import core_la
+
+    monkeypatch.setattr(core_la, "_spread", lambda a: float("inf"))
+
+
 def require_fixture(name: str) -> Path:
     """Return the path to a bundled matrix file, failing honestly if absent.
 

@@ -1,6 +1,7 @@
 """Benchmark CLI: reports, history files, exit codes."""
 
 import pytest
+from conftest import every_operator_wide
 
 from cskrylov import core_la
 from cskrylov.bench_cli import (
@@ -70,8 +71,8 @@ class TestSolveCommand:
         self, tmp_path, monkeypatch, solver_calls
     ):
         # the warm-up builds a wide matrix's locality copy, so that no
-        # solver's cpu cell carries it; the window is patched down to 0
-        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        # solver's cpu cell carries it; every operator is read as wide
+        every_operator_wide(monkeypatch)
         bfs_order = core_la._bfs_order
 
         def recording(*args):

@@ -9,7 +9,7 @@ import coo_reference
 import numpy as np
 import pytest
 import qr_reference
-from conftest import require_fixture
+from conftest import every_operator_wide, require_fixture
 
 from cskrylov import core_la, solvers
 from cskrylov.core_la import (
@@ -537,11 +537,11 @@ LOCALITY_CASES = _locality_cases()
 
 class TestLocalityCopy:
     """P A P^T in breadth-first order, the operator the solvers run a
-    wide matrix on; here the window is patched below every spread."""
+    wide matrix on; here every matrix is read as wide."""
 
     @pytest.fixture(autouse=True)
     def every_spread(self, monkeypatch):
-        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", -1)
+        every_operator_wide(monkeypatch)
 
     @pytest.mark.parametrize("name", LOCALITY_CASES)
     def test_order_is_a_repeatable_permutation(self, name):
@@ -688,6 +688,17 @@ class TestBeyondInt32Keys:
             (matrix.values, matrix.col_idx, matrix.row_ptr), shape=(n, n)
         ) @ v
         np.testing.assert_array_equal(matrix.matvec(v), expected)
+
+    def test_copy_that_stays_wide_is_not_built(self, matrix):
+        # ~1 off-diagonal entry a row: the graph falls apart into many
+        # small components, which the search leaves in file order, so the
+        # copy's spread (8,292) would stay above the window like the
+        # matrix's own (8,337)
+        a = _fresh(matrix)
+        assert core_la._spread(a) > core_la._LOCALITY_WINDOW
+        assert core_la._locality_copy(a) is False
+        res = solvers.bl_cocg(a, _rand_block(a.n, 2, 0))
+        assert res.converged and a._local is False
 
 
 class TestTGram:
@@ -897,14 +908,16 @@ def _first_pass(w):
     return np.matmul(w, np.linalg.inv(r1), order="C"), r1
 
 
-def _two_pass(w):
+def _two_pass(w, out=None):
     """The reference's CholeskyQR2 with row-major products, as `thin_qr`
     forms them: Grams and Cholesky factors from the reference,
     Q1 = W R1^{-1}, Q = Q1 R2^{-1} and xi = R2 R1, under the reference's
     accuracy conditions. For p = 1, and wherever that CholeskyQR2 does
-    not finish, the reference's own factors, with q copied row-major."""
+    not finish, the reference's own factors, with q copied row-major.
+    With out given, q is copied into out and out returned as q."""
     p = w.shape[1]
     r1 = qr_reference._cholesky_r(_reference_gram(w)) if p > 1 else None
+    fac = None
     if r1 is not None:
         q1 = np.matmul(w, np.linalg.inv(r1), order="C")
         g2 = _reference_gram(q1)
@@ -913,9 +926,14 @@ def _two_pass(w):
             xi = r2 @ r1
             d = np.diagonal(xi).real
             if d.min() >= qr_reference._MIN_DIAG_RATIO * d.max():
-                return qr_reference.QR(np.matmul(q1, np.linalg.inv(r2), order="C"), xi)
-    ref = qr_reference.thin_qr(w)
-    return qr_reference.QR(np.ascontiguousarray(ref.q), ref.xi)
+                fac = qr_reference.QR(np.matmul(q1, np.linalg.inv(r2), order="C"), xi)
+    if fac is None:
+        ref = qr_reference.thin_qr(w)
+        fac = qr_reference.QR(np.ascontiguousarray(ref.q), ref.xi)
+    if out is None:
+        return fac
+    np.copyto(out, fac.q)
+    return qr_reference.QR(out, fac.xi)
 
 
 class TestOnePass:
@@ -1284,6 +1302,101 @@ class TestEveryKernel:
         first, second = _run_all_kernels(seed=7)[1], _run_all_kernels(seed=7)[1]
         for key in first:
             np.testing.assert_array_equal(first[key], second[key])
+
+
+def _garbage(shape):
+    """A row-major block of NaNs, for an out= buffer that must be fully
+    overwritten."""
+    return np.full(shape, np.nan + 1j * np.nan)
+
+
+# (parallel, scale): column 5 of the block is replaced by column 4 plus
+# `parallel` times itself, and column 2 is scaled by `scale`; the counts of
+# Hermitian Grams and Householder calls of the path each case takes
+_QR_CASES = {
+    "one pass": (None, 1.0, 1, 0),
+    # e far above the one-pass gate
+    "two passes": (1e-3, 1.0, 2, 0),
+    # CholeskyQR2 runs to its end, but the diagonal of xi spans 1e9,
+    # beyond the Gram's resolution, so Householder factors w itself
+    "two passes, then Householder": (1e-3, 1e-9, 2, 1),
+    # Q1 is written, but too far from orthonormal for a second pass
+    "defect, then Householder": (1e-8, 1.0, 2, 1),
+    # the first Cholesky factorization fails outright
+    "Householder": (1e-10, 1.0, 1, 1),
+}
+
+
+def _qr_case(case):
+    """A row-major block for one path of `thin_qr` (1000 x 1 for "p=1",
+    else 5000 x 8) and the counts of `_QR_CASES`."""
+    if case == "p=1":
+        return np.ascontiguousarray(_rand_block(1000, 1, 1)), 0, 0
+    parallel, scale, grams, householders = _QR_CASES[case]
+    w = np.ascontiguousarray(_rand_block(5000, 8, 3))
+    if parallel is not None:
+        w[:, 5] = w[:, 4] + parallel * w[:, 5]
+    w[:, 2] *= scale
+    return w, grams, householders
+
+
+class TestOutForms:
+    """`matvec(v, out)`, `block_matvec(a, v, out)` and `thin_qr(w, out)`
+    write into the caller's block, with the bits of the allocating forms."""
+
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_matvec_into_out(self, p):
+        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
+        v = _rand_block(60, p, p)
+        out = _garbage((60, p))
+        assert a.matvec(v, out=out) is out
+        assert out.tobytes() == a.matvec(v).tobytes()
+        out = _garbage((60, p))
+        assert block_matvec(a, v, out=out) is out
+        assert out.tobytes() == a.matvec(v).tobytes()
+
+    def test_replaced_matvec_is_called_without_out(self):
+        class Counting(ComplexSymmetricMatrix):
+            def matvec(self, v):
+                self.calls = getattr(self, "calls", 0) + 1
+                return super().matvec(v)
+
+        base = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
+        a = Counting(base.n, row_ptr=base.row_ptr, col_idx=base.col_idx, values=base.values)
+        v = _rand_block(60, 4, 0)
+        out = _garbage((60, 4))
+        assert block_matvec(a, v, out=out) is out and a.calls == 1
+        assert out.tobytes() == base.matvec(v).tobytes()
+
+    @pytest.mark.parametrize("bad", ["fortran", "shape", "dtype", "read-only", "aliased"])
+    def test_out_that_cannot_take_the_result_is_refused(self, bad):
+        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
+        v = np.ascontiguousarray(_rand_block(60, 4, 0))
+        out = {
+            "fortran": np.asfortranarray(_garbage((60, 4))),
+            "shape": _garbage((60, 3)),
+            "dtype": np.zeros((60, 4)),
+            "read-only": _garbage((60, 4)),
+            "aliased": v,
+        }[bad]
+        out.flags.writeable = bad != "read-only"
+        with pytest.raises(ValueError, match="out"):
+            a.matvec(v, out=out)
+        with pytest.raises(ValueError, match="out"):
+            thin_qr(v, out=out)
+
+    @pytest.mark.parametrize("case", ["p=1", *_QR_CASES])
+    def test_thin_qr_into_out(self, case, monkeypatch, householder_calls):
+        w, gram_count, householder_count = _qr_case(case)
+        expected = thin_qr(w)
+        householder_calls.clear()
+        grams = _gram_calls(monkeypatch)
+        scratch, out = w.copy(), _garbage(w.shape)
+        fac = thin_qr(scratch, out=out)
+        assert len(grams) == gram_count and len(householder_calls) == householder_count
+        # the second pass writes Q over its own dead input
+        assert fac.q is (scratch if case == "two passes" else out)
+        assert _qr_bits(fac) == _qr_bits(expected)
 
 
 def _parent_axpy(x, y, c):

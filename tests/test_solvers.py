@@ -6,13 +6,14 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, every_operator_wide
 from test_core_la import _two_pass
 
 import cskrylov.solvers as solvers_module
@@ -304,11 +305,16 @@ class TestObserver:
         assert plain.history == observed.history
         np.testing.assert_array_equal(plain.x, observed.x)
 
-    def test_observed_arrays_are_iteration_snapshots(self):
+    @pytest.mark.parametrize("local", [False, True], ids=["file-order", "locality"])
+    def test_observed_arrays_are_iteration_snapshots(self, local, monkeypatch):
         # no array handed to the observer may change after the call, for
-        # any solver or state key
-        a, b = _problem(seed=3)
+        # any solver or state key, although the solvers rotate a fixed set
+        # of blocks; at n = 300, p = 8 some QRs take two passes and leave
+        # Q in the other of its two blocks
+        if local:
+            every_operator_wide(monkeypatch)
         for name, solver in ALL:
+            a, b = _local_problem(8)
             snaps = []
 
             def obs(m, state):
@@ -318,6 +324,35 @@ class TestObserver:
             assert res.iterations > 1
             for m, key, live, copy in snaps:
                 np.testing.assert_array_equal(live, copy, f"{name} {key} m={m}")
+
+
+class TestWorkspaces:
+    """Each recurrence allocates its n x p blocks once per solve and
+    rotates them: COCG holds X, Q, S and W = A S, COCR X, Q, S, U, V and
+    a spare. The exit check holds at most four (X, B, A X and B - A X)."""
+
+    BUDGET = {"bl_cocg": 4, "bl_cocg_rq": 4, "bl_cocr": 6, "bl_cocr_rq": 6}
+
+    @pytest.mark.parametrize("local", [False, True], ids=["file-order", "locality"])
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_live_blocks_per_solve(self, name, solver, local, monkeypatch):
+        if local:
+            every_operator_wide(monkeypatch)
+        a, b = gen_problem(
+            ProblemSpec(n=20_000, p=8, kind="diagdominant", density=1e-4, seed=4)
+        )
+        # the first solve decides the row order and builds any copy
+        solver(a, b)
+        assert bool(a._local) == local
+        tracemalloc.start()
+        try:
+            res = solver(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations > 2
+        # the p x p matrices and the history are a few kB
+        assert peak < (self.BUDGET[name] + 0.25) * b.nbytes, peak / b.nbytes
 
 
 class TestKernelCalls:
@@ -462,8 +497,8 @@ class TestDeterminism:
 
     def test_bitwise_repeatability_under_blas_threads(self):
         # each child solves twice with every solver, in file order and
-        # then, on a new copy of the matrix, through the locality copy,
-        # its window patched to 0; both runs in one process must
+        # then, on a new copy of the matrix read as wide, through the
+        # locality copy; both runs in one process must
         # match bit for bit whatever the BLAS thread count
         child = textwrap.dedent(
             """
@@ -478,7 +513,7 @@ class TestDeterminism:
             runs = {name: [digest(fn(a, b)) for _ in range(2)]
                     for name, fn in SOLVERS.items()}
             assert a._local is False
-            core_la._LOCALITY_WINDOW = 0
+            core_la._spread = lambda a: float("inf")
             a, b = gen_problem(spec)
             for name, fn in SOLVERS.items():
                 runs[name + " local"] = [digest(fn(a, b)) for _ in range(2)]
@@ -538,15 +573,16 @@ class TestDeterminism:
                 assert first == second, f"{name} under {threads} BLAS threads"
 
 
-def _csr_array_matvec(self, v):
+def _csr_array_matvec(self, v, out=None):
     """The CSR product as it was before the multi-vector kernel: scipy's
-    `csr_array @ v`, copied into a fresh row-major block."""
+    `csr_array @ v`, copied into out or a fresh row-major block."""
     import scipy.sparse
 
     csr = scipy.sparse.csr_array(
         (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
     )
-    out = np.empty(np.shape(v), dtype=np.complex128)
+    if out is None:
+        out = np.empty(np.shape(v), dtype=np.complex128)
     out[:] = csr @ v
     return out
 
@@ -617,9 +653,9 @@ def _calls(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -660,13 +696,13 @@ def _x0(b):
 
 
 class TestLocalityOrder:
-    """Solves through the locality copy, with its window patched down to
-    0, against the same solves in file order. The row order is cached on
+    """Solves through the locality copy, with every matrix read as wide,
+    against the same solves in file order. The row order is cached on
     a matrix at its first solve, so the copy is taken on a new matrix."""
 
     @pytest.fixture
     def local_gate(self, monkeypatch):
-        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        every_operator_wide(monkeypatch)
 
     @pytest.mark.parametrize("p", [1, 3, 8])
     @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
@@ -677,7 +713,7 @@ class TestLocalityOrder:
         cfg = SolverConfig(tol=1e-10)
         plain = solver(a, b, x0, cfg)
         assert a._local is False
-        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        every_operator_wide(monkeypatch)
         wide, _ = _local_problem(p)
         local = solver(wide, b, x0, cfg)
         again = solver(wide, b, x0, cfg)
@@ -710,7 +746,7 @@ class TestLocalityOrder:
 
         plain_state, local_state = {}, {}
         solver(a, b, cfg=at_m1(plain_state))
-        monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+        every_operator_wide(monkeypatch)
         a, b = _local_problem(3)
         solver(a, b, cfg=at_m1(local_state))
         assert a._local
@@ -860,7 +896,7 @@ class TestRowMajorSolves:
         elif case == "n=40 p=3":
             a, b = _problem(n=40, p=3)
         else:
-            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+            every_operator_wide(monkeypatch)
             a, b = _local_problem(8)
         seen, products = [], []
         # the exit check sums the true residual column by column on
@@ -880,12 +916,12 @@ class TestRowMajorSolves:
         for kernel in self.KERNELS:
             fn = getattr(solvers_module, kernel)
 
-            def recording(*args, _fn=fn, _kernel=kernel):
-                out = _fn(*args)
+            def recording(*args, _fn=fn, _kernel=kernel, **kwargs):
+                out = _fn(*args, **kwargs)
                 if _kernel == "block_matvec":
                     products.append(1)
                 if not exit_check:
-                    for arr in (*args, getattr(out, "q", out)):
+                    for arr in (*args, *kwargs.values(), getattr(out, "q", out)):
                         if isinstance(arr, np.ndarray) and arr.shape == b.shape:
                             seen.append(arr.flags.c_contiguous)
                 return out
@@ -915,8 +951,9 @@ class TestLayoutBits:
         # a row-major B and its Fortran-order copy reach the operator as
         # the same row-major block, in file order and through the locality
         # copy alike, so the two solves keep the same bits
-        for window in (core_la._LOCALITY_WINDOW, 0):
-            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", window)
+        for wide in (False, True):
+            if wide:
+                every_operator_wide(monkeypatch)
             a, b = _local_problem(p)
             by_rows = _count_multi_vector_products(monkeypatch)
             rows = solver(a, np.ascontiguousarray(b))
@@ -925,7 +962,7 @@ class TestLayoutBits:
             assert len(by_rows) == rows.iterations + 1
             columns = solver(a, np.asfortranarray(b))
             assert len(by_rows) == 2 * (rows.iterations + 1)
-            assert bool(a._local) == (window == 0)
+            assert bool(a._local) == wide
             assert rows.converged
             assert (rows.iterations, rows.status) == (columns.iterations, columns.status)
             assert rows.history == columns.history and rows.trr == columns.trr
@@ -976,7 +1013,7 @@ class TestLayoutBits:
         # ||xi||_F is summed in column-major order on both paths; xi
         # itself is row-major, and its row-major sum has other bits
         if local:
-            monkeypatch.setattr(core_la, "_LOCALITY_WINDOW", 0)
+            every_operator_wide(monkeypatch)
         a, b = _local_problem(8)
         small = []
 
@@ -1147,7 +1184,7 @@ class TestScipyLoading:
             """
             import json, sys
             from cskrylov import ProblemSpec, bl_cocr_rq, core_la, gen_problem
-            core_la._LOCALITY_WINDOW = 0
+            core_la._spread = lambda a: float("inf")
             a, b = gen_problem(ProblemSpec(n=2000, p=4, kind="diagdominant",
                                            density=1e-3, seed=2))
             res = bl_cocr_rq(a, b)
