@@ -15,7 +15,9 @@ the residual history (as float64) and of X. The cases:
 
 Every case runs in a child process under OPENBLAS_NUM_THREADS=1 and
 again under =2, one child after the other, importing the package from
-the ``src/`` of the tree this script sits in. To compare two trees, run
+the ``src/`` of the tree this script sits in. After the two passes, one
+line names each case and solver whose fields differ between 1 and 2
+threads, or one line says that all agree. To compare two trees, run
 each tree's copy of the script and diff the outputs:
 
     python3 scripts/solve_digest.py > after.txt
@@ -26,6 +28,7 @@ each tree's copy of the script and diff the outputs:
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,10 +91,30 @@ def main(argv=None):
     if args.child:
         run_cases()
         return 0
+    passes = []
     for threads in THREADS:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-        subprocess.run([sys.executable, __file__, "--child"], env=env, check=True)
+        out = subprocess.run(
+            [sys.executable, __file__, "--child"],
+            env=env, check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout
+        print(out, end="", flush=True)
+        passes.append([_fields(line) for line in out.splitlines()])
+    differ = 0
+    for (solve, first), (_, second) in zip(*passes):
+        keys = [k for k in first if first[k] != second[k]]
+        if keys:
+            differ += 1
+            print(f"threads {THREADS[0]} vs {THREADS[1]}: {solve} differs in {' '.join(keys)}")
+    if not differ:
+        print(f"threads {THREADS[0]} vs {THREADS[1]}: every case and solver agrees")
     return 0
+
+
+def _fields(line):
+    """(case and solver, {field: value}) of one digest line."""
+    _, case, name, rest = line.split(" ", 3)
+    return f"{case} {name}", dict(re.findall(r"(\w+)=('[^']*'|\S+)", rest))
 
 
 if __name__ == "__main__":

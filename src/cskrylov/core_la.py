@@ -78,11 +78,8 @@ class BreakdownError(Exception):
 
 
 def _as_block(v, name="block vector"):
-    """v as a complex128 array: a contiguous one in its own layout, any
-    other copied to Fortran order."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if not arr.flags.forc:
-        arr = np.asfortranarray(arr)
+    """v as a row-major complex128 array, copied where it is not one."""
+    arr = np.ascontiguousarray(v, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
@@ -559,7 +556,7 @@ def thin_qr(w, out=None):
         row-major first where it is not), and xi of shape (p, p). With
         out given, q is out or w (w's row-major copy where w was copied).
     """
-    w = _as_block(np.ascontiguousarray(w, dtype=np.complex128), "w")
+    w = _as_block(w, "w")
     n, p = w.shape
     if n < p:
         raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
@@ -928,18 +925,17 @@ _NORM_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 def fro_norm(v):
     """Frobenius norm of a block vector or small matrix.
 
-    The squares are summed in the block's memory order: row by row on a
-    row-major block, column by column on a Fortran-order one, which a
-    non-contiguous block is first copied to. Unlike the block kernels,
-    the norm keeps its input's layout, because the order fixes its bits;
-    callers that want the column order hand it a Fortran-order block.
+    The one place that decides a norm's summation order: the squares of
+    the real and imaginary parts of the block, taken row-major (copied
+    where it is not), are summed in memory order by one pass of numpy's
+    ``einsum`` loop, which calls no BLAS and makes no temporary, so the
+    bits depend on neither the block's layout nor the BLAS thread count.
 
     Where that plain sum overflows on finite entries, or gives a nonzero
     block a norm below `_NORM_MIN` (~1.5e-146), the norm is taken again
     on the block scaled by 2^-e, with e the binary exponent of its
     largest real or imaginary part, and scaled back: the scaling is
-    exact, so only such blocks change their result. An overflowing plain
-    sum may still raise numpy's overflow warning.
+    exact, so only such blocks change their result.
 
     Parameters
     ----------
@@ -952,7 +948,8 @@ def fro_norm(v):
         sqrt of the sum of squared entry moduli.
     """
     arr = _as_block(v, "v")
-    nrm = float(np.linalg.norm(arr))
+    x = arr.reshape(-1).view(np.float64)
+    nrm = math.sqrt(np.einsum("i,i->", x, x))
     if nrm < _NORM_MIN or nrm == math.inf:
         nrm = _scaled_norm(arr, nrm)
     return nrm
@@ -966,8 +963,9 @@ def _scaled_norm(arr, nrm):
     if top == 0.0 or not np.isfinite(arr).all():
         return nrm
     e = math.frexp(top)[1]
+    # the scaled block's norm is at least 1/2, so it takes the plain sum
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(_ldexp(arr, -e)), e))
+        return float(np.ldexp(fro_norm(_ldexp(arr, -e)), e))
 
 
 # the zgemm scalars one (alpha of every call, beta of axpy_block's) and

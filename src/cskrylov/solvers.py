@@ -210,8 +210,9 @@ def true_relative_residual(a, b, x):
     """log10(||B - AX||_F / ||B||_F) from a fresh operator application.
 
     Independent of any solver recurrence; this is the honest exit
-    metric. An exact solve returns -inf. The squares of the residual
-    are summed column by column, whatever the layouts of B and X.
+    metric. An exact solve returns -inf. B - AX is formed in the new
+    block of the product, and both norms are `fro_norm`'s, so the
+    layouts of B and X do not change the result.
 
     Raises
     ------
@@ -219,7 +220,7 @@ def true_relative_residual(a, b, x):
         If B is not 2-D, if X does not have B's shape, or if ||B||_F is
         zero, where the ratio is undefined.
     """
-    b = np.asfortranarray(b, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if b.ndim != 2:
         raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
     if np.shape(x) != b.shape:
@@ -227,7 +228,8 @@ def true_relative_residual(a, b, x):
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("relative residual undefined for a zero right-hand side")
-    r = np.subtract(b, block_matvec(a, x), order="F")
+    r = block_matvec(a, x)
+    np.subtract(b, r, out=r)
     with np.errstate(divide="ignore"):
         return float(np.log10(fro_norm(r) / norm_b))
 
@@ -238,8 +240,8 @@ def _solve(recurrence, a, b, x0, cfg, factored):
 
     X and R_0 are row-major, in the row order of the operator the
     recurrence runs on (`solve_operator`): the locality copy of a wide
-    a, or a itself. ||B||_F is taken on B in that order and layout, so
-    that history[0] is exactly 1 for x0 = 0. A B whose norm has a binary
+    a, or a itself. ||B||_F is taken on B in that order, so that
+    history[0] is exactly 1 for x0 = 0. A B whose norm has a binary
     exponent e beyond `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too),
     and X scaled back.
     The recurrence is skipped when the initial residual already meets
@@ -269,9 +271,7 @@ def _solve(recurrence, a, b, x0, cfg, factored):
             raise ValueError(f"x0 shape {x0.shape} does not match RHS shape {b.shape}")
     op, to_op, to_caller = solve_operator(a)
     r0 = to_op(b)
-    # quietly: fro_norm rescales a plain sum of squares that overflows
-    with np.errstate(over="ignore"):
-        norm_b = fro_norm(r0)
+    norm_b = fro_norm(r0)
     if norm_b == 0.0:
         raise ValueError("right-hand side is identically zero; nothing to solve")
     e = math.frexp(norm_b)[1]
@@ -391,9 +391,7 @@ def _advance(x, s, q, w, alpha, xi, norm_b, free):
         return x, q, None, None, fro_norm(q) / norm_b, free
     fac, free = _qr(q, free)
     xi = fac.xi @ xi
-    # xi is row-major; its squares are summed column by column, the order
-    # that fixes the bits of every factored history
-    h = fro_norm(np.asfortranarray(xi)) / norm_b
+    h = fro_norm(xi) / norm_b
     return x, fac.q, fac.xi, xi, h, free
 
 

@@ -1221,24 +1221,32 @@ class TestBlockOps:
         v = _rand_block(15, 4, 9)
         assert fro_norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-14)
 
-    def test_fro_norm_keeps_the_plain_sum_of_squares(self):
-        for scale in (1.0, 1e-140, 1e150):
-            v = _rand_block(15, 4, 9) * scale
-            assert fro_norm(v) == float(np.linalg.norm(v))
+    def test_fro_norm_sums_every_layout_in_one_order(self):
+        # a Fortran-order block and a non-contiguous view are copied to
+        # row-major, so they give the row-major copy's bits
+        big = _rand_block(2000, 16, 9)
+        v = np.asfortranarray(big[::2, 3:11])
+        assert not big[::2, 3:11].flags.forc
+        norms = {fro_norm(v), fro_norm(np.ascontiguousarray(v)), fro_norm(big[::2, 3:11])}
+        assert len(norms) == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e150])
+    def test_fro_norm_is_the_unscaled_one_pass_sum(self, scale):
+        v = _rand_block(15, 4, 9) * scale
+        x = np.ascontiguousarray(v).view(np.float64).ravel()
+        assert fro_norm(v) == math.sqrt(np.einsum("i,i->", x, x))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e170, 1e300])
     def test_fro_norm_rescales_what_under_or_overflows(self, scale):
-        # the plain sum of squares gives 0.0 and inf on these blocks
+        # the plain sum of squares gives 0.0 and inf on these blocks; the
+        # one-pass sum raises no warning of it
         v = np.full((3, 1), scale, dtype=np.complex128)
         with np.errstate(under="ignore", over="ignore"):
             assert float(np.linalg.norm(v)) in (0.0, np.inf)
         w = _rand_block(15, 4, 9)
-        # the plain sum, taken first, may warn of its overflow
-        with np.errstate(over="ignore"):
-            assert fro_norm(v) == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
-            assert fro_norm(w * scale) == pytest.approx(
-                np.linalg.norm(w) * scale, rel=1e-14
-            )
+        assert fro_norm(v) == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
+        assert fro_norm(w * scale) == pytest.approx(np.linalg.norm(w) * scale, rel=1e-14)
 
     @pytest.mark.parametrize(
         "entry,expected", [(0.0, 0.0), (np.inf, np.inf), (np.nan, np.nan)]
