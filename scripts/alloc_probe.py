@@ -11,7 +11,13 @@ line gives:
 - ``peak_blocks``: the peak of the memory that a third solve allocates
   and holds at once (``tracemalloc``), in units of one n x p complex128
   block. It covers the whole solve: the copy of B, X, the iteration's
-  blocks and the exit check.
+  blocks and the exit check. Expected: 4 / 4 / 5 / 5 for ``bl_cocg`` /
+  ``bl_cocg_rq`` / ``bl_cocr`` / ``bl_cocr_rq``.
+- ``exit_faults`` and ``exit_blocks``: the same two measures over the
+  exit of a fourth solve, from the moment the recurrence returns to the
+  end of the solve (X's copy in the caller's order and the
+  true-residual check): minor faults, and the peak of the memory that
+  the exit allocates and holds at once, in blocks. Expected: 0 blocks.
 
 The first solve of the run also builds the matrix's locality copy
 (`core_la.solve_operator`), so it is never measured. The package is
@@ -29,28 +35,59 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _mark_exit(recurrence, marks):
+    """recurrence, recording the minor faults when it returns and then
+    starting `tracemalloc` where marks["trace"] is set."""
+
+    def run(*args):
+        out = recurrence(*args)
+        marks["faults"] = _faults()
+        if marks["trace"]:
+            tracemalloc.start()
+        return out
+
+    return run
+
+
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     import cskrylov as ck
+    from cskrylov import solvers
 
     if Path(ck.__file__).resolve().parent != ROOT / "src" / "cskrylov":
         raise SystemExit(f"imported cskrylov from {ck.__file__}, not {ROOT / 'src'}")
     spec = ck.ProblemSpec(n=100_000, p=8, kind="diagdominant", density=2e-5, seed=0)
     a, b = ck.gen_problem(spec)
     block = b.size * b.itemsize
+    marks = {"trace": False}
+    # the public solvers look the recurrences up on the module at each call
+    for rec in ("_cocg", "_cocr"):
+        setattr(solvers, rec, _mark_exit(getattr(solvers, rec), marks))
     for name, solver in ck.SOLVERS.items():
         solver(a, b)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = _faults()
         res = solver(a, b)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faults = _faults() - before
         tracemalloc.start()
         solver(a, b)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        marks["trace"] = True
+        solver(a, b)
+        exit_faults = _faults() - marks["faults"]
+        _, exit_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        marks["trace"] = False
         print(
             f"{name} iters={res.iterations} "
             f"faults/iter={faults / max(res.iterations, 1):.0f} "
-            f"peak_blocks={peak / block:.2f}",
+            f"peak_blocks={peak / block:.2f} "
+            f"exit_faults={exit_faults} "
+            f"exit_blocks={exit_peak / block:.2f}",
             flush=True,
         )
     return 0

@@ -323,7 +323,8 @@ class ComplexSymmetricMatrix:
 def solve_operator(a):
     """(op, to_op, to_caller): the operator a solve of a runs on, and maps
     of an (n, p) block into op's row order and of a row-major block back,
-    each to a new row-major block.
+    each to a new row-major block. The locality copy's to_caller also
+    writes into a row-major ``out=`` block of v's shape.
 
     A matrix whose `_spread` is above `_LOCALITY_WINDOW` runs through its
     locality copy where the copy's spread is within the window (see
@@ -340,9 +341,12 @@ def solve_operator(a):
         return a, functools.partial(np.array, order="C"), np.copy
     perm, copy = a._local
 
-    def to_caller(v):
-        out = np.empty(v.shape, dtype=np.complex128)
-        out[perm] = v
+    def to_caller(v, out=None):
+        if out is None:
+            out = np.empty(v.shape, dtype=np.complex128)
+        # each row one item of 16p bytes: a scatter of rows, not of entries
+        row = np.dtype((np.void, v.itemsize * v.shape[1]))
+        out.view(row)[perm] = v.view(row)
         return out
 
     # indexing gathers rows from v as it lies; np.take would first copy a
@@ -500,6 +504,15 @@ def t_gram(v, w):
     This is the bilinear form of the method, not an inner product: it
     applies no complex conjugation and can vanish on nonzero inputs.
 
+    A block of p >= 2 columns and more than `_ROW_CHUNK` rows is one
+    ``zgemm`` call on the row-major buffers in the library numpy links
+    (see `_routine`), with the bits of numpy's ``v.T @ w`` for distinct
+    blocks; for v is w numpy would call ``zsyrk``, which is slower there
+    and rounds differently at some (n, p). Single columns, shorter
+    blocks and every block where numpy exposes no such symbol take
+    ``v.T @ w``. The gate is on rows, not entries: young1c's n = 841,
+    p = 32 self-Grams taken by ``zgemm`` moved its solves' bits.
+
     Parameters
     ----------
     v, w : ndarray
@@ -514,7 +527,18 @@ def t_gram(v, w):
     w = _as_block(w, "w")
     if v.shape != w.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
-    return v.T @ w
+    n, p = v.shape
+    gemm = _routine("zgemm") if p >= 2 and n > _ROW_CHUNK else None
+    if gemm is None:
+        return v.T @ w
+    fn, int_t = gemm
+    g = np.empty((p, p), dtype=np.complex128)
+    width = int_t(p)
+    # to a column-major routine the buffers of w and v are W^T and V^T, and
+    # g's is G^T = W^T V: the call numpy's product makes for distinct blocks
+    fn(b"N", b"T", width, width, int_t(n), _ONE_ADDRESS, w.ctypes.data, width,
+       v.ctypes.data, width, _ZERO_ADDRESS, g.ctypes.data, width)
+    return g
 
 
 def thin_qr(w, out=None):
@@ -616,7 +640,7 @@ _CHOLQR_MAX_DEFECT = 0.1
 _CHOLQR_MIN_DIAG_RATIO = 1e-8
 # rows per chunk of the Gram products W^H W: the chunks' products are
 # summed in row order, so the chunk size fixes the summation order and
-# with it the bits
+# with it the bits. A t_gram of more rows takes zgemm
 _ROW_CHUNK = 4096
 
 

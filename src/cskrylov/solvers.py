@@ -48,6 +48,7 @@ import numpy as np
 
 from .core_la import (
     BreakdownError,
+    _as_block,
     _ldexp,
     axpy_block,
     block_matvec,
@@ -225,10 +226,16 @@ def true_relative_residual(a, b, x):
         raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
     if np.shape(x) != b.shape:
         raise ValueError(f"x shape {np.shape(x)} does not match RHS shape {b.shape}")
+    return _relative_residual(a, _as_block(b), x, None)
+
+
+def _relative_residual(a, b, x, out):
+    """`true_relative_residual` of a row-major B, with A X and then
+    B - A X formed in out, a row-major block, or in a new one."""
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("relative residual undefined for a zero right-hand side")
-    r = block_matvec(a, x)
+    r = block_matvec(a, x, out=out)
     np.subtract(b, r, out=r)
     with np.errstate(divide="ignore"):
         return float(np.log10(fro_norm(r) / norm_b))
@@ -240,14 +247,16 @@ def _solve(recurrence, a, b, x0, cfg, factored):
 
     X and R_0 are row-major, in the row order of the operator the
     recurrence runs on (`solve_operator`): the locality copy of a wide
-    a, or a itself. ||B||_F is taken on B in that order, so that
-    history[0] is exactly 1 for x0 = 0. A B whose norm has a binary
-    exponent e beyond `_RHS_EXP_WINDOW` is solved as B 2^-e (x0 too),
-    and X scaled back.
+    a, or a itself. ||B||_F is taken on B in that order, and for x0 =
+    None history[0] is norm_b / norm_b, exactly 1 for a finite B. A B
+    whose norm has a binary exponent e beyond `_RHS_EXP_WINDOW` is
+    solved as B 2^-e (x0 too), and X scaled back.
     The recurrence is skipped when the initial residual already meets
     tol, is exactly zero, or is not finite. It returns before X goes
-    back to the caller's row order and the true residual is taken, so
-    none of its blocks is live then.
+    back to the caller's row order and the true residual is taken, and
+    hands back its blocks other than X (R_0's block where it is
+    skipped): the exit writes X's caller-order copy, B's row-major copy
+    and the product A X, in which B - A X is formed, into them.
     """
     t0 = time.perf_counter()
     if cfg is None:
@@ -287,23 +296,31 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         # block. With X first, the young1c-sweep benchmark's peak RSS rose
         # from 84 to 93 MB (glibc placement)
         x = np.zeros_like(r0)
+        # ||R_0||_F is norm_b: 1, or NaN where B is not finite
+        history = [norm_b / norm_b]
     else:
         x = to_op(x0)
         r0 -= block_matvec(op, x)
-    history = [fro_norm(r0) / norm_b]
+        history = [fro_norm(r0) / norm_b]
     converged, breakdown, iterations = history[0] <= cfg.tol, None, 0
+    free = [r0]
     if math.isfinite(history[0]) and not converged:
         max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
         observe = _observer_hook(cfg.observer, to_caller)
-        x, converged, breakdown, iterations = recurrence(
+        x, converged, breakdown, iterations, free = recurrence(
             op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
         )
-    del r0
+    # the exit needs two blocks, three through a locality copy, and
+    # allocates only those that the recurrence did not leave free
+    free = list(free)
+    free += [np.empty_like(x) for _ in range(2 + (op is not a) - len(free))]
     # no exit copy in file order: one raised young1c-sweep's peak RSS
     if op is not a:
-        x = to_caller(x)
+        x = to_caller(x, out=free.pop())
     # the scaled pair gives the same ratio
-    trr = true_relative_residual(a, b, x)
+    b_rows = free.pop()
+    np.copyto(b_rows, b)
+    trr = _relative_residual(a, b_rows, x, free.pop())
     if shift:
         x = _ldexp(x, -shift)
     return SolveResult(
@@ -406,7 +423,8 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     Runs from `_solve`'s row-major X and R_0 on the operator a, calls
     observe (None: no observer) at the top of every iteration, and appends
     residual norms relative to norm_b = ||B||_F to history. Returns
-    (X, converged, breakdown, iterations).
+    (X, converged, breakdown, iterations, its other blocks), which
+    `_solve`'s exit reuses.
 
     The iteration works in four n x p blocks, X, Q, S and W = A S,
     allocated once: R_0 is Q unfactored, and scratch of the first QR
@@ -448,7 +466,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         np.copyto(w, q)
         s, w = axpy_block(w, s, beta), s
         qq = qq_new
-    return x, converged, breakdown, iterations
+    return x, converged, breakdown, iterations, (q, s, w)
 
 
 def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
@@ -459,19 +477,20 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     system and the matrix of the beta system is Q^T V (R^T V unfactored);
     see `bl_cocr_rq` for why not Q^T U. Arguments and return as `_cocg`.
 
-    The iteration works in six n x p blocks, X, Q, S, U, V and a spare,
-    allocated once: R_0 is Q unfactored, and the first spare factored.
-    V is dead once Q advances, so it takes V_{m+1}; the spare takes the
-    QR and the copies of Q_{m+1} and V_{m+1} that start S_{m+1} and
-    U_{m+1}, and the blocks they replace become the spare in turn.
+    The iteration works in five n x p blocks, X, Q, S, U and a free
+    block, allocated once: R_0 is Q unfactored, and the first free block
+    factored, and U_0 = V_0 takes the block of V_0. The free block takes
+    the QR, then V_{m+1}, in which U_{m+1} = V_{m+1} + U_m beta is formed
+    in place; S_{m+1} starts from a copy of Q_{m+1} in U_m's dead block,
+    and S_m's block is the next free one. V_{m+1} outlives U_{m+1} only
+    as a copy taken for an installed observer.
     """
-    q, xi, spare = _factor(r, np.empty_like(r), factored)
+    q, xi, free = _factor(r, np.empty_like(r), factored)
     warned = factored and _xi_rank_check(xi, False)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
     s = q.copy()
-    v = block_matvec(a, q)
-    u = v.copy()
-    qv = t_gram(q, v)
+    u = v = block_matvec(a, q)
+    qv = t_gram(q, u)
     converged, breakdown, iterations = False, None, 0
     for m in range(max_iter):
         if observe is not None:
@@ -481,7 +500,7 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         except BreakdownError as e:
             breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q, tau, xi, h, spare = _advance(x, s, q, u, alpha, xi, norm_b, spare)
+        x, q, tau, xi, h, free = _advance(x, s, q, u, alpha, xi, norm_b, free)
         history.append(h)
         iterations = m + 1
         if not math.isfinite(h) or h <= tol:
@@ -489,21 +508,23 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
             break
         if factored:
             warned = _xi_rank_check(xi, warned)
-        v = block_matvec(a, q, out=v)
-        qv_new = t_gram(q, v)
+        free = block_matvec(a, q, out=free)
+        qv_new = t_gram(q, free)
         try:
             beta = solve_small(qv, tau.T @ qv_new if factored else qv_new)
         except BreakdownError as e:
             system = "Q^T V" if factored else "R^T V"
             breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
             break
-        # Q_{m+1} and V_{m+1} live on, so S and U start from copies
-        np.copyto(spare, q)
-        s, spare = axpy_block(spare, s, beta), s
-        np.copyto(spare, v)
-        u, spare = axpy_block(spare, u, beta), u
+        if observe is not None:
+            v = free.copy()
+        # U_{m+1} forms over V_{m+1}; then U_m's block takes a copy of
+        # Q_{m+1}, which lives on, to start S_{m+1}
+        u, dead = axpy_block(free, u, beta), u
+        np.copyto(dead, q)
+        s, free = axpy_block(dead, s, beta), s
         qv = qv_new
-    return x, converged, breakdown, iterations
+    return x, converged, breakdown, iterations, (q, s, u, free)
 
 
 def bl_cocg(a, b, x0=None, cfg=None):

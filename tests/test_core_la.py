@@ -1265,6 +1265,41 @@ class TestBlockOps:
         expected = x + y @ c
         np.testing.assert_allclose(axpy_block(x, y, c), expected, atol=1e-14)
 
+    @staticmethod
+    def _gram_routes(monkeypatch):
+        """The routine names `t_gram` asks `_routine` for, call by call."""
+        asked, routine = [], core_la._routine
+
+        def spy(name):
+            asked.append(name)
+            return routine(name)
+
+        monkeypatch.setattr(core_la, "_routine", spy)
+        return asked
+
+    def test_t_gram_above_the_gate_keeps_numpys_bits(self, monkeypatch):
+        # more than _ROW_CHUNK rows and p >= 2: one zgemm, with numpy's bits
+        # for distinct blocks at every p, and with zsyrk's for v^T v where
+        # they agree, at p a multiple of 4 on this n
+        n = 20_000
+        assert n > core_la._ROW_CHUNK
+        asked = self._gram_routes(monkeypatch)
+        for p in range(2, 34):
+            v, w = (np.ascontiguousarray(_rand_block(n, p, seed)) for seed in (p, p + 100))
+            assert t_gram(v, w).tobytes() == (v.T @ w).tobytes(), p
+            if p in (4, 8, 32):
+                assert t_gram(v, v).tobytes() == (v.T @ v).tobytes(), p
+        assert asked and set(asked) == {"zgemm"}
+
+    @pytest.mark.parametrize("n,p", [(841, 2), (841, 8), (841, 32), (20_000, 1)])
+    def test_t_gram_below_the_gate_is_numpys_product(self, n, p, monkeypatch):
+        # young1c's order, and a single column at any order
+        asked = self._gram_routes(monkeypatch)
+        v, w = (np.ascontiguousarray(_rand_block(n, p, seed)) for seed in (1, 2))
+        assert t_gram(v, w).tobytes() == (v.T @ w).tobytes()
+        assert t_gram(v, v).tobytes() == (v.T @ v).tobytes()
+        assert asked == []
+
     def test_axpy_block_shape_errors(self):
         x = np.ones((4, 2), dtype=complex)
         with pytest.raises(ValueError, match="nonconformable"):

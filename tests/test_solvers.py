@@ -328,10 +328,12 @@ class TestObserver:
 
 class TestWorkspaces:
     """Each recurrence allocates its n x p blocks once per solve and
-    rotates them: COCG holds X, Q, S and W = A S, COCR X, Q, S, U, V and
-    a spare. The exit check holds at most four (X, B, A X and B - A X)."""
+    rotates them: COCG holds X, Q, S and W = A S, COCR X, Q, S, U and a
+    free block, which takes V = A Q and then U. The exit writes X's
+    caller-order copy, B's row-major copy and A X (then B - A X) into
+    the blocks other than X."""
 
-    BUDGET = {"bl_cocg": 4, "bl_cocg_rq": 4, "bl_cocr": 6, "bl_cocr_rq": 6}
+    BUDGET = {"bl_cocg": 4, "bl_cocg_rq": 4, "bl_cocr": 5, "bl_cocr_rq": 5}
 
     @pytest.mark.parametrize("local", [False, True], ids=["file-order", "locality"])
     @pytest.mark.parametrize("name,solver", ALL)
@@ -446,6 +448,36 @@ class TestKernelCalls:
         assert seen["spans"] == ["core_la.from_coo", "mm_io.read_matrix_market"]
         assert seen["restored"]
         assert seen["matrix_bytes"] == seen["csr_bytes"] > 0
+
+
+class TestCocrObservedV:
+    @pytest.mark.parametrize("local", [False, True], ids=["file-order", "locality"])
+    @pytest.mark.parametrize("solver", [bl_cocr, bl_cocr_rq])
+    def test_v_is_the_product_of_the_residual_block(self, solver, local, monkeypatch):
+        # V_{m+1} is formed in the block where U_{m+1} then overwrites it,
+        # so the observer must be handed a copy taken before that
+        if local:
+            every_operator_wide(monkeypatch)
+        a, b = _local_problem(8)
+        seen = []
+
+        def obs(m, state):
+            seen.append((m, state["R" if "R" in state else "Q"], state["U"], state["V"]))
+
+        res = solver(a, b, cfg=SolverConfig(observer=obs))
+        assert bool(a._local) == local
+        assert res.iterations > 2 and [m for m, *_ in seen] == list(range(res.iterations))
+        for m, r, u, v in seen:
+            if local:
+                # the solve's own product: on the copy, in its row order
+                perm, copy = a._local
+                expected = np.empty_like(v)
+                expected[perm] = copy.matvec(r[perm])
+            else:
+                expected = a.matvec(r)
+            assert v.tobytes() == expected.tobytes(), m
+            # V_0 = U_0; after that U advances by recurrence
+            assert (u.tobytes() == v.tobytes()) == (m == 0), m
 
 
 class TestResidualAgreement:
