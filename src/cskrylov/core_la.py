@@ -21,8 +21,9 @@ one-vector kernel for a single column, with the same bits. The block
 update X <- X + Y C is made in place, on large blocks by one ``zgemm``
 call, so X must be row-major; Y is copied to row-major where it is not.
 The thin QR forms its Hermitian Grams by ``zgemm`` on the block's own
-memory. Every kernel but `axpy_block` returns a new array, except that
-the product and the thin QR take an ``out=`` block to write into
+memory. Each BLAS and LAPACK call is handed its buffers' addresses by
+`_address`. Every kernel but `axpy_block` returns a new array, except
+that the product and the thin QR take an ``out=`` block to write into
 (the thin QR then uses its input as scratch), which lets a solve run
 in blocks it allocates once; `axpy_block` updates and returns X.
 
@@ -42,6 +43,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# numpy's compiled einsum, which np.einsum calls as it is where it is not
+# asked to optimize; called directly, a call on an 8 x 8 block takes 2.0
+# against 3.8 us (2-core guest)
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 __all__ = [
     "ComplexSymmetricMatrix",
@@ -536,8 +545,8 @@ def t_gram(v, w):
     width = int_t(p)
     # to a column-major routine the buffers of w and v are W^T and V^T, and
     # g's is G^T = W^T V: the call numpy's product makes for distinct blocks
-    fn(b"N", b"T", width, width, int_t(n), _ONE_ADDRESS, w.ctypes.data, width,
-       v.ctypes.data, width, _ZERO_ADDRESS, g.ctypes.data, width)
+    fn(b"N", b"T", width, width, int_t(n), _ONE_ADDRESS, _address(w), width,
+       _address(v), width, _ZERO_ADDRESS, _address(g), width)
     return g
 
 
@@ -680,7 +689,7 @@ def _cholesky_qr(w, q, xi, scratch):
 def _diagonal_resolved(xi):
     """Whether the smallest diagonal entry of xi is at least
     `_CHOLQR_MIN_DIAG_RATIO` of the largest."""
-    d = np.diagonal(xi).real
+    d = xi.diagonal().real
     return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
 
 
@@ -704,14 +713,16 @@ def _gram_h(v):
             g += np.conjugate(rows).T @ rows
         return g
     fn, int_t = gemm
-    part = np.empty((p, p), dtype=np.complex128, order="F")
+    # the column-major chunk product lands in part's row-major buffer as
+    # its transpose
+    part = np.empty((p, p), dtype=np.complex128)
     width = int_t(p)
-    start, out = v.ctypes.data, part.ctypes.data
+    start, out = _address(v), _address(part)
     for i in range(0, n, _ROW_CHUNK):
         rows = start + i * p * v.itemsize
         fn(b"R", b"T", width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
            rows, width, rows, width, _ZERO_ADDRESS, out, width)
-        g += part
+        g += part.T
     return g
 
 
@@ -751,10 +762,11 @@ def solve_small(m, rhs):
 
     The Gram matrices this solves are complex symmetric, not Hermitian,
     so Cholesky is unsound and partial-pivoted LU is used instead. A
-    1-by-1 system is one complex division. Larger systems go to LAPACK
-    ``zgesv`` in the library numpy itself links (see `_routine`), which
-    picks each pivot by the largest |re| + |im| in its column, as
-    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, a
+    1-by-1 system is one complex division, its scale the modulus of its
+    one entry as a Python scalar. Larger systems go to LAPACK ``zgesv``
+    in the library numpy itself links (see `_routine`), which picks each
+    pivot by the largest |re| + |im| in its column, as LAPACK's
+    ``izamax`` does. Where numpy exposes no such symbol, a
     Python LU that picks each pivot by the largest modulus runs instead.
     The two rules can choose different rows, so their results may differ
     in the last bits. An M whose largest modulus is below `_SCALE_MIN`
@@ -790,7 +802,9 @@ def solve_small(m, rhs):
         raise ValueError(f"rhs shape {b.shape} does not match order {a.shape[0]}")
     if squeeze:
         b = b[:, None]
-    scale = float(np.abs(a).max())
+    # max|M|; a Python scalar's modulus spares a 1-by-1 system the array
+    # calls
+    scale = abs(complex(a[0, 0])) if a.shape[0] == 1 else float(np.abs(a).max())
     if not math.isfinite(scale):
         z = np.full(b.shape, np.nan, dtype=np.complex128)
     elif scale == 0.0:
@@ -900,22 +914,38 @@ def _bind(lib, name, lapack):
     return None
 
 
+def _address(arr):
+    """The address of the first byte of arr, a C-contiguous array, for a
+    ``ctypes`` call.
+
+    A writeable array is read through ctypes' buffer protocol, ~3 times
+    cheaper than ``arr.ctypes.data`` (0.8 against 2.0-2.6 us at n = 841,
+    2-core guest); a read-only one, which that protocol refuses, takes
+    ``arr.ctypes.data``.
+    """
+    if arr.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
 def _lapack_solve(a, b, floor):
     """Z for M Z = B by zgesv."""
     fn, int_t = _routine("zgesv")
     p, k = b.shape
-    lu = np.array(a, order="F")
-    z = np.array(b, order="F")
+    # row-major copies of the transposes: the column-major M and B that
+    # zgesv overwrites with its LU factors and Z
+    lu = a.T.copy()
+    z = b.T.copy()
     ipiv = (int_t * p)()
     n, nrhs, info = int_t(p), int_t(k), int_t(0)
-    fn(n, nrhs, lu.ctypes.data, n, ipiv, z.ctypes.data, n, info)
+    fn(n, nrhs, _address(lu), n, ipiv, _address(z), n, info)
     for i, mag in enumerate(np.abs(lu.diagonal()).tolist()):
         if mag < floor:
             raise BreakdownError(i, mag)
     if info.value:
         # zgesv stopped at an exact zero pivot and left B unsolved
         raise BreakdownError(info.value - 1, 0.0)
-    return z
+    return z.T
 
 
 def _python_solve(a, b, floor):
@@ -952,8 +982,9 @@ def fro_norm(v):
     The one place that decides a norm's summation order: the squares of
     the real and imaginary parts of the block, taken row-major (copied
     where it is not), are summed in memory order by one pass of numpy's
-    ``einsum`` loop, which calls no BLAS and makes no temporary, so the
-    bits depend on neither the block's layout nor the BLAS thread count.
+    compiled ``einsum`` loop (`_einsum`), which calls no BLAS and makes
+    no temporary, so the bits depend on neither the block's layout nor
+    the BLAS thread count.
 
     Where that plain sum overflows on finite entries, or gives a nonzero
     block a norm below `_NORM_MIN` (~1.5e-146), the norm is taken again
@@ -972,8 +1003,8 @@ def fro_norm(v):
         sqrt of the sum of squared entry moduli.
     """
     arr = _as_block(v, "v")
-    x = arr.reshape(-1).view(np.float64)
-    nrm = math.sqrt(np.einsum("i,i->", x, x))
+    x = arr.ravel().view(np.float64)
+    nrm = math.sqrt(_einsum("i,i->", x, x))
     if nrm < _NORM_MIN or nrm == math.inf:
         nrm = _scaled_norm(arr, nrm)
     return nrm
@@ -999,9 +1030,13 @@ _ONE_ADDRESS = _ONE.ctypes.data
 _ZERO = np.zeros(1, dtype=np.complex128)
 _ZERO_ADDRESS = _ZERO.ctypes.data
 # blocks with fewer entries take numpy's product, which is faster there:
-# the ctypes call costs more than the pass zgemm saves. The two cross
-# between 4k and 8k entries for p from 1 to 8 (2-core guest, OpenBLAS)
-_GEMM_MIN_SIZE = 8192
+# the ctypes call costs more than the pass zgemm saves. With buffer
+# addresses from `_address`, the two cross between 841 and 2,048 entries
+# (medians of 31 alternating rounds, 2-core guest, OpenBLAS, 1 and 2
+# threads): zgemm over numpy 0.96-1.00 at 841 x 1, 0.95 at 841 x 2,
+# 0.98-1.08 at 256 x 8, 1.01-1.03 at 128 x 16; at 841 x 8 it is 0.82-0.88
+# (26.6 against 32.5 us), and at 4,096 entries 0.49-0.94 for p from 1 to 16
+_GEMM_MIN_SIZE = 2048
 
 
 def axpy_block(x, y, c):
@@ -1009,14 +1044,15 @@ def axpy_block(x, y, c):
     matrix C.
 
     X is row-major, and Y is copied to row-major where it is not. A
-    block of at least `_GEMM_MIN_SIZE` entries is updated by one
-    ``zgemm`` call with beta = 1 in the library numpy links (see
-    `_routine`): a block of p >= 2 columns as X^T <- X^T + C^T Y^T,
-    which is how a column-major routine reads the row-major buffers, and
-    a single column by the column-major call itself. Smaller blocks, and
-    every block where numpy exposes no such symbol, take
-    ``x += y @ c``. Both give the bits of X + Y @ C formed in a new
-    row-major block.
+    block of at least `_GEMM_MIN_SIZE` entries (2,048: young1c's
+    841 x 8 and 841 x 32 blocks, not its single columns) is updated by
+    one ``zgemm`` call with beta = 1 in the library numpy links (see
+    `_routine`), handed the buffers' addresses by `_address`: a block of
+    p >= 2 columns as X^T <- X^T + C^T Y^T, which is how a column-major
+    routine reads the row-major buffers, and a single column by the
+    column-major call itself. Smaller blocks, and every block where
+    numpy exposes no such symbol, take ``x += y @ c``. Both give the
+    bits of X + Y @ C formed in a new row-major block.
 
     Parameters
     ----------
@@ -1068,11 +1104,11 @@ def axpy_block(x, y, c):
     if x.shape[1] == 1:
         # the column-major call, whose bits are those of x + y @ c; the
         # swapped call below gives a single column those of x + y * c
-        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, y.ctypes.data, n,
-           c.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, n)
+        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, _address(y), n,
+           _address(c), p, _ONE_ADDRESS, _address(x), n)
     else:
         # to a column-major routine the buffers of x, y and c are X^T,
         # Y^T and C^T
-        fn(b"N", b"N", p, n, p, _ONE_ADDRESS, c.ctypes.data, p,
-           y.ctypes.data, p, _ONE_ADDRESS, x.ctypes.data, p)
+        fn(b"N", b"N", p, n, p, _ONE_ADDRESS, _address(c), p,
+           _address(y), p, _ONE_ADDRESS, _address(x), p)
     return x

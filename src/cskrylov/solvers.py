@@ -358,17 +358,21 @@ def _xi_rank_check(xi, warned):
     solver), so that the warning points at the caller of the public
     solver.
     """
-    d = np.abs(np.diag(xi))
-    top = d.max()
-    if not warned and top > 0.0 and d.min() < _RANK_FLOOR * top:
+    if warned:
+        return True
+    # xi is finite here (its norm is), so Python's min and max of the
+    # moduli are numpy's, without an array call each
+    d = np.abs(xi.diagonal()).tolist()
+    top, low = max(d), min(d)
+    if top > 0.0 and low < _RANK_FLOOR * top:
         warnings.warn(
             f"residual block lost numerical rank: smallest xi diagonal is "
-            f"{d.min():.3e} against largest {top:.3e}",
+            f"{low:.3e} against largest {top:.3e}",
             RankLossWarning,
             stacklevel=5,
         )
         return True
-    return warned
+    return False
 
 
 def _qr(w, free):

@@ -1073,6 +1073,52 @@ class TestSolveSmall:
         assert exc.value.pivot_index == index
         assert exc.value.pivot_magnitude == 0.0
 
+    def test_breakdown_names_the_first_of_two_small_pivots(self):
+        # upper triangular, so either rule eliminates nothing and the
+        # pivots are the diagonal: pivots 1 and 3 are under the floor
+        # (1e-14 * max|M| = 2e-14), and the breakdown names the first
+        m = np.diag([1.0, 3e-16 + 4e-16j, 2.0, 1e-17]).astype(complex)
+        m[0, 1:] = 0.5
+        m[1, 2:] = 0.25j
+        m[2, 3] = 1.0
+        with pytest.raises(BreakdownError) as exc:
+            solve_small(m, np.ones((4, 2), dtype=complex))
+        assert exc.value.pivot_index == 1
+        assert exc.value.pivot_magnitude == abs(m[1, 1]) == 5e-16
+
+    @pytest.mark.parametrize(
+        "entry,expected",
+        [
+            # below _SCALE_MIN: solved scaled by a power of 2, with the
+            # bits of the plain division
+            (2.0**-1000 * (3 + 4j), "scaled"),
+            (0j, BreakdownError),
+            (complex(np.nan, 0.0), "nan"),
+            (complex(np.nan, 1.0), "nan"),
+            (complex(np.inf, 0.0), "nan"),
+            (complex(1.0, -np.inf), "nan"),
+        ],
+    )
+    def test_one_by_one_of_every_kind(self, entry, expected):
+        m = np.array([[entry]])
+        rhs = np.array([[1 + 2j, -0.5j, 0.0]])
+        if expected is BreakdownError:
+            with pytest.raises(BreakdownError) as exc:
+                solve_small(m, rhs)
+            assert (exc.value.pivot_index, exc.value.pivot_magnitude) == (0, 0.0)
+            return
+        z = solve_small(m, rhs)
+        if expected == "nan":
+            assert np.isnan(z).all()
+            return
+        assert abs(entry) < core_la._SCALE_MIN
+        assert z.tobytes() == (rhs / entry).tobytes()
+        assert [(v.real.hex(), v.imag.hex()) for v in z[0]] == [
+            ("0x1.c28f5c28f5c29p+998", "0x1.47ae147ae147bp+996"),
+            ("-0x1.47ae147ae147bp+996", "-0x1.eb851eb851eb8p+995"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ]
+
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_tiny_system_is_the_scaled_system(self, p):
         # M and RHS times 2^-1000 have the same solution; unscaled, the
@@ -1331,6 +1377,21 @@ def _run_all_kernels(seed, n=40, p=3):
     return (sparse, dense, v, w, c), out
 
 
+_KERNELS = ("block_matvec", "t_gram", "axpy_block", "thin_qr", "solve_small", "fro_norm")
+
+# the forms in which a caller may hand a kernel the same values
+_FORMS = {
+    "row-major": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "read-only": lambda a: _read_only(np.ascontiguousarray(a)),
+    "list": lambda a: np.asarray(a).tolist(),
+}
+# a real-valued block may come as a float64 array as well
+_REAL_FORMS = {**_FORMS, "float64": lambda a: np.ascontiguousarray(np.asarray(a).real)}
+_REFUSED = ("block_matvec", "t_gram", "axpy_block y", "axpy_block c", "thin_qr",
+            "solve_small m", "solve_small rhs", "fro_norm")
+
+
 class TestEveryKernel:
     def test_reference_formulas(self):
         (sparse, dense, v, w, c), out = _run_all_kernels(seed=42)
@@ -1345,6 +1406,152 @@ class TestEveryKernel:
         first, second = _run_all_kernels(seed=7)[1], _run_all_kernels(seed=7)[1]
         for key in first:
             np.testing.assert_array_equal(first[key], second[key])
+
+    # every kernel in every form a caller may hand it: a row-major block
+    # is taken as it is, and every other form converted as before. At
+    # n = 5000 the Grams and the block update take zgemm, so a read-only
+    # block there is read through `_address`'s fallback
+    @pytest.mark.parametrize("n", [40, 5000])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    def test_every_form_gives_the_same_bits(self, kernel, real, n):
+        call, args = _kernel_cases(n, real)[kernel]
+        expected = _bits(call(*args))
+        forms = _REAL_FORMS if real else _FORMS
+        for form, make in forms.items():
+            given = [make(arg) for arg in args]
+            before = [np.array(arg, copy=True) for arg in given]
+            assert _bits(call(*given)) == expected, form
+            for arg, old in zip(given, before):
+                np.testing.assert_array_equal(np.asarray(arg), old)
+
+    @pytest.mark.parametrize("case", _REFUSED)
+    def test_every_form_raises_the_same_error(self, case):
+        call, args, text = _refused_case(case)
+        messages = set()
+        for form, make in _FORMS.items():
+            with pytest.raises(ValueError, match=text) as exc:
+                call(*[make(arg) for arg in args])
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("case", ["y views x", "c views x", "matvec v views out",
+                                      "thin_qr w views out"])
+    def test_every_form_of_a_view_of_the_output(self, case, form):
+        # a row-major view, writeable or not, is taken as it is, so the
+        # kernel refuses it; a Fortran-order copy or a list of it is a
+        # new block, so the kernel gives the bits of a call on a copy
+        call, output, shared, text = _shared_case(case)
+        view = {"row-major": shared, "read-only": _read_only_view(shared),
+                "fortran": np.asfortranarray(shared), "list": shared.tolist()}[form]
+        if form in ("row-major", "read-only"):
+            before = output.copy()
+            with pytest.raises(ValueError, match=text):
+                call(view)
+            np.testing.assert_array_equal(output, before)
+        else:
+            fresh = _shared_case(case)
+            expected = _bits(fresh[0](fresh[2].copy()))
+            assert _bits(call(view)) == expected
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("kernel", ["block_matvec", "thin_qr"])
+    def test_out_in_every_form(self, kernel, form):
+        # only a writeable row-major complex128 block takes the result
+        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
+        v = np.ascontiguousarray(_rand_block(60, 4, 0))
+        call = {"block_matvec": lambda out: block_matvec(a, v.copy(), out=out),
+                "thin_qr": lambda out: thin_qr(v.copy(), out=out)}[kernel]
+        out = _FORMS[form](_garbage((60, 4)))
+        if form == "row-major":
+            assert _bits(call(out)) == _bits(call(None))
+        else:
+            with pytest.raises(ValueError, match="out must be a writeable row-major"):
+                call(out)
+
+
+def _drawer(seed, real=False):
+    """draw(*shape): seeded row-major complex128 blocks, with zero
+    imaginary parts where real is set."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        re = rng.uniform(-1, 1, shape)
+        return np.ascontiguousarray(re if real else re + 1j * rng.uniform(-1, 1, shape),
+                                    dtype=np.complex128)
+
+    return draw
+
+
+def _kernel_cases(n, real, p=3):
+    """{kernel: (call, its block arguments)}: call(*args) runs the kernel
+    on seeded inputs, whatever form they are in."""
+    draw = _drawer(21, real)
+    a = ComplexSymmetricMatrix.from_dense(_dense_pattern(40, "random", seed=4))
+    # the same product on the larger block, through a tridiagonal matrix
+    if n != a.n:
+        i = np.arange(n)
+        a = ComplexSymmetricMatrix.from_coo(
+            n, np.concatenate([i, i[1:], i[:-1]]), np.concatenate([i, i[:-1], i[1:]]),
+            np.concatenate([np.full(n, 4 + 1j), np.full(2 * n - 2, -1.0)]),
+        )
+    x, m = draw(n, p), draw(p, p)
+    m = m + m.T + 4 * np.eye(p)
+    return {
+        "block_matvec": (lambda v: block_matvec(a, v), (draw(n, p),)),
+        "t_gram": (t_gram, (draw(n, p), draw(n, p))),
+        # x, updated in place, is a copy of the same row-major block
+        "axpy_block": (lambda y, c: axpy_block(x.copy(), y, c), (draw(n, p), draw(p, p))),
+        "thin_qr": (thin_qr, (draw(n, p),)),
+        "solve_small": (solve_small, (m, draw(p, 2))),
+        "fro_norm": (fro_norm, (draw(n, p),)),
+    }
+
+
+def _refused_case(case, n=40, p=3):
+    """(call, block arguments of shapes the kernel refuses, the error's
+    text)."""
+    draw = _drawer(22)
+    a = ComplexSymmetricMatrix.from_dense(_dense_pattern(n, "random", seed=4))
+    x = draw(n, p)
+    return {
+        "block_matvec": (lambda v: block_matvec(a, v), (draw(n + 1, p),), "dimension mismatch"),
+        "t_gram": (t_gram, (draw(n, p), draw(n, p + 1)), "shape mismatch"),
+        "axpy_block y": (lambda y, c: axpy_block(x, y, c), (draw(n + 1, p), draw(p, p)),
+                         "nonconformable"),
+        "axpy_block c": (lambda y, c: axpy_block(x, y, c), (draw(n, p), draw(p, p + 1)),
+                         "must be square"),
+        "thin_qr": (thin_qr, (draw(p - 1, p),), "n >= p"),
+        "solve_small m": (solve_small, (draw(p, p + 1), draw(p, 1)), "must be square"),
+        "solve_small rhs": (solve_small, (draw(p, p), draw(p + 1, 1)), "does not match"),
+        "fro_norm": (fro_norm, (draw(2, 3, 4),), "must be 2-D"),
+    }[case]
+
+
+def _shared_case(case, n=40, p=3):
+    """(call, the block a kernel writes, the row-major view of it that
+    call's one argument is made from, the error's text)."""
+    draw = _drawer(23)
+    if case == "y views x":
+        block, c = draw(n + 1, p), draw(p, p)
+        x = block[:n]
+        return lambda y: axpy_block(x, y, c), x, block[1:], "x shares memory with y or c"
+    if case == "c views x":
+        x, y = draw(n, p), draw(n, p)
+        return lambda c: axpy_block(x, y, c), x, x[:p], "x shares memory with y or c"
+    out = draw(n, p)
+    if case == "matvec v views out":
+        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(n, "random", seed=4))
+        return lambda v: a.matvec(v, out=out), out, out, "out shares memory"
+    return lambda w: thin_qr(w, out=out), out, out, "out shares memory"
+
+
+def _bits(result):
+    """The bytes of a kernel's result: an array, a norm or QR factors."""
+    if isinstance(result, core_la.QrFactors):
+        return _qr_bits(result)
+    return np.asarray(result).tobytes()
 
 
 def _garbage(shape):
@@ -1547,3 +1754,9 @@ def _read_only(x):
     x = x.copy()
     x.flags.writeable = False
     return x
+
+
+def _read_only_view(x):
+    view = x.view()
+    view.flags.writeable = False
+    return view
