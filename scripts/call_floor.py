@@ -9,11 +9,12 @@ row-major complex128 blocks, and for `solve_small` a p x p Gram with a
 p x p right-hand side. The kernel and its bare expression alternate,
 round after round, so that a drift in the machine's speed moves both.
 A kernel with two branches is set beside the branch it takes at that
-shape: `axpy_block` beside ``x += y @ c`` or beside the ``zgemm`` call
-itself (its arguments made before the clock starts), `solve_small` of
-order 1 beside the division. `fro_norm` is timed on an n x p block and
-on a p x p one (the xi of a factored solve), beside both ``np.einsum``
-of its one pass and ``np.linalg.norm``.
+shape: `axpy_block` beside the ``zgemm`` call itself (its arguments made
+before the clock starts), or beside ``x += y @ c`` where numpy exposes
+no ``zgemm``, and `solve_small` of order 1 beside the division.
+`fro_norm` is timed on an n x p block and on a p x p one (the xi of a
+factored solve), beside both ``np.einsum`` of its one pass and
+``np.linalg.norm``.
 
 The table runs in a child process under OPENBLAS_NUM_THREADS=1 and
 again under =2, one after the other, importing the package from the
@@ -99,7 +100,7 @@ def _lines(core_la, young):
             return core_la.axpy_block(x, y, c)
 
         gemm = core_la._routine("zgemm")
-        if gemm is not None and x.size >= core_la._GEMM_MIN_SIZE:
+        if gemm is not None:
             fn, int_t = gemm
             rows, cols = int_t(n), int_t(p)
             one = core_la._ONE_ADDRESS

@@ -18,8 +18,8 @@ column is both layouts. The CSR product and the thin QR copy a block in
 any other layout to row-major once and return row-major blocks: the
 product is one pass of scipy's multi-vector kernel for p >= 2, its
 one-vector kernel for a single column, with the same bits. The block
-update X <- X + Y C is made in place, on large blocks by one ``zgemm``
-call, so X must be row-major; Y is copied to row-major where it is not.
+update X <- X + Y C is made in place by one ``zgemm`` call, so X must be
+row-major; Y is copied to row-major where it is not.
 The thin QR forms its Hermitian Grams by ``zgemm`` on the block's own
 memory. Each BLAS and LAPACK call is handed its buffers' addresses by
 `_address`. Every kernel but `axpy_block` returns a new array, except
@@ -559,7 +559,8 @@ def thin_qr(w, out=None):
     (||D R1^{-1}||_F <= 11, D the column norms), since that pass loses
     orthogonality like u kappa^2; otherwise a second pass makes
     CholeskyQR2, and a block too ill-conditioned or too near rank
-    deficiency for that goes to Householder QR (see `_cholesky_qr`).
+    deficiency for that, or with a column norm below `_NORM_MIN`, goes
+    to Householder QR (see `_cholesky_qr`).
     Either way xi has a real nonnegative diagonal,
     which makes the factors unique for full-rank input and
     factorizations reproducible. Rank deficiency is not deflated; it
@@ -602,12 +603,12 @@ def thin_qr(w, out=None):
         q = out
     xi = np.zeros((p, p), dtype=np.complex128)
     if p == 1:
-        # a squared norm that underflows or overflows goes to Householder,
-        # whose norm is scaled; fro_norm would rescale it, and 1 / nrm
-        # could then overflow
+        # a norm below _NORM_MIN, whose squares have lost digits to
+        # underflow, or one that overflows goes to Householder, whose norm
+        # is scaled; fro_norm would rescale it, and 1 / nrm could overflow
         with np.errstate(over="ignore"):
             nrm = float(np.linalg.norm(w))
-        if 0.0 < nrm < np.inf:
+        if _NORM_MIN <= nrm < np.inf:
             # numpy's complex / real division computes (re + im * 0) *
             # (1 / nrm) per part; this is that product without the loop
             np.multiply(w.view(np.float64), 1.0 / nrm, out=q.view(np.float64))
@@ -661,7 +662,12 @@ def _cholesky_qr(w, q, xi, scratch):
     block. Returns None, with q and xi partly written and w intact, when
     the block fails the module's accuracy conditions."""
     p = w.shape[1]
-    r1 = _cholesky_r(_gram_h(w))
+    g1 = _gram_h(w)
+    # a squared column norm below _NORM_MIN^2 may have lost digits in the
+    # subnormal range, and the factor with it
+    if g1.diagonal().real.min() < _NORM_MIN**2:
+        return None
+    r1 = _cholesky_r(g1)
     if r1 is None:
         return None
     r1_inv = np.linalg.inv(r1)
@@ -1029,30 +1035,23 @@ _ONE = np.ones(1, dtype=np.complex128)
 _ONE_ADDRESS = _ONE.ctypes.data
 _ZERO = np.zeros(1, dtype=np.complex128)
 _ZERO_ADDRESS = _ZERO.ctypes.data
-# blocks with fewer entries take numpy's product, which is faster there:
-# the ctypes call costs more than the pass zgemm saves. With buffer
-# addresses from `_address`, the two cross between 841 and 2,048 entries
-# (medians of 31 alternating rounds, 2-core guest, OpenBLAS, 1 and 2
-# threads): zgemm over numpy 0.96-1.00 at 841 x 1, 0.95 at 841 x 2,
-# 0.98-1.08 at 256 x 8, 1.01-1.03 at 128 x 16; at 841 x 8 it is 0.82-0.88
-# (26.6 against 32.5 us), and at 4,096 entries 0.49-0.94 for p from 1 to 16
-_GEMM_MIN_SIZE = 2048
 
 
 def axpy_block(x, y, c):
     """Update X <- X + Y @ C in place, for block vectors X, Y and a small
     matrix C.
 
-    X is row-major, and Y is copied to row-major where it is not. A
-    block of at least `_GEMM_MIN_SIZE` entries (2,048: young1c's
-    841 x 8 and 841 x 32 blocks, not its single columns) is updated by
-    one ``zgemm`` call with beta = 1 in the library numpy links (see
-    `_routine`), handed the buffers' addresses by `_address`: a block of
-    p >= 2 columns as X^T <- X^T + C^T Y^T, which is how a column-major
-    routine reads the row-major buffers, and a single column by the
-    column-major call itself. Smaller blocks, and every block where
-    numpy exposes no such symbol, take ``x += y @ c``. Both give the
-    bits of X + Y @ C formed in a new row-major block.
+    X is row-major, and Y is copied to row-major where it is not. Every
+    non-empty block is updated by one ``zgemm`` call with beta = 1 in
+    the library numpy links (see `_routine`), handed the buffers'
+    addresses by `_address`: a block of p >= 2 columns as
+    X^T <- X^T + C^T Y^T, which is how a column-major routine reads the
+    row-major buffers, and a single column by the column-major call
+    itself. An empty block, which has no address, and every block where
+    numpy exposes no such symbol take ``x += y @ c``. Both give the bits
+    of X + Y @ C formed in a new row-major block, except in the last
+    n mod 4 rows of a single column, which OpenBLAS's ``zgemm`` and
+    numpy's product round differently.
 
     Parameters
     ----------
@@ -1095,7 +1094,7 @@ def axpy_block(x, y, c):
         )
     if np.shares_memory(x, y) or np.shares_memory(x, c):
         raise ValueError("x shares memory with y or c: it is updated in place")
-    gemm = _routine("zgemm") if x.size >= _GEMM_MIN_SIZE else None
+    gemm = _routine("zgemm") if x.size else None
     if gemm is None:
         x += y @ c
         return x

@@ -1,6 +1,9 @@
 """Shared test fixtures and helpers."""
 
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,21 @@ def child_env(**extra):
     src = str(Path(cskrylov.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_child(code, *args, timeout=120, **extra):
+    """Run code in a child Python process with args as sys.argv[1:],
+    under `child_env(**extra)`, and return the JSON it prints; the child
+    must exit 0."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=child_env(**extra),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def every_operator_wide(monkeypatch):

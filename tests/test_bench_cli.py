@@ -1,7 +1,10 @@
 """Benchmark CLI: reports, history files, exit codes."""
 
+import subprocess
+import sys
+
 import pytest
-from conftest import every_operator_wide
+from conftest import child_env, every_operator_wide
 
 from cskrylov import core_la
 from cskrylov.bench_cli import (
@@ -90,6 +93,17 @@ class TestSolveCommand:
         code = main(["solve", *GEN_ARGS, "--out", "-"])
         assert code == 0
         assert "solver,iterations,trr,cpu,status" in capsys.readouterr().out
+
+    def test_python_m_runs_the_same_command(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "cskrylov", "solve", *GEN_ARGS, "--solvers", "bl_cocg"],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert [r.solver for r in parse_report_csv(out.stdout).rows] == ["bl_cocg"]
 
     def test_markdown_format(self, tmp_path):
         code, text = _solve(tmp_path, extra=["--format", "md"])
@@ -181,6 +195,11 @@ class TestExitCodes:
         code = main(["solve", *GEN_ARGS, "--solvers", "bl_gmres"])
         assert code == 2
         assert "unknown solver" in capsys.readouterr().err
+
+    def test_empty_solver_list_exits_two(self, capsys):
+        code = main(["solve", *GEN_ARGS, "--solvers", ","])
+        assert code == 2
+        assert "no solvers requested" in capsys.readouterr().err
 
     def test_gen_without_n_exits_two(self, capsys):
         code = main(["solve", "--gen", "diagdominant"])
@@ -303,6 +322,12 @@ class TestReportHelpers:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="metadata"):
             parse_report_csv("solver,iterations\n")
+
+    def test_parse_rejects_a_wrong_header(self, tmp_path):
+        _, text = _solve(tmp_path)
+        meta, _, body = text.split("\n", 2)
+        with pytest.raises(ValueError, match="unexpected header line: 'solver,iters'"):
+            parse_report_csv(f"{meta}\nsolver,iters\n{body}")
 
     def test_markdown_of_parsed_report(self, tmp_path):
         _, text = _solve(tmp_path)

@@ -75,6 +75,12 @@ class TestComplexSymmetricMatrix:
             ComplexSymmetricMatrix(2, row_ptr=[0, 1, 1], col_idx=[5], values=[1.0])
         with pytest.raises(ValueError, match="inconsistent"):
             ComplexSymmetricMatrix(2, row_ptr=[0, 1, 3], col_idx=[0, 1], values=[1, 1])
+        with pytest.raises(ValueError, match="row_ptr must be nondecreasing"):
+            ComplexSymmetricMatrix(3, row_ptr=[0, 2, 1, 2], col_idx=[0, 1], values=[1, 1])
+
+    def test_from_dense_rejects_a_non_square_array(self):
+        with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
+            ComplexSymmetricMatrix.from_dense(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "row_ptr,col_idx,row",
@@ -804,6 +810,18 @@ class TestThinQr:
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError, match="n >= p"):
             thin_qr(np.ones((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_orthonormal_at_every_power_of_2_scale(self, p):
+        # near 2^-530 the squared entries are subnormal, so the column
+        # norms (1e-162 to 1e-156) and the Gram have lost digits: such
+        # blocks go to Householder, like those whose squares under- or
+        # overflow outright
+        w = np.ascontiguousarray(_rand_block(841, p, 20 + p))
+        for k in range(-600, 600):
+            fac = thin_qr(w * 2.0**k)
+            assert _defect(fac.q) <= 1e-14, k
+            np.testing.assert_allclose(fac.q @ (fac.xi * 2.0**-k), w, rtol=0, atol=1e-13)
 
 
 def _qr_bits(fac):
@@ -1635,6 +1653,12 @@ class TestOutForms:
         with pytest.raises(ValueError, match="out"):
             thin_qr(v, out=out)
 
+    def test_thin_qr_into_out_refuses_a_read_only_w(self):
+        # with out given, w is scratch
+        w = _read_only(np.ascontiguousarray(_rand_block(60, 4, 0)))
+        with pytest.raises(ValueError, match="w must be writeable"):
+            thin_qr(w, out=_garbage((60, 4)))
+
     @pytest.mark.parametrize("case", ["p=1", *_QR_CASES])
     def test_thin_qr_into_out(self, case, monkeypatch, householder_calls):
         w, gram_count, householder_count = _qr_case(case)
@@ -1659,9 +1683,8 @@ def _parent_axpy(x, y, c):
 
 
 class TestAxpyBlockInPlace:
-    """`axpy_block` updates a row-major x in place: by zgemm from
-    `_GEMM_MIN_SIZE` entries on, by numpy's product below that or without
-    zgemm."""
+    """`axpy_block` updates a row-major x in place: by one zgemm call at
+    every size, by numpy's product without zgemm or on an empty block."""
 
     @staticmethod
     def _operands(n, p, seed):
@@ -1670,32 +1693,30 @@ class TestAxpyBlockInPlace:
 
     @pytest.mark.parametrize("p", [1, 2, 8, 32])
     def test_zgemm_updates_x_in_place(self, p):
-        # large enough for zgemm at every p
         # p = 1 takes the column-major call: the swapped one of p >= 2
-        # would give a single column the bits of x + y * c
-        x, y, c = self._operands(core_la._GEMM_MIN_SIZE, p, 1)
+        # would give a single column the bits of x + y * c. 2,048 rows are
+        # a multiple of 4, so every row keeps numpy's bits
+        x, y, c = self._operands(2048, p, 1)
         expected = _parent_axpy(x, y, c)
         assert axpy_block(x, y, c) is x
         np.testing.assert_array_equal(x, expected)
 
     @pytest.mark.parametrize("p", [1, 2, 8, 32])
-    @pytest.mark.parametrize("zgemm", ["small-block", "no-symbol"])
+    @pytest.mark.parametrize("zgemm", ["no-symbol"])
     def test_numpy_product_keeps_the_parent_bits(self, p, zgemm, monkeypatch):
-        if zgemm == "no-symbol":
-            monkeypatch.setattr(core_la, "_routine", lambda name: None)
-            n = core_la._GEMM_MIN_SIZE
-        else:
-            n = (core_la._GEMM_MIN_SIZE - 1) // p
-        x, y, c = self._operands(n, p, 4)
+        monkeypatch.setattr(core_la, "_routine", lambda name: None)
+        x, y, c = self._operands(2048, p, 4)
         expected = _parent_axpy(x, y, c)
         reference = x + y @ c
         assert axpy_block(x, y, c) is x
         np.testing.assert_array_equal(x, expected)
         np.testing.assert_allclose(x, reference, rtol=1e-15, atol=1e-15)
 
-    @pytest.mark.parametrize("below,asked", [(True, []), (False, ["zgemm"])])
-    def test_zgemm_from_the_size_threshold_on(self, below, asked, monkeypatch):
-        n = core_la._GEMM_MIN_SIZE // 2 - below
+    @pytest.mark.parametrize("n,p,asked", [
+        (841, 1, ["zgemm"]), (40, 3, ["zgemm"]), (0, 3, []), (841, 0, []),
+    ])
+    def test_every_nonempty_block_takes_zgemm(self, n, p, asked, monkeypatch):
+        # an empty block has no buffer address to hand zgemm
         seen = []
         routine = core_la._routine
 
@@ -1704,7 +1725,8 @@ class TestAxpyBlockInPlace:
             return routine(name)
 
         monkeypatch.setattr(core_la, "_routine", recording)
-        axpy_block(*self._operands(n, 2, 7))
+        x, y, c = self._operands(n, p, 7)
+        assert axpy_block(x, y, c) is x
         assert seen == asked
 
     def test_any_layout_of_y_and_c(self):

@@ -1,10 +1,7 @@
 """Solver contracts: convergence, statuses, observers, determinism."""
 
 import dataclasses
-import json
 import math
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 import types
@@ -13,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env, every_operator_wide
+from conftest import every_operator_wide, run_child
 from test_core_la import _two_pass
 
 import cskrylov.solvers as solvers_module
@@ -428,21 +425,11 @@ class TestKernelCalls:
             }))
             """
         )
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                child,
-                str(root / "perfbench" / "tracing.py"),
-                str(root / "tests" / "fixtures" / "young1c.mtx"),
-            ],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
+        seen = run_child(
+            child,
+            root / "perfbench" / "tracing.py",
+            root / "tests" / "fixtures" / "young1c.mtx",
         )
-        assert out.returncode == 0, out.stderr
-        seen = json.loads(out.stdout)
         assert seen["backend"] == "numpy"
         assert seen["kernels"] and seen["missing"] == []
         assert seen["spans"] == ["core_la.from_coo", "mm_io.read_matrix_market"]
@@ -554,15 +541,7 @@ class TestDeterminism:
             """
         )
         for threads in ("1", "2"):
-            out = subprocess.run(
-                [sys.executable, "-c", child],
-                env=child_env(OPENBLAS_NUM_THREADS=threads),
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert out.returncode == 0, out.stderr
-            digests = json.loads(out.stdout)
+            digests = run_child(child, OPENBLAS_NUM_THREADS=threads)
             assert list(digests) == list(SOLVERS) + [f"{k} local" for k in SOLVERS]
             for name, (first, second) in digests.items():
                 assert first == second, f"{name} under {threads} BLAS threads"
@@ -591,15 +570,7 @@ class TestDeterminism:
             """
         )
         for threads in ("1", "2"):
-            out = subprocess.run(
-                [sys.executable, "-c", child],
-                env=child_env(OPENBLAS_NUM_THREADS=threads),
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert out.returncode == 0, out.stderr
-            digests = json.loads(out.stdout)
+            digests = run_child(child, OPENBLAS_NUM_THREADS=threads)
             assert list(digests) == ["thin_qr", "bl_cocg_rq", "bl_cocr_rq"]
             for name, (first, second) in digests.items():
                 assert first == second, f"{name} under {threads} BLAS threads"
@@ -642,15 +613,7 @@ class TestDeterminism:
         )
         digests = []
         for threads in ("1", "2"):
-            out = subprocess.run(
-                [sys.executable, "-c", child],
-                env=child_env(OPENBLAS_NUM_THREADS=threads),
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert out.returncode == 0, out.stderr
-            digests.append(json.loads(out.stdout))
+            digests.append(run_child(child, timeout=300, OPENBLAS_NUM_THREADS=threads))
         assert len(digests[0]) == 9
         for name, first in digests[0].items():
             assert first == digests[1][name], f"{name}: 1 and 2 BLAS threads differ"
@@ -982,20 +945,6 @@ class TestRowMajorSolves:
             every_operator_wide(monkeypatch)
             a, b = _local_problem(8)
         seen, products = [], []
-        # the exit check sums the true residual column by column on
-        # purpose (see true_relative_residual); its blocks are not the
-        # solve's
-        exit_check = []
-        trr = solvers_module.true_relative_residual
-
-        def checking(*args):
-            exit_check.append(True)
-            try:
-                return trr(*args)
-            finally:
-                exit_check.pop()
-
-        monkeypatch.setattr(solvers_module, "true_relative_residual", checking)
         for kernel in self.KERNELS:
             fn = getattr(solvers_module, kernel)
 
@@ -1003,10 +952,9 @@ class TestRowMajorSolves:
                 out = _fn(*args, **kwargs)
                 if _kernel == "block_matvec":
                     products.append(1)
-                if not exit_check:
-                    for arr in (*args, *kwargs.values(), getattr(out, "q", out)):
-                        if isinstance(arr, np.ndarray) and arr.shape == b.shape:
-                            seen.append(arr.flags.c_contiguous)
+                for arr in (*args, *kwargs.values(), getattr(out, "q", out)):
+                    if isinstance(arr, np.ndarray) and arr.shape == b.shape:
+                        seen.append(arr.flags.c_contiguous)
                 return out
 
             monkeypatch.setattr(solvers_module, kernel, recording)
@@ -1052,7 +1000,7 @@ class TestLayoutBits:
             assert rows.x.flags.c_contiguous and columns.x.flags.c_contiguous
             assert rows.x.tobytes() == columns.x.tobytes()
 
-    @pytest.mark.parametrize("n", [841, 5000])
+    @pytest.mark.parametrize("n", [40, 841, 5000])
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_kernels_compute_on_row_major_blocks(self, n, p):
         rng = np.random.default_rng(p)
@@ -1067,14 +1015,15 @@ class TestLayoutBits:
         assert fac.q.flags.c_contiguous and fac_rows.q.flags.c_contiguous
         assert fac.q.tobytes() == fac_rows.q.tobytes()
         assert fac.xi.tobytes() == fac_rows.xi.tobytes()
-        # numpy's product below the zgemm size, then zgemm's from it on
-        # (at n = 5000, p >= 2); w[:m] is a strided Fortran-order block
-        for m in (min(n, (core_la._GEMM_MIN_SIZE - 1) // p), n):
-            x, x_rows = v_rows[:m].copy(), v_rows[:m].copy()
-            expected = x_rows + w_rows[:m] @ c
-            core_la.axpy_block(x, w[:m], c)
-            core_la.axpy_block(x_rows, w_rows[:m], c)
-            assert x.tobytes() == x_rows.tobytes() == expected.tobytes()
+        # zgemm keeps the bits of numpy's product, but in the last n mod 4
+        # rows of a single column
+        x, x_rows = v_rows.copy(), v_rows.copy()
+        expected = x_rows + w_rows @ c
+        core_la.axpy_block(x, w, c)
+        core_la.axpy_block(x_rows, w_rows, c)
+        assert x.tobytes() == x_rows.tobytes()
+        exact = n - n % 4 if p == 1 else n
+        assert x[:exact].tobytes() == expected[:exact].tobytes()
 
     @pytest.mark.parametrize("p", [3, 8])
     def test_gram_without_zgemm_or_openblas_takes_numpy(self, p, monkeypatch):
@@ -1225,15 +1174,7 @@ class TestScipyLoading:
             """
         )
         fixture = Path(__file__).parent / "fixtures" / "young1c.mtx"
-        out = subprocess.run(
-            [sys.executable, "-c", child, str(fixture)],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == {
+        assert run_child(child, fixture) == {
             "import": False,
             "read": False,
             "generate_and_check": False,
@@ -1258,15 +1199,7 @@ class TestScipyLoading:
             }))
             """
         )
-        out = subprocess.run(
-            [sys.executable, "-c", child],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        seen = json.loads(out.stdout)
+        seen = run_child(child)
         assert seen == {"converged": True, "local": True, "csgraph": []}
 
     def test_no_solve_builds_a_csr_array(self, monkeypatch):
