@@ -40,7 +40,8 @@ row-major.
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,11 +126,19 @@ _MAX_ORDER = 3_037_000_499
 
 
 def _check_order(n):
-    if n > _MAX_ORDER:
+    """n as a Python int, refused unless an integer from 1 to `_MAX_ORDER`."""
+    try:
+        order = operator.index(n)
+    except TypeError:
+        raise ValueError(f"matrix order must be an integer, got {n!r}") from None
+    if order < 1:
+        raise ValueError("matrix order must be >= 1")
+    if order > _MAX_ORDER:
         raise ValueError(
-            f"matrix order {n} exceeds {_MAX_ORDER}, the largest whose "
+            f"matrix order {order} exceeds {_MAX_ORDER}, the largest whose "
             "(row, col) sort key fits in int64"
         )
+    return order
 
 
 def _sort_key(major, minor, n):
@@ -177,10 +186,7 @@ class ComplexSymmetricMatrix:
     """
 
     def __init__(self, n, *, row_ptr, col_idx, values):
-        if n < 1:
-            raise ValueError("matrix order must be >= 1")
-        _check_order(n)
-        self.n = int(n)
+        self.n = _check_order(n)
         self._finite = None
         self._symmetric = None
         self._local = None
@@ -222,7 +228,7 @@ class ComplexSymmetricMatrix:
         the constructor, rather than summed. For the key to fit in int64
         the order may be at most 3_037_000_499.
         """
-        _check_order(n)
+        n = _check_order(n)
         rows = _index_array(rows, "rows")
         cols = _index_array(cols, "cols")
         values = np.asarray(values, dtype=np.complex128)
@@ -462,8 +468,7 @@ def _sparsetools():
     return _sparsetools
 
 
-@dataclass
-class QrFactors:
+class QrFactors(NamedTuple):
     """Economy QR factors: q has conjugate-orthonormal columns (Q^H Q = I),
     xi is upper triangular with a real nonnegative diagonal, and q @ xi
     reconstructs the input."""
@@ -553,19 +558,21 @@ def t_gram(v, w):
 def thin_qr(w, out=None):
     """Economy QR of an (n, p) block with n >= p.
 
-    A single column is normalized. A wider block is factored by one pass
-    of CholeskyQR where its first Cholesky factor R1 shows the block,
-    with its columns scaled to unit norm, well conditioned
-    (||D R1^{-1}||_F <= 11, D the column norms), since that pass loses
-    orthogonality like u kappa^2; otherwise a second pass makes
+    A single column is normalized, and a block of no columns gives an
+    (n, 0) q and a 0 x 0 xi. A wider block is factored by one pass of
+    CholeskyQR where its first Cholesky factor R1 shows the block, with
+    its columns scaled to unit norm, well conditioned (||D R1^{-1}||_F
+    <= 11, D = sqrt(diag(W^H W)) the column norms), since that pass
+    loses orthogonality like u kappa^2; otherwise a second pass makes
     CholeskyQR2, and a block too ill-conditioned or too near rank
     deficiency for that, or with a column norm below `_NORM_MIN`, goes
-    to Householder QR (see `_cholesky_qr`).
-    Either way xi has a real nonnegative diagonal,
-    which makes the factors unique for full-rank input and
-    factorizations reproducible. Rank deficiency is not deflated; it
-    shows up as (near) zero diagonal entries of xi for consumers to act
-    on.
+    to Householder QR (see `_cholesky_qr`). Both gate norms, that one
+    and the second pass's ||Q1^H Q1 - I||_F, are `fro_norm`'s; a single
+    column's norm stays numpy's, whose bits its normalization keeps.
+    Either way xi has a real nonnegative diagonal, which makes the
+    factors unique for full-rank input and factorizations reproducible.
+    Rank deficiency is not deflated; it shows up as (near) zero
+    diagonal entries of xi for consumers to act on.
 
     With out given, CholeskyQR allocates no n x p block: Q, or the
     first pass Q1 of CholeskyQR2, is written into out, and the second
@@ -602,6 +609,9 @@ def thin_qr(w, out=None):
             raise ValueError("w must be writeable: with out given it is scratch")
         q = out
     xi = np.zeros((p, p), dtype=np.complex128)
+    if p == 0:
+        # an empty block has no address to hand the Gram's zgemm
+        return QrFactors(q, xi)
     if p == 1:
         # a norm below _NORM_MIN, whose squares have lost digits to
         # underflow, or one that overflows goes to Householder, whose norm
@@ -613,22 +623,23 @@ def thin_qr(w, out=None):
             # (1 / nrm) per part; this is that product without the loop
             np.multiply(w.view(np.float64), 1.0 / nrm, out=q.view(np.float64))
             xi[0, 0] = nrm
-            return QrFactors(q=q, xi=xi)
+            return QrFactors(q, xi)
     else:
         factored = _cholesky_qr(w, q, xi, scratch=out is not None)
         if factored is not None:
-            return QrFactors(q=factored, xi=xi)
+            return QrFactors(factored, xi)
     _householder_qr(w, q, xi)
-    return QrFactors(q=q, xi=xi)
+    return QrFactors(q, xi)
 
 
 # One pass of CholeskyQR, Q = W R1^{-1}, loses orthogonality like
 # u kappa(W)^2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015),
 # where kappa(W) = kappa(R1). The rounding of W^H W scales with W's
 # columns, so the kappa that counts is that of W D^{-1}, D the column
-# norms, which are R1's. Its bound ||R1 D^{-1}||_F ||D R1^{-1}||_F is
-# sqrt(p) e with e = ||D R1^{-1}||_F, which takes a few p x p operations
-# on the factor and the inverse the pass forms anyway. The first pass is
+# norms sqrt(diag(W^H W)), which are R1's too (R1^H R1 = W^H W). Its bound
+# ||R1 D^{-1}||_F ||D R1^{-1}||_F is sqrt(p) e with e = ||D R1^{-1}||_F,
+# which takes the Gram's diagonal, the inverse the pass forms anyway and
+# one `fro_norm` of a p x p matrix. The first pass is
 # the factorization where e is at most this gate. A scan of the one-pass
 # defect ||Q^H Q - I||_F on 9,810 blocks (n up to 1e5, p from 2 to 32,
 # kappa_2 up to 1e4 before column scalings of up to 1e4 either way; see
@@ -656,47 +667,47 @@ _ROW_CHUNK = 4096
 
 def _cholesky_qr(w, q, xi, scratch):
     """CholeskyQR of w into xi and the block that it returns: one pass,
-    into q, where ||D R1^{-1}||_F, D the column norms of w, is at most
-    `_CHOLQR_ONE_PASS_BOUND`, else CholeskyQR2, whose first pass goes
-    into q and whose second into w where w is scratch, else into a new
-    block. Returns None, with q and xi partly written and w intact, when
-    the block fails the module's accuracy conditions."""
-    p = w.shape[1]
+    into q, where ||D R1^{-1}||_F, D = sqrt(diag(W^H W)) the column norms
+    of w, is at most `_CHOLQR_ONE_PASS_BOUND`, else CholeskyQR2, whose
+    first pass goes into q and whose second into w where w is scratch,
+    else into a new block. Returns None, with q and xi partly written and
+    w intact, when the block fails the module's accuracy conditions."""
     g1 = _gram_h(w)
-    # a squared column norm below _NORM_MIN^2 may have lost digits in the
-    # subnormal range, and the factor with it
-    if g1.diagonal().real.min() < _NORM_MIN**2:
+    # the squared column norms: one below _NORM_MIN^2 may have lost digits
+    # in the subnormal range, and the factor with it
+    d2 = g1.diagonal().real
+    if d2.min() < _NORM_MIN**2:
         return None
     r1 = _cholesky_r(g1)
     if r1 is None:
         return None
     r1_inv = np.linalg.inv(r1)
-    e = np.linalg.norm(np.linalg.norm(r1, axis=0)[:, None] * r1_inv)
-    if e <= _CHOLQR_ONE_PASS_BOUND:
+    if fro_norm(np.sqrt(d2)[:, None] * r1_inv) <= _CHOLQR_ONE_PASS_BOUND:
         xi[:] = r1
-        if not _diagonal_resolved(xi):
+        src, inv, dest = w, r1_inv, q
+    else:
+        q1 = np.matmul(w, r1_inv, out=q)
+        g2 = _gram_h(q1)
+        if not fro_norm(g2 - np.eye(len(g2))) <= _CHOLQR_MAX_DEFECT:
             return None
-        return np.matmul(w, r1_inv, out=q)
-    q1 = np.matmul(w, r1_inv, out=q)
-    g2 = _gram_h(q1)
-    if not np.linalg.norm(g2 - np.eye(p)) <= _CHOLQR_MAX_DEFECT:
+        r2 = _cholesky_r(g2)
+        if r2 is None:
+            return None
+        # the diagonal of xi is the product of the factors' real positive
+        # diagonals, with exactly zero imaginary parts
+        np.matmul(r2, r1, out=xi)
+        src, inv, dest = q1, np.linalg.inv(r2), w if scratch else None
+    low, top = _diagonal_span(xi)
+    if low < _CHOLQR_MIN_DIAG_RATIO * top:
         return None
-    r2 = _cholesky_r(g2)
-    if r2 is None:
-        return None
-    # the diagonal of xi is the product of the factors' real positive
-    # diagonals, with exactly zero imaginary parts
-    np.matmul(r2, r1, out=xi)
-    if not _diagonal_resolved(xi):
-        return None
-    return np.matmul(q1, np.linalg.inv(r2), out=w if scratch else None)
+    return np.matmul(src, inv, out=dest)
 
 
-def _diagonal_resolved(xi):
-    """Whether the smallest diagonal entry of xi is at least
-    `_CHOLQR_MIN_DIAG_RATIO` of the largest."""
-    d = xi.diagonal().real
-    return bool(d.min() >= _CHOLQR_MIN_DIAG_RATIO * d.max())
+def _diagonal_span(xi):
+    """(smallest, largest) modulus on a finite xi's diagonal: Python's
+    min and max of the short list, numpy's without an array call each."""
+    d = np.abs(xi.diagonal()).tolist()
+    return min(d), max(d)
 
 
 def _gram_h(v):
@@ -790,7 +801,8 @@ def solve_small(m, rhs):
     Returns
     -------
     ndarray
-        Z with M @ Z = RHS, shape (p, k). All NaN when M has a NaN or
+        Z with M @ Z = RHS, shape (p, k), or (p,) for a 1-D RHS; empty
+        for a 0 x 0 M. All NaN when M has a NaN or
         infinite entry, and non-finite when RHS has one; neither raises
         `BreakdownError`.
 
@@ -806,6 +818,9 @@ def solve_small(m, rhs):
     squeeze = b.ndim == 1
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match order {a.shape[0]}")
+    if not a.size:
+        # a 0 x 0 system has the empty solution, as in np.linalg.solve
+        return np.empty_like(b)
     if squeeze:
         b = b[:, None]
     # max|M|; a Python scalar's modulus spares a 1-by-1 system the array

@@ -30,11 +30,13 @@ the recurrence keeps that layout. A wide matrix is solved through its
 locality copy (see `core_la.solve_operator`), and X comes back in the
 caller's row order; X is row-major either way.
 Convergence is declared on the recursive residual relative to
-||B||_F; the true residual is recomputed from a fresh operator
-application at exit and reported as log10 of the relative Frobenius
-norm. A singular small Gram system aborts the run with a breakdown
-report (no look-ahead, no deflation); rank loss in xi_m is a warning,
-not an abort, since columns converging at different rates is expected.
+||B||_F, whose history is the run's one record of its progress: the
+iteration count and convergence are read off it. The true residual is
+recomputed from a fresh operator application at exit and reported as
+log10 of the relative Frobenius norm. A singular small Gram system
+aborts the run with a breakdown report (no look-ahead, no deflation);
+rank loss in xi_m is a warning, not an abort, since columns converging
+at different rates is expected.
 """
 
 import math
@@ -49,6 +51,7 @@ import numpy as np
 from .core_la import (
     BreakdownError,
     _as_block,
+    _diagonal_span,
     _ldexp,
     axpy_block,
     block_matvec,
@@ -143,9 +146,9 @@ class SolveResult:
     x : ndarray
         Approximate solution block, (n, p), row-major.
     iterations : int
-        Completed iterations at exit.
+        Completed iterations at exit, len(history) - 1.
     converged : bool
-        Whether the recursive residual reached tol.
+        Whether the recursive residual reached tol, history[-1] <= tol.
     trr : float
         log10 of the true relative residual, from a fresh operator
         application at exit.
@@ -221,12 +224,19 @@ def true_relative_residual(a, b, x):
         If B is not 2-D, if X does not have B's shape, or if ||B||_F is
         zero, where the ratio is undefined.
     """
+    return _relative_residual(a, _as_block(_as_rhs(b, x, "x")), x, None)
+
+
+def _as_rhs(b, x, name):
+    """b as a complex128 array, refused unless 2-D and of x's shape."""
     b = np.asarray(b, dtype=np.complex128)
     if b.ndim != 2:
         raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
-    if np.shape(x) != b.shape:
-        raise ValueError(f"x shape {np.shape(x)} does not match RHS shape {b.shape}")
-    return _relative_residual(a, _as_block(b), x, None)
+    if x is not None and np.shape(x) != b.shape:
+        raise ValueError(
+            f"{name} shape {np.shape(x)} does not match RHS shape {b.shape}"
+        )
+    return b
 
 
 def _relative_residual(a, b, x, out):
@@ -252,11 +262,12 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     whose norm has a binary exponent e beyond `_RHS_EXP_WINDOW` is
     solved as B 2^-e (x0 too), and X scaled back.
     The recurrence is skipped when the initial residual already meets
-    tol, is exactly zero, or is not finite. It returns before X goes
-    back to the caller's row order and the true residual is taken, and
-    hands back its blocks other than X (R_0's block where it is
-    skipped): the exit writes X's caller-order copy, B's row-major copy
-    and the product A X, in which B - A X is formed, into them.
+    tol, is exactly zero, or is not finite. It appends to history, off
+    which the result's iterations and converged are read, and returns
+    before X goes back to the caller's row order and the true residual
+    is taken, handing back its blocks other than X (R_0's block where
+    it is skipped): the exit writes X's caller-order copy, B's row-major
+    copy and the product A X, in which B - A X is formed, into them.
     """
     t0 = time.perf_counter()
     if cfg is None:
@@ -266,18 +277,13 @@ def _solve(recurrence, a, b, x0, cfg, factored):
             "operator failed check_complex_symmetric; these methods require "
             "A equal to its unconjugated transpose"
         )
-    b = np.asarray(b, dtype=np.complex128)
-    if b.ndim != 2:
-        raise ValueError(f"right-hand side must be 2-D, got shape {b.shape}")
+    b = _as_rhs(b, x0, "x0")
+    x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
     n, p = b.shape
     if n != a.n:
         raise ValueError(f"operator order {a.n} does not match RHS rows {n}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.complex128)
-        if x0.shape != (n, p):
-            raise ValueError(f"x0 shape {x0.shape} does not match RHS shape {b.shape}")
     op, to_op, to_caller = solve_operator(a)
     r0 = to_op(b)
     norm_b = fro_norm(r0)
@@ -302,17 +308,15 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         x = to_op(x0)
         r0 -= block_matvec(op, x)
         history = [fro_norm(r0) / norm_b]
-    converged, breakdown, iterations = history[0] <= cfg.tol, None, 0
-    free = [r0]
-    if math.isfinite(history[0]) and not converged:
+    breakdown, free = None, [r0]
+    if cfg.tol < history[0] < math.inf:
         max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
         observe = _observer_hook(cfg.observer, to_caller)
-        x, converged, breakdown, iterations, free = recurrence(
+        x, breakdown, free = recurrence(
             op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
         )
     # the exit needs two blocks, three through a locality copy, and
     # allocates only those that the recurrence did not leave free
-    free = list(free)
     free += [np.empty_like(x) for _ in range(2 + (op is not a) - len(free))]
     # no exit copy in file order: one raised young1c-sweep's peak RSS
     if op is not a:
@@ -325,8 +329,8 @@ def _solve(recurrence, a, b, x0, cfg, factored):
         x = _ldexp(x, -shift)
     return SolveResult(
         x=x,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history) - 1,
+        converged=history[-1] <= cfg.tol,
         trr=trr,
         history=history,
         breakdown=breakdown,
@@ -351,19 +355,13 @@ def _observer_hook(observer, to_caller):
     return observe
 
 
-def _xi_rank_check(xi, warned):
-    """Warn once per run when xi's diagonal spans more than _RANK_FLOOR.
-
-    Called from a recurrence loop only (below `_solve` and a public
-    solver), so that the warning points at the caller of the public
-    solver.
-    """
-    if warned:
-        return True
-    # xi is finite here (its norm is), so Python's min and max of the
-    # moduli are numpy's, without an array call each
-    d = np.abs(xi.diagonal()).tolist()
-    top, low = max(d), min(d)
+def _xi_rank_check(xi):
+    """Warn when xi's diagonal spans more than _RANK_FLOOR, and return
+    whether it did; a run checks until it has warned once. Called from a
+    recurrence only (below `_solve` and a public solver), so that the
+    warning points at the public solver's caller."""
+    # xi is finite here (its norm is)
+    low, top = _diagonal_span(xi)
     if top > 0.0 and low < _RANK_FLOOR * top:
         warnings.warn(
             f"residual block lost numerical rank: smallest xi diagonal is "
@@ -376,23 +374,14 @@ def _xi_rank_check(xi, warned):
 
 
 def _qr(w, free):
-    """(QR factors of w, the block left free): the QR writes into free
-    and over w (see `thin_qr`), and whichever of the two does not hold
-    Q is free after it."""
-    fac = thin_qr(w, out=free)
-    return fac, w if fac.q is free else free
+    """(Q, xi, the block left free) of w: the QR writes into free and
+    over w (see `thin_qr`), and whichever of the two does not hold Q is
+    free after it."""
+    q, xi = thin_qr(w, out=free)
+    return q, xi, w if q is free else free
 
 
-def _factor(r, free, factored):
-    """(Q_0, xi_0, the free block) of the initial residual, whose block
-    is scratch once factored; unfactored, (R_0, None, free)."""
-    if not factored:
-        return r, None, free
-    fac, free = _qr(r, free)
-    return fac.q, fac.xi, free
-
-
-def _advance(x, s, q, w, alpha, xi, norm_b, free):
+def _advance(x, s, q, w, alpha, xi, norm_b, history, free):
     """The solution and residual step both recurrences share.
 
     X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
@@ -400,20 +389,21 @@ def _advance(x, s, q, w, alpha, xi, norm_b, free):
     (xi is None) the residual Q_m - W alpha is Q_{m+1} itself: no QR is
     taken and no product with xi or tau is formed. X and Q are updated
     in place, and the QR writes into the free block, which may be w,
-    and over Q_m (see `_qr`).
+    and over Q_m (see `_qr`). ||R_{m+1}||_F / ||B||_F is appended to
+    history.
 
-    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, ||R_{m+1}||_F / ||B||_F,
-    the free block), with tau and xi None and free unchanged when
-    unfactored.
+    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, the free block),
+    with tau and xi None and free unchanged when unfactored.
     """
     x = axpy_block(x, s, alpha if xi is None else alpha @ xi)
     q = axpy_block(q, w, -alpha)
     if xi is None:
-        return x, q, None, None, fro_norm(q) / norm_b, free
-    fac, free = _qr(q, free)
-    xi = fac.xi @ xi
-    h = fro_norm(xi) / norm_b
-    return x, fac.q, fac.xi, xi, h, free
+        history.append(fro_norm(q) / norm_b)
+        return x, q, None, None, free
+    q, tau, free = _qr(q, free)
+    xi = tau @ xi
+    history.append(fro_norm(xi) / norm_b)
+    return x, q, tau, xi, free
 
 
 def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
@@ -425,23 +415,23 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     iteration forms two Gram products.
 
     Runs from `_solve`'s row-major X and R_0 on the operator a, calls
-    observe (None: no observer) at the top of every iteration, and appends
-    residual norms relative to norm_b = ||B||_F to history. Returns
-    (X, converged, breakdown, iterations, its other blocks), which
-    `_solve`'s exit reuses.
+    observe (None: no observer) at the top of every iteration, and
+    appends residual norms relative to norm_b = ||B||_F to history until
+    one meets tol or is not finite. Returns (X, the breakdown or None,
+    its other blocks), which `_solve`'s exit reuses.
 
     The iteration works in four n x p blocks, X, Q, S and W = A S,
     allocated once: R_0 is Q unfactored, and scratch of the first QR
     factored. W is dead once Q advances, so it takes the next QR and,
     with a copy of Q_{m+1}, starts S_{m+1}, whose old block is the next W.
     """
-    q, xi, w = _factor(r, np.empty_like(r), factored)
-    warned = factored and _xi_rank_check(xi, False)
+    q, xi, w = _qr(r, np.empty_like(r)) if factored else (r, None, np.empty_like(r))
+    warned = factored and _xi_rank_check(xi)
     keys = ("X", "Q", "S") if factored else ("X", "R", "P")
     grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
     s = q.copy()
     qq = t_gram(q, q)
-    converged, breakdown, iterations = False, None, 0
+    breakdown = None
     for m in range(max_iter):
         if observe is not None:
             observe(m, keys, (x, q, s), xi)
@@ -451,15 +441,12 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         except BreakdownError as e:
             breakdown = BreakdownInfo(grams[0], m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q, tau, xi, h, w = _advance(x, s, q, w, alpha, xi, norm_b, w)
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h) or h <= tol:
-            converged = h <= tol
+        x, q, tau, xi, w = _advance(x, s, q, w, alpha, xi, norm_b, history, w)
+        if not tol < history[-1] < math.inf:
             break
         # a converged block is all noise; rank only matters while iterating
-        if factored:
-            warned = _xi_rank_check(xi, warned)
+        if factored and not warned:
+            warned = _xi_rank_check(xi)
         qq_new = t_gram(q, q)
         try:
             beta = solve_small(qq, tau.T @ qq_new if factored else qq_new)
@@ -470,7 +457,7 @@ def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         np.copyto(w, q)
         s, w = axpy_block(w, s, beta), s
         qq = qq_new
-    return x, converged, breakdown, iterations, (q, s, w)
+    return x, breakdown, [q, s, w]
 
 
 def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
@@ -489,13 +476,13 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
     and S_m's block is the next free one. V_{m+1} outlives U_{m+1} only
     as a copy taken for an installed observer.
     """
-    q, xi, free = _factor(r, np.empty_like(r), factored)
-    warned = factored and _xi_rank_check(xi, False)
+    q, xi, free = _qr(r, np.empty_like(r)) if factored else (r, None, np.empty_like(r))
+    warned = factored and _xi_rank_check(xi)
     keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
     s = q.copy()
     u = v = block_matvec(a, q)
     qv = t_gram(q, u)
-    converged, breakdown, iterations = False, None, 0
+    breakdown = None
     for m in range(max_iter):
         if observe is not None:
             observe(m, keys, (x, q, s, u, v), xi)
@@ -504,14 +491,11 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         except BreakdownError as e:
             breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q, tau, xi, h, free = _advance(x, s, q, u, alpha, xi, norm_b, free)
-        history.append(h)
-        iterations = m + 1
-        if not math.isfinite(h) or h <= tol:
-            converged = h <= tol
+        x, q, tau, xi, free = _advance(x, s, q, u, alpha, xi, norm_b, history, free)
+        if not tol < history[-1] < math.inf:
             break
-        if factored:
-            warned = _xi_rank_check(xi, warned)
+        if factored and not warned:
+            warned = _xi_rank_check(xi)
         free = block_matvec(a, q, out=free)
         qv_new = t_gram(q, free)
         try:
@@ -528,7 +512,7 @@ def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
         np.copyto(dead, q)
         s, free = axpy_block(dead, s, beta), s
         qv = qv_new
-    return x, converged, breakdown, iterations, (q, s, u, free)
+    return x, breakdown, [q, s, u, free]
 
 
 def bl_cocg(a, b, x0=None, cfg=None):

@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import math
+import re
 import types
 
 import coo_reference
@@ -147,6 +148,32 @@ class TestComplexSymmetricMatrix:
     def test_order_limit_is_the_largest_whose_key_fits_int64(self):
         n = core_la._MAX_ORDER
         assert n * n - 1 <= np.iinfo(np.int64).max < (n + 1) * (n + 1) - 1
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 2.0, np.float64(2.0), "2"], ids=["2.5", "2.0", "float64", "str"]
+    )
+    def test_non_integer_order_refused(self, n):
+        message = f"^{re.escape(f'matrix order must be an integer, got {n!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            ComplexSymmetricMatrix(n, row_ptr=[0, 1, 2], col_idx=[0, 1], values=[1, 2])
+        with pytest.raises(ValueError, match=message):
+            ComplexSymmetricMatrix.from_coo(n, [0, 1], [0, 1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="^matrix order must be >= 1$"):
+            ComplexSymmetricMatrix(n, row_ptr=[0], col_idx=[], values=[])
+        with pytest.raises(ValueError, match="^matrix order must be >= 1$"):
+            ComplexSymmetricMatrix.from_coo(n, [], [], [])
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.uint8(2), 2])
+    def test_integer_order_of_any_type_taken(self, n):
+        for m in (
+            ComplexSymmetricMatrix(n, row_ptr=[0, 1, 2], col_idx=[0, 1], values=[1, 2]),
+            ComplexSymmetricMatrix.from_coo(n, [0, 1], [0, 1], [1.0, 2.0]),
+        ):
+            assert m.n == 2 and type(m.n) is int
+            np.testing.assert_array_equal(m.to_dense(), np.diag([1.0, 2.0]))
 
     @pytest.mark.parametrize("n", [core_la._MAX_ORDER + 1, 10**20])
     def test_order_beyond_the_key_refused(self, n):
@@ -811,6 +838,17 @@ class TestThinQr:
         with pytest.raises(ValueError, match="n >= p"):
             thin_qr(np.ones((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("n", [0, 5, 5000])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    def test_block_of_no_columns(self, n, with_out):
+        # t_gram, axpy_block and fro_norm take such blocks too
+        w = np.empty((n, 0), dtype=complex)
+        out = np.empty((n, 0), dtype=complex) if with_out else None
+        fac = thin_qr(w, out=out)
+        assert fac.q.shape == (n, 0) and fac.q.dtype == np.complex128
+        assert fac.xi.shape == (0, 0) and fac.xi.dtype == np.complex128
+        assert fac.q is out if with_out else fac.q is not w
+
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_orthonormal_at_every_power_of_2_scale(self, p):
         # near 2^-530 the squared entries are subnormal, so the column
@@ -1059,6 +1097,14 @@ class TestSolveSmall:
         np.testing.assert_allclose(
             solve_small(m, rhs), np.linalg.solve(m, rhs), rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("rhs_shape", [(0, 3), (0, 1), (0,)])
+    def test_empty_system(self, rhs_shape):
+        m = np.empty((0, 0), dtype=complex)
+        rhs = np.empty(rhs_shape, dtype=complex)
+        z = solve_small(m, rhs)
+        assert z.shape == np.linalg.solve(m, rhs).shape == rhs_shape
+        assert z.dtype == np.complex128
 
     def test_one_dimensional_rhs_round_trips(self):
         z = solve_small(np.eye(2, dtype=complex), np.array([1.0, 2.0j]))

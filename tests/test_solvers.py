@@ -16,6 +16,7 @@ from test_core_la import _two_pass
 import cskrylov.solvers as solvers_module
 from cskrylov import core_la
 from cskrylov.core_la import ComplexSymmetricMatrix, fro_norm, t_gram
+from cskrylov.mm_io import read_matrix_market
 from cskrylov.oracle import ProblemSpec, direct_solve, gen_problem, gen_rhs
 from cskrylov.solvers import (
     SOLVERS,
@@ -226,6 +227,63 @@ class TestStatuses:
         a, b = _problem(seed=0)
         res = bl_cocg(a, b)
         assert "converged" in repr(res)
+
+
+# the diagonal operator and right-hand side whose Gram system breaks down
+# at iteration 0, first in the alpha system and then in the beta system;
+# see TestStatuses
+_BREAKDOWNS = {
+    "bl_cocg": (((1, 4), (2, 1j), "P^T A P"), ((1, 2), (1, 1j), "R^T R")),
+    "bl_cocg_rq": (((1, 4), (2, 1j), "S^T A S"), ((1, 2), (1, 1j), "Q^T Q")),
+    "bl_cocr": (((1, 1), (1, 1j), "U^T U"), ((1, 4), (2, 1j), "R^T V")),
+    "bl_cocr_rq": (((1, 1), (1, 1j), "U^T U"), ((1, 4), (2, 1j), "Q^T V")),
+}
+_STATUS_CASES = [
+    (case, name)
+    for name in SOLVERS
+    for case in ("converged-at-0", "converged", "max-iter", "diverged",
+                 "alpha-breakdown", "beta-breakdown")
+] + [("young1c-p32-breakdown", "bl_cocr")]
+
+
+def _status_case(case, name):
+    """(a, b, x0, cfg, status) of a solve that ends in the named status."""
+    if case in ("converged-at-0", "diverged"):
+        a = ComplexSymmetricMatrix.from_dense(np.eye(5))
+        b = gen_rhs(5, 2, seed=3, complex_values=True)
+        if case == "diverged":
+            b[1, 0] = np.nan
+            return a, b, None, None, "diverged"
+        # a residual of 1e-12 ||B||_F, below tol but not zero
+        return a, b, b * (1 + 1e-12), None, "converged"
+    if case == "converged":
+        return *_problem(seed=0), None, None, "converged"
+    if case == "max-iter":
+        return *_problem(seed=0), None, SolverConfig(max_iter=2), "failed: max_iter"
+    if case == "young1c-p32-breakdown":
+        a = read_matrix_market(Path(__file__).parent / "fixtures" / "young1c.mtx")[1]
+        return a, gen_rhs(a.n, 32, 0), None, None, "breakdown: R^T V"
+    diag, rhs, system = _BREAKDOWNS[name][case == "beta-breakdown"]
+    a = ComplexSymmetricMatrix.from_dense(np.diag(diag))
+    return a, np.array([rhs], dtype=complex).T, None, None, f"breakdown: {system}"
+
+
+class TestDerivedFields:
+    """iterations and converged are read off the residual history, for
+    every status. Only that invariant is pinned, not an iteration count:
+    where a solve breaks down may depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize("case,name", _STATUS_CASES,
+                             ids=[f"{c}-{n}" for c, n in _STATUS_CASES])
+    def test_iterations_and_converged_follow_the_history(self, case, name):
+        a, b, x0, cfg, status = _status_case(case, name)
+        res = SOLVERS[name](a, b, x0=x0, cfg=cfg)
+        assert res.status.startswith(status), res.status
+        tol = (cfg or SolverConfig()).tol
+        assert res.iterations == len(res.history) - 1
+        assert res.converged == (res.history[-1] <= tol)
+        if case == "converged-at-0":
+            assert res.history == [res.history[0]] and 0.0 < res.history[0] <= tol
 
 
 class TestRqStabilization:
