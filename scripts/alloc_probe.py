@@ -14,10 +14,11 @@ line gives:
   blocks and the exit check. Expected: 4 / 4 / 5 / 5 for ``bl_cocg`` /
   ``bl_cocg_rq`` / ``bl_cocr`` / ``bl_cocr_rq``.
 - ``exit_faults`` and ``exit_blocks``: the same two measures over the
-  exit of a fourth solve, from the moment the recurrence returns to the
-  end of the solve (X's copy in the caller's order and the
-  true-residual check): minor faults, and the peak of the memory that
-  the exit allocates and holds at once, in blocks. Expected: 0 blocks.
+  exit of a fourth solve, from the moment the iteration loop
+  (`solvers._iterate`) returns to the end of the solve (X's copy in the
+  caller's order and the true-residual check): minor faults, and the
+  peak of the memory that the exit allocates and holds at once, in
+  blocks. Expected: 0 blocks.
 
 The first solve of the run also builds the matrix's locality copy
 (`core_la.solve_operator`), so it is never measured. The package is
@@ -39,12 +40,12 @@ def _faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _mark_exit(recurrence, marks):
-    """recurrence, recording the minor faults when it returns and then
+def _mark_exit(iterate, marks):
+    """iterate, recording the minor faults when it returns and then
     starting `tracemalloc` where marks["trace"] is set."""
 
     def run(*args):
-        out = recurrence(*args)
+        out = iterate(*args)
         marks["faults"] = _faults()
         if marks["trace"]:
             tracemalloc.start()
@@ -64,9 +65,8 @@ def main():
     a, b = ck.gen_problem(spec)
     block = b.size * b.itemsize
     marks = {"trace": False}
-    # the public solvers look the recurrences up on the module at each call
-    for rec in ("_cocg", "_cocr"):
-        setattr(solvers, rec, _mark_exit(getattr(solvers, rec), marks))
+    # the public solvers look the loop up on the module at each call
+    solvers._iterate = _mark_exit(solvers._iterate, marks)
     for name, solver in ck.SOLVERS.items():
         solver(a, b)
         before = _faults()

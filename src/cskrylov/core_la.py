@@ -125,10 +125,18 @@ def _as_small(c, name="coefficient matrix"):
 _MAX_ORDER = 3_037_000_499
 
 
+def _integer(value):
+    """value as a Python int by `operator.index`, which raises TypeError
+    for a non-integer; here for a bool too, which is an int but no count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _check_order(n):
     """n as a Python int, refused unless an integer from 1 to `_MAX_ORDER`."""
     try:
-        order = operator.index(n)
+        order = _integer(n)
     except TypeError:
         raise ValueError(f"matrix order must be an integer, got {n!r}") from None
     if order < 1:

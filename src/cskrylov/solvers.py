@@ -17,14 +17,14 @@ and B holds p right-hand sides as columns:
   columns, which is what degrades first in the plain methods, and the
   residual norm falls out for free as ||xi_m||_F.
 
-Each recurrence is written once (`_cocg`, `_cocr`); the plain method
-is its unfactored case, Q_m = R_m and xi_m = tau_m = I, with the
-products by those identities skipped rather than taken.
+One loop (`_iterate`) runs all four: COCR is COCG in the bilinear form
+x^T A y, and the plain method is the unfactored case, Q_m = R_m and
+xi_m = tau_m = I, with the products by those identities skipped.
 
 Every method applies the operator exactly once per iteration after
-setup, and allocates no n-by-p block in its iterations: each recurrence
-works in a fixed set of blocks, allocated once per solve and rotated
-(see `_cocg` and `_cocr`). Every solve runs on row-major blocks: B is
+setup, and allocates no n-by-p block in its iterations: the loop works
+in a fixed set of blocks, allocated once per solve and rotated (see
+`_iterate`). Every solve runs on row-major blocks: B is
 copied into the operator's row order as a row-major block, once, and
 the recurrence keeps that layout. A wide matrix is solved through its
 locality copy (see `core_la.solve_operator`), and X comes back in the
@@ -40,7 +40,7 @@ at different rates is expected.
 """
 
 import math
-import operator
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +52,7 @@ from .core_la import (
     BreakdownError,
     _as_block,
     _diagonal_span,
+    _integer,
     _ldexp,
     axpy_block,
     block_matvec,
@@ -95,9 +96,11 @@ class SolverConfig:
     Parameters
     ----------
     tol : float
-        Threshold on the relative residual ||R||_F / ||B||_F, > 0.
+        Threshold on the relative residual ||R||_F / ||B||_F, a real
+        number > 0 (an int or numpy float too, but not a bool).
     max_iter : int or None
-        Iteration cap; None means the matrix order.
+        Iteration cap, an integer >= 1 but not a bool; None means the
+        matrix order.
     observer : callable or None
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
@@ -114,17 +117,23 @@ class SolverConfig:
     observer: Optional[Callable] = None
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter is not None:
             try:
-                operator.index(self.max_iter)
+                _integer(self.max_iter)
             except TypeError:
                 raise ValueError(
                     f"max_iter must be an integer, got {self.max_iter!r}"
                 ) from None
             if self.max_iter < 1:
                 raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.observer is not None and not callable(self.observer):
+            raise ValueError(
+                f"observer must be callable or None, got {self.observer!r}"
+            )
 
 
 @dataclass
@@ -251,22 +260,22 @@ def _relative_residual(a, b, x, out):
         return float(np.log10(fro_norm(r) / norm_b))
 
 
-def _solve(recurrence, a, b, x0, cfg, factored):
-    """Validate, form the initial residual, run one recurrence and
-    assemble the result.
+def _solve(a, b, x0, cfg, factored, cocr):
+    """Validate, form the initial residual, run the iteration loop
+    (`_iterate`, COCR where cocr) and assemble the result.
 
-    X and R_0 are row-major, in the row order of the operator the
-    recurrence runs on (`solve_operator`): the locality copy of a wide
-    a, or a itself. ||B||_F is taken on B in that order, and for x0 =
+    X and R_0 are row-major, in the row order of the operator the loop
+    runs on (`solve_operator`): the locality copy of a wide a, or a
+    itself. ||B||_F is taken on B in that order, and for x0 =
     None history[0] is norm_b / norm_b, exactly 1 for a finite B. A B
     whose norm has a binary exponent e beyond `_RHS_EXP_WINDOW` is
     solved as B 2^-e (x0 too), and X scaled back.
-    The recurrence is skipped when the initial residual already meets
-    tol, is exactly zero, or is not finite. It appends to history, off
-    which the result's iterations and converged are read, and returns
-    before X goes back to the caller's row order and the true residual
-    is taken, handing back its blocks other than X (R_0's block where
-    it is skipped): the exit writes X's caller-order copy, B's row-major
+    The loop is skipped when the initial residual already meets tol, is
+    exactly zero, or is not finite. It appends to history, off which
+    the result's iterations and converged are read, and returns before
+    X goes back to the caller's row order and the true residual is
+    taken, handing back three blocks other than X (R_0's block where it
+    is skipped): the exit writes X's caller-order copy, B's row-major
     copy and the product A X, in which B - A X is formed, into them.
     """
     t0 = time.perf_counter()
@@ -312,11 +321,11 @@ def _solve(recurrence, a, b, x0, cfg, factored):
     if cfg.tol < history[0] < math.inf:
         max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
         observe = _observer_hook(cfg.observer, to_caller)
-        x, breakdown, free = recurrence(
-            op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored
+        x, breakdown, free = _iterate(
+            op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored, cocr
         )
     # the exit needs two blocks, three through a locality copy, and
-    # allocates only those that the recurrence did not leave free
+    # allocates only those that the loop did not leave free
     free += [np.empty_like(x) for _ in range(2 + (op is not a) - len(free))]
     # no exit copy in file order: one raised young1c-sweep's peak RSS
     if op is not a:
@@ -339,10 +348,10 @@ def _solve(recurrence, a, b, x0, cfg, factored):
 
 
 def _observer_hook(observer, to_caller):
-    """observer as the recurrences call it, ``observe(m, keys, blocks,
-    xi)``, or None when there is none. It hands the observer copies of
-    the blocks by symbol, made by to_caller in the caller's row order,
-    xi last; xi is never updated in place, so it is passed as it is."""
+    """observer as the loop calls it, ``observe(m, keys, blocks, xi)``,
+    or None when there is none. It hands the observer copies of the
+    blocks by symbol, one per key, made by to_caller in the caller's row
+    order, xi last; xi is never updated in place, so it is passed as is."""
     if observer is None:
         return None
 
@@ -357,8 +366,8 @@ def _observer_hook(observer, to_caller):
 
 def _xi_rank_check(xi):
     """Warn when xi's diagonal spans more than _RANK_FLOOR, and return
-    whether it did; a run checks until it has warned once. Called from a
-    recurrence only (below `_solve` and a public solver), so that the
+    whether it did; a run checks until it has warned once. Called from
+    `_iterate` only (below `_solve` and a public solver), so that the
     warning points at the public solver's caller."""
     # xi is finite here (its norm is)
     low, top = _diagonal_span(xi)
@@ -381,138 +390,85 @@ def _qr(w, free):
     return q, xi, w if q is free else free
 
 
-def _advance(x, s, q, w, alpha, xi, norm_b, history, free):
-    """The solution and residual step both recurrences share.
+def _iterate(a, x, r, norm_b, history, max_iter, tol, observe, factored, cocr):
+    """Block COCG, or block COCR where cocr, on R_m = Q_m xi_m, or on
+    R_m itself when not factored (then Q is named R and S is named P).
 
-    X_{m+1} = X_m + S_m alpha xi_m, and Q_m - W alpha is re-factored
-    as Q_{m+1} tau_{m+1}, giving xi_{m+1} = tau_{m+1} xi_m. Unfactored
-    (xi is None) the residual Q_m - W alpha is Q_{m+1} itself: no QR is
-    taken and no product with xi or tau is formed. X and Q are updated
-    in place, and the QR writes into the free block, which may be w,
-    and over Q_m (see `_qr`). ||R_{m+1}||_F / ||B||_F is appended to
-    history.
-
-    Returns (X_{m+1}, Q_{m+1}, tau_{m+1}, xi_{m+1}, the free block),
-    with tau and xi None and free unchanged when unfactored.
-    """
-    x = axpy_block(x, s, alpha if xi is None else alpha @ xi)
-    q = axpy_block(q, w, -alpha)
-    if xi is None:
-        history.append(fro_norm(q) / norm_b)
-        return x, q, None, None, free
-    q, tau, free = _qr(q, free)
-    xi = tau @ xi
-    history.append(fro_norm(xi) / norm_b)
-    return x, q, tau, xi, free
-
-
-def _cocg(a, x, r, norm_b, history, max_iter, tol, observe, factored):
-    """Block COCG on R_m = Q_m xi_m, or on R_m itself when not factored.
-
-    In the factored form the search block is S_m and the Grams are
-    S^T A S and Q^T Q; unfactored they are named P^T A P and R^T R.
-    The Gram Q^T Q of one iteration is reused in the next, so each
-    iteration forms two Gram products.
+    COCR is COCG in A's bilinear form (docs/derivation.md, section 3),
+    with U = A S in both: alpha solves (S^T U) alpha = Q^T Q in COCG and
+    (U^T U) alpha = Q^T V, V = A Q, in COCR (see `bl_cocr_rq` for why
+    not Q^T U). Unfactored, no QR is taken and no product with xi or tau
+    formed. The one operator application forms U_m = A S_m in COCG and
+    V_{m+1} = A Q_{m+1} in COCR, which advances U by recurrence.
 
     Runs from `_solve`'s row-major X and R_0 on the operator a, calls
     observe (None: no observer) at the top of every iteration, and
-    appends residual norms relative to norm_b = ||B||_F to history until
+    appends ||R_{m+1}||_F / norm_b, norm_b = ||B||_F, to history until
     one meets tol or is not finite. Returns (X, the breakdown or None,
-    its other blocks), which `_solve`'s exit reuses.
+    three of its other blocks), which `_solve`'s exit reuses.
 
-    The iteration works in four n x p blocks, X, Q, S and W = A S,
-    allocated once: R_0 is Q unfactored, and scratch of the first QR
-    factored. W is dead once Q advances, so it takes the next QR and,
-    with a copy of Q_{m+1}, starts S_{m+1}, whose old block is the next W.
+    Every n x p block is allocated once; X and Q are updated in place,
+    and R_0 is Q unfactored, the first QR's free block factored. COCG
+    works in four, X, Q, S and a free block, which takes U_m, then the
+    QR (see `_qr`) and a copy of Q_{m+1} that starts S_{m+1}. COCR works
+    in five, with U as the fifth (U_0 = V_0 takes V_0's block); its free
+    block takes the QR, then V_{m+1}, over which U_{m+1} forms, and U_m's
+    dead block takes the copy of Q_{m+1}. In both, S_m's block is the
+    next free one. V_{m+1} outlives U_{m+1} only as a copy taken for an
+    installed observer.
     """
-    q, xi, w = _qr(r, np.empty_like(r)) if factored else (r, None, np.empty_like(r))
+    keys, alpha_system, beta_system = {
+        (False, False): (("X", "R", "P"), "P^T A P", "R^T R"),
+        (False, True): (("X", "Q", "S"), "S^T A S", "Q^T Q"),
+        (True, False): (("X", "R", "P", "U", "V"), "U^T U", "R^T V"),
+        (True, True): (("X", "Q", "S", "U", "V"), "U^T U", "Q^T V"),
+    }[cocr, factored]
+    q, xi, free = _qr(r, np.empty_like(r)) if factored else (r, None, np.empty_like(r))
     warned = factored and _xi_rank_check(xi)
-    keys = ("X", "Q", "S") if factored else ("X", "R", "P")
-    grams = ("S^T A S", "Q^T Q") if factored else ("P^T A P", "R^T R")
     s = q.copy()
-    qq = t_gram(q, q)
+    # COCG's U lives in its free block; the observer gets U and V for COCR only
+    u = v = block_matvec(a, q) if cocr else None
+    g = t_gram(q, u if cocr else q)
     breakdown = None
     for m in range(max_iter):
         if observe is not None:
-            observe(m, keys, (x, q, s), xi)
-        w = block_matvec(a, s, out=w)
+            observe(m, keys, (x, q, s, u, v), xi)
+        if not cocr:
+            u = free = block_matvec(a, s, out=free)
         try:
-            alpha = solve_small(t_gram(s, w), qq)
+            alpha = solve_small(t_gram(u if cocr else s, u), g)
         except BreakdownError as e:
-            breakdown = BreakdownInfo(grams[0], m, e.pivot_index, e.pivot_magnitude)
+            breakdown = BreakdownInfo(alpha_system, m, e.pivot_index, e.pivot_magnitude)
             break
-        x, q, tau, xi, w = _advance(x, s, q, w, alpha, xi, norm_b, history, w)
+        x = axpy_block(x, s, alpha @ xi if factored else alpha)
+        q = axpy_block(q, u, -alpha)
+        if factored:
+            q, tau, free = _qr(q, free)
+            xi = tau @ xi
+        history.append(fro_norm(xi if factored else q) / norm_b)
         if not tol < history[-1] < math.inf:
             break
         # a converged block is all noise; rank only matters while iterating
         if factored and not warned:
             warned = _xi_rank_check(xi)
-        qq_new = t_gram(q, q)
+        if cocr:
+            free = block_matvec(a, q, out=free)
+        g_new = t_gram(q, free if cocr else q)
         try:
-            beta = solve_small(qq, tau.T @ qq_new if factored else qq_new)
+            beta = solve_small(g, tau.T @ g_new if factored else g_new)
         except BreakdownError as e:
-            breakdown = BreakdownInfo(grams[1], m, e.pivot_index, e.pivot_magnitude)
+            breakdown = BreakdownInfo(beta_system, m, e.pivot_index, e.pivot_magnitude)
             break
+        if cocr:
+            if observe is not None:
+                v = free.copy()
+            # U_{m+1} forms over V_{m+1}, and U_m's block is then free
+            u, free = axpy_block(free, u, beta), u
         # Q_{m+1} lives on, so S_{m+1} starts from a copy of it
-        np.copyto(w, q)
-        s, w = axpy_block(w, s, beta), s
-        qq = qq_new
-    return x, breakdown, [q, s, w]
-
-
-def _cocr(a, x, r, norm_b, history, max_iter, tol, observe, factored):
-    """Block COCR on R_m = Q_m xi_m, or on R_m itself when not factored.
-
-    V_m = A Q_m is the one operator application per iteration, and
-    U_m = A S_m advances by recurrence. The right-hand side of the alpha
-    system and the matrix of the beta system is Q^T V (R^T V unfactored);
-    see `bl_cocr_rq` for why not Q^T U. Arguments and return as `_cocg`.
-
-    The iteration works in five n x p blocks, X, Q, S, U and a free
-    block, allocated once: R_0 is Q unfactored, and the first free block
-    factored, and U_0 = V_0 takes the block of V_0. The free block takes
-    the QR, then V_{m+1}, in which U_{m+1} = V_{m+1} + U_m beta is formed
-    in place; S_{m+1} starts from a copy of Q_{m+1} in U_m's dead block,
-    and S_m's block is the next free one. V_{m+1} outlives U_{m+1} only
-    as a copy taken for an installed observer.
-    """
-    q, xi, free = _qr(r, np.empty_like(r)) if factored else (r, None, np.empty_like(r))
-    warned = factored and _xi_rank_check(xi)
-    keys = ("X", "Q", "S", "U", "V") if factored else ("X", "R", "P", "U", "V")
-    s = q.copy()
-    u = v = block_matvec(a, q)
-    qv = t_gram(q, u)
-    breakdown = None
-    for m in range(max_iter):
-        if observe is not None:
-            observe(m, keys, (x, q, s, u, v), xi)
-        try:
-            alpha = solve_small(t_gram(u, u), qv)
-        except BreakdownError as e:
-            breakdown = BreakdownInfo("U^T U", m, e.pivot_index, e.pivot_magnitude)
-            break
-        x, q, tau, xi, free = _advance(x, s, q, u, alpha, xi, norm_b, history, free)
-        if not tol < history[-1] < math.inf:
-            break
-        if factored and not warned:
-            warned = _xi_rank_check(xi)
-        free = block_matvec(a, q, out=free)
-        qv_new = t_gram(q, free)
-        try:
-            beta = solve_small(qv, tau.T @ qv_new if factored else qv_new)
-        except BreakdownError as e:
-            system = "Q^T V" if factored else "R^T V"
-            breakdown = BreakdownInfo(system, m, e.pivot_index, e.pivot_magnitude)
-            break
-        if observe is not None:
-            v = free.copy()
-        # U_{m+1} forms over V_{m+1}; then U_m's block takes a copy of
-        # Q_{m+1}, which lives on, to start S_{m+1}
-        u, dead = axpy_block(free, u, beta), u
-        np.copyto(dead, q)
-        s, free = axpy_block(dead, s, beta), s
-        qv = qv_new
-    return x, breakdown, [q, s, u, free]
+        np.copyto(free, q)
+        s, free = axpy_block(free, s, beta), s
+        g = g_new
+    return x, breakdown, [q, s, free]
 
 
 def bl_cocg(a, b, x0=None, cfg=None):
@@ -538,7 +494,7 @@ def bl_cocg(a, b, x0=None, cfg=None):
     -------
     SolveResult
     """
-    return _solve(_cocg, a, b, x0, cfg, factored=False)
+    return _solve(a, b, x0, cfg, factored=False, cocr=False)
 
 
 def bl_cocr(a, b, x0=None, cfg=None):
@@ -552,7 +508,7 @@ def bl_cocr(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _solve(_cocr, a, b, x0, cfg, factored=False)
+    return _solve(a, b, x0, cfg, factored=False, cocr=True)
 
 
 def bl_cocg_rq(a, b, x0=None, cfg=None):
@@ -569,7 +525,7 @@ def bl_cocg_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _solve(_cocg, a, b, x0, cfg, factored=True)
+    return _solve(a, b, x0, cfg, factored=True, cocr=False)
 
 
 def bl_cocr_rq(a, b, x0=None, cfg=None):
@@ -592,7 +548,7 @@ def bl_cocr_rq(a, b, x0=None, cfg=None):
 
     Parameters and return as `bl_cocg`.
     """
-    return _solve(_cocr, a, b, x0, cfg, factored=True)
+    return _solve(a, b, x0, cfg, factored=True, cocr=True)
 
 
 # benchmark-facing registry; insertion order is the default run order

@@ -150,7 +150,9 @@ class TestComplexSymmetricMatrix:
         assert n * n - 1 <= np.iinfo(np.int64).max < (n + 1) * (n + 1) - 1
 
     @pytest.mark.parametrize(
-        "n", [2.5, 2.0, np.float64(2.0), "2"], ids=["2.5", "2.0", "float64", "str"]
+        "n",
+        [2.5, 2.0, np.float64(2.0), "2", True, False],
+        ids=["2.5", "2.0", "float64", "str", "True", "False"],
     )
     def test_non_integer_order_refused(self, n):
         message = f"^{re.escape(f'matrix order must be an integer, got {n!r}')}$"

@@ -54,10 +54,27 @@ class TestConfig:
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(norm_reference="r0")
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", True, False])
     def test_max_iter_must_be_an_integer(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize(
+        "tol",
+        ["1e-3", 1j, np.array([1e-3, 1.0]), True, None],
+        ids=["str", "complex", "array", "bool", "None"],
+    )
+    def test_tol_must_be_a_real_number(self, tol):
+        with pytest.raises(ValueError, match="^tol must be a real number, got "):
+            SolverConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1, np.float64(1e-3)])
+    def test_real_tol_of_any_type_taken(self, tol):
+        assert SolverConfig(tol=tol).tol == tol
+
+    def test_observer_must_be_callable(self):
+        with pytest.raises(ValueError, match="^observer must be callable or None, got 5$"):
+            SolverConfig(observer=5)
 
     def test_numpy_integer_max_iter(self):
         a, b = _problem(seed=0)
@@ -493,6 +510,30 @@ class TestKernelCalls:
         assert seen["spans"] == ["core_la.from_coo", "mm_io.read_matrix_market"]
         assert seen["restored"]
         assert seen["matrix_bytes"] == seen["csr_bytes"] > 0
+
+
+class TestIterationLoop:
+    """All four public solvers run one loop, `solvers._iterate`, which
+    they look up on the module at call time (`scripts/alloc_probe.py`
+    wraps it there), once per solve that iterates."""
+
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_each_solver_reaches_the_loop_once(self, name, solver, monkeypatch):
+        loop = solvers_module._iterate
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return loop(*args)
+
+        monkeypatch.setattr(solvers_module, "_iterate", counted)
+        a, b = _problem(seed=0)
+        assert solver(a, b).converged
+        assert calls == [name.startswith("bl_cocr")]
+        # an x0 that already meets tol: no iteration, so no loop
+        res = solver(a, b, x0=direct_solve(a.to_dense(), b))
+        assert res.converged and res.iterations == 0
+        assert len(calls) == 1
 
 
 class TestCocrObservedV:
