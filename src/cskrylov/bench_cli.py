@@ -258,20 +258,18 @@ def _build_parser():
     src.add_argument("--matrix", help="Matrix Market file to load")
     src.add_argument("--gen", choices=KINDS, help="generate a seeded problem")
     solve.add_argument("--n", type=int, default=None, help="order for --gen")
-    solve.add_argument(
-        "--density", type=float, default=0.05, help="fill fraction for --gen"
-    )
+    solve.add_argument("--density", type=float, help="fill fraction for --gen")
     solve.add_argument("--p", type=int, default=1, help="number of right-hand sides")
     solve.add_argument(
         "--solvers",
         default=",".join(SOLVERS),
         help="comma list of solvers to run (default: all)",
     )
-    solve.add_argument("--tol", type=float, default=1e-10)
+    solve.add_argument("--tol", type=float)
     solve.add_argument(
         "--maxit", type=int, default=None, help="iteration cap (default: n)"
     )
-    solve.add_argument("--seed", type=int, default=0, help="RHS / generator seed")
+    solve.add_argument("--seed", type=int, help="RHS / generator seed")
     solve.add_argument(
         "--out", default="stdout", help="report destination path, or stdout"
     )
@@ -280,6 +278,9 @@ def _build_parser():
         "--history-dir",
         default=None,
         help="write per-solver residual history CSVs into this directory",
+    )
+    solve.set_defaults(
+        tol=SolverConfig.tol, density=ProblemSpec.density, seed=ProblemSpec.seed
     )
     return parser
 

@@ -40,6 +40,7 @@ row-major.
 import ctypes
 import functools
 import math
+import numbers
 import operator
 from typing import NamedTuple
 
@@ -125,22 +126,28 @@ def _as_small(c, name="coefficient matrix"):
 _MAX_ORDER = 3_037_000_499
 
 
-def _integer(value):
-    """value as a Python int by `operator.index`, which raises TypeError
-    for a non-integer; here for a bool too, which is an int but no count."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a bool")
-    return operator.index(value)
+def _count(value, name, low=1):
+    """value as a Python int, refused with a ValueError naming it unless an
+    integer >= low. A bool, an int but no count, is refused via None."""
+    try:
+        count = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return count
+
+
+def _real(value, name):
+    """value, refused with a ValueError naming it unless a real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _check_order(n):
     """n as a Python int, refused unless an integer from 1 to `_MAX_ORDER`."""
-    try:
-        order = _integer(n)
-    except TypeError:
-        raise ValueError(f"matrix order must be an integer, got {n!r}") from None
-    if order < 1:
-        raise ValueError("matrix order must be >= 1")
+    order = _count(n, "matrix order")
     if order > _MAX_ORDER:
         raise ValueError(
             f"matrix order {order} exceeds {_MAX_ORDER}, the largest whose "

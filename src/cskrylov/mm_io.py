@@ -60,7 +60,16 @@ __all__ = [
 
 _FORMATS = ("coordinate", "array")
 _FIELDS = ("real", "complex", "integer", "pattern")
-_SYMMETRIES = ("general", "symmetric", "skew-symmetric", "hermitian")
+# each symmetry's storage: None (general: every entry is stored), or
+# (k, mirror): the stored triangle keeps row - col >= k, and mirror maps a
+# stored value to its image across the diagonal
+_STORAGE = {
+    "general": None,
+    "symmetric": (0, lambda v: v),
+    "skew-symmetric": (1, np.negative),
+    "hermitian": (0, np.conj),
+}
+_SYMMETRIES = tuple(_STORAGE)
 
 
 @dataclass
@@ -202,6 +211,7 @@ def read_matrix_market(source):
             break
     n, count = _size(line, header)
     table, values = _entries(data, pos, line_no + 1, header, n, count)
+    storage = _STORAGE[header.symmetry]
     if header.format == "coordinate":
         rows, cols = table["i"] - 1, table["j"] - 1
     else:
@@ -211,13 +221,13 @@ def read_matrix_market(source):
         # array data runs down columns; packed storage keeps the lower
         # triangle, whose column-major order is the row-major order of the
         # upper triangle's transpose
-        if header.symmetry == "general":
+        if storage is None:
             cols, rows = np.divmod(np.arange(count), n)
         else:
-            cols, rows = np.triu_indices(n, k=int(header.symmetry == "skew-symmetric"))
+            cols, rows = np.triu_indices(n, k=storage[0])
         keep = values != 0
         rows, cols, values = rows[keep], cols[keep], values[keep]
-    return header, _expanded(n, header.symmetry, rows, cols, values)
+    return header, _expanded(n, storage, rows, cols, values)
 
 
 def _size(line, header):
@@ -232,33 +242,32 @@ def _size(line, header):
         raise ValueError(f"only square matrices are supported, got {n}x{ncols}")
     if nnz:
         return n, nnz[0]
-    if header.symmetry == "general":
+    storage = _STORAGE[header.symmetry]
+    if storage is None:
         return n, n * n
-    if header.symmetry == "skew-symmetric":
-        return n, n * (n - 1) // 2
-    return n, n * (n + 1) // 2
+    # the triangle row - col >= k holds m (m + 1) / 2 entries, m = n - k
+    m = n - storage[0]
+    return n, m * (m + 1) // 2
 
 
-def _expanded(n, symmetry, rows, cols, vals):
-    """CSR storage of the stored triangle mirrored to full storage.
+def _expanded(n, storage, rows, cols, vals):
+    """CSR storage of the stored triangle mirrored to full storage, by
+    the symmetry's storage (an entry of `_STORAGE`).
 
     from_coo sorts the entries and rejects duplicates. On that error the
     duplicate is named as the file gives it: 1-based, and the smallest
     (row, col) of the stored entries, not of their mirror images.
     """
     stored = rows, cols
-    if symmetry != "general":
+    if storage is not None:
         off = rows != cols
-        mvals = vals[off]
-        if symmetry == "skew-symmetric":
-            mvals = -mvals
-        elif symmetry == "hermitian":
-            mvals = np.conj(mvals)
+        # formed after the concatenations, it raised mm1e5-p1's peak RSS 0.8 MB
+        mirror = storage[1](vals[off])
         rows, cols = (
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),
         )
-        vals = np.concatenate([vals, mvals])
+        vals = np.concatenate([vals, mirror])
     try:
         return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
     except ValueError:
@@ -322,11 +331,8 @@ def _entries_hold(table, header, n, count):
     i, j = table["i"], table["j"]
     if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
         return False
-    if header.symmetry in ("symmetric", "hermitian"):
-        return not np.any(i < j)
-    if header.symmetry == "skew-symmetric":
-        return not np.any(i <= j)
-    return True
+    storage = _STORAGE[header.symmetry]
+    return storage is None or not np.any(i - j < storage[0])
 
 
 def _diagnose(text, header, n, count):
@@ -341,6 +347,7 @@ def _diagnose(text, header, n, count):
         declared = f"size line declares {count}"
     else:
         declared = f"array needs {count} values"
+    storage = _STORAGE[header.symmetry]
     got = 0
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("%"):
@@ -354,13 +361,10 @@ def _diagnose(text, header, n, count):
             i, j = int(tokens[0]), int(tokens[1])
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index ({i}, {j}) out of bounds for order {n}")
-            if header.symmetry in ("symmetric", "hermitian") and i < j:
+            if storage is not None and i - j < storage[0]:
+                keep = ("row >= col", "row > col")[storage[0]]
                 raise ValueError(
-                    f"{header.symmetry} storage must keep row >= col, got ({i}, {j})"
-                )
-            if header.symmetry == "skew-symmetric" and i <= j:
-                raise ValueError(
-                    f"skew-symmetric storage must keep row > col, got ({i}, {j})"
+                    f"{header.symmetry} storage must keep {keep}, got ({i}, {j})"
                 )
             tokens = tokens[2:]
         _entry_value(tokens, header.field, line)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_la import ComplexSymmetricMatrix
+from .core_la import ComplexSymmetricMatrix, _count, _real
 
 __all__ = [
     "KINDS",
@@ -36,26 +36,28 @@ KINDS = ("diagdominant", "realspd", "diagonal")
 _OFF_SCALE = 0.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
-    """Description of a generated test problem.
+    """Description of a generated test problem. Frozen, like
+    `solvers.SolverConfig`: the checks run at construction, and again in
+    ``dataclasses.replace``. No number may be a bool.
 
     Parameters
     ----------
     n : int
-        Matrix order.
+        Matrix order, an integer >= 1 (`core_la._count`).
     p : int
-        Number of right-hand sides, 1 <= p <= n.
+        Number of right-hand sides, an integer, 1 <= p <= n.
     kind : str
         "diagdominant" (complex symmetric, diagonally dominant),
         "realspd" (real symmetric positive definite) or "diagonal"
         (complex diagonal). The first two are sparse with the given
         density; "diagonal" ignores density.
     density : float
-        Fraction of strictly-lower-triangle positions to fill,
-        0 < density <= 1.
+        Fraction of strictly-lower-triangle positions to fill, a real
+        number (`core_la._real`), 0 < density <= 1.
     seed : int
-        64-bit generator seed.
+        64-bit generator seed, an integer >= 0.
     """
 
     n: int
@@ -65,6 +67,10 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _count(self.n, "n")
+        _count(self.p, "p")
+        _count(self.seed, "seed", low=0)
+        _real(self.density, "density")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 < self.density <= 1.0:

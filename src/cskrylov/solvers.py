@@ -40,7 +40,6 @@ at different rates is expected.
 """
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -51,9 +50,10 @@ import numpy as np
 from .core_la import (
     BreakdownError,
     _as_block,
+    _count,
     _diagonal_span,
-    _integer,
     _ldexp,
+    _real,
     axpy_block,
     block_matvec,
     fro_norm,
@@ -89,18 +89,19 @@ class RankLossWarning(UserWarning):
     """The QR factor of a residual block is numerically rank deficient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all four solvers.
+    """Knobs shared by all four solvers. Frozen: the checks run at
+    construction, and again in ``dataclasses.replace``.
 
     Parameters
     ----------
     tol : float
         Threshold on the relative residual ||R||_F / ||B||_F, a real
-        number > 0 (an int or numpy float too, but not a bool).
+        number > 0 (`core_la._real`: not a bool).
     max_iter : int or None
-        Iteration cap, an integer >= 1 but not a bool; None means the
-        matrix order.
+        Iteration cap, an integer >= 1 (`core_la._count`: not a bool);
+        None means the matrix order.
     observer : callable or None
         Diagnostic hook called at the top of every iteration as
         ``observer(m, state)`` where state maps symbol names to the
@@ -117,19 +118,10 @@ class SolverConfig:
     observer: Optional[Callable] = None
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        if not self.tol > 0:
+        if not _real(self.tol, "tol") > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter is not None:
-            try:
-                _integer(self.max_iter)
-            except TypeError:
-                raise ValueError(
-                    f"max_iter must be an integer, got {self.max_iter!r}"
-                ) from None
-            if self.max_iter < 1:
-                raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            _count(self.max_iter, "max_iter")
         if self.observer is not None and not callable(self.observer):
             raise ValueError(
                 f"observer must be callable or None, got {self.observer!r}"
@@ -319,10 +311,8 @@ def _solve(a, b, x0, cfg, factored, cocr):
         history = [fro_norm(r0) / norm_b]
     breakdown, free = None, [r0]
     if cfg.tol < history[0] < math.inf:
-        max_iter = cfg.max_iter if cfg.max_iter is not None else a.n
-        observe = _observer_hook(cfg.observer, to_caller)
         x, breakdown, free = _iterate(
-            op, x, r0, norm_b, history, max_iter, cfg.tol, observe, factored, cocr
+            op, x, r0, norm_b, history, cfg, to_caller, factored, cocr
         )
     # the exit needs two blocks, three through a locality copy, and
     # allocates only those that the loop did not leave free
@@ -345,23 +335,6 @@ def _solve(a, b, x0, cfg, factored, cocr):
         breakdown=breakdown,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _observer_hook(observer, to_caller):
-    """observer as the loop calls it, ``observe(m, keys, blocks, xi)``,
-    or None when there is none. It hands the observer copies of the
-    blocks by symbol, one per key, made by to_caller in the caller's row
-    order, xi last; xi is never updated in place, so it is passed as is."""
-    if observer is None:
-        return None
-
-    def observe(m, keys, blocks, xi):
-        state = {k: to_caller(v) for k, v in zip(keys, blocks)}
-        if xi is not None:
-            state["xi"] = xi
-        observer(m, state)
-
-    return observe
 
 
 def _xi_rank_check(xi):
@@ -390,7 +363,7 @@ def _qr(w, free):
     return q, xi, w if q is free else free
 
 
-def _iterate(a, x, r, norm_b, history, max_iter, tol, observe, factored, cocr):
+def _iterate(a, x, r, norm_b, history, cfg, to_caller, factored, cocr):
     """Block COCG, or block COCR where cocr, on R_m = Q_m xi_m, or on
     R_m itself when not factored (then Q is named R and S is named P).
 
@@ -401,11 +374,13 @@ def _iterate(a, x, r, norm_b, history, max_iter, tol, observe, factored, cocr):
     formed. The one operator application forms U_m = A S_m in COCG and
     V_{m+1} = A Q_{m+1} in COCR, which advances U by recurrence.
 
-    Runs from `_solve`'s row-major X and R_0 on the operator a, calls
-    observe (None: no observer) at the top of every iteration, and
-    appends ||R_{m+1}||_F / norm_b, norm_b = ||B||_F, to history until
-    one meets tol or is not finite. Returns (X, the breakdown or None,
-    three of its other blocks), which `_solve`'s exit reuses.
+    Runs from `_solve`'s row-major X and R_0 on the operator a for at
+    most cfg.max_iter iterations (None: a's order), handing cfg.observer,
+    if set, the state `SolverConfig` describes at the top of each: the
+    blocks by key, copied by to_caller into the caller's order, and xi.
+    It appends ||R_{m+1}||_F / norm_b, norm_b = ||B||_F, to history until
+    one meets cfg.tol or is not finite. Returns (X, the breakdown or
+    None, three of its other blocks), which `_solve`'s exit reuses.
 
     Every n x p block is allocated once; X and Q are updated in place,
     and R_0 is Q unfactored, the first QR's free block factored. COCG
@@ -429,10 +404,13 @@ def _iterate(a, x, r, norm_b, history, max_iter, tol, observe, factored, cocr):
     # COCG's U lives in its free block; the observer gets U and V for COCR only
     u = v = block_matvec(a, q) if cocr else None
     g = t_gram(q, u if cocr else q)
-    breakdown = None
-    for m in range(max_iter):
-        if observe is not None:
-            observe(m, keys, (x, q, s, u, v), xi)
+    breakdown, tol, observer = None, cfg.tol, cfg.observer
+    for m in range(cfg.max_iter or a.n):
+        if observer is not None:
+            state = {k: to_caller(b) for k, b in zip(keys, (x, q, s, u, v))}
+            if factored:
+                state["xi"] = xi
+            observer(m, state)
         if not cocr:
             u = free = block_matvec(a, s, out=free)
         try:
@@ -460,7 +438,7 @@ def _iterate(a, x, r, norm_b, history, max_iter, tol, observe, factored, cocr):
             breakdown = BreakdownInfo(beta_system, m, e.pivot_index, e.pivot_magnitude)
             break
         if cocr:
-            if observe is not None:
+            if observer is not None:
                 v = free.copy()
             # U_{m+1} forms over V_{m+1}, and U_m's block is then free
             u, free = axpy_block(free, u, beta), u

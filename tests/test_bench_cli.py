@@ -8,12 +8,14 @@ from conftest import child_env, every_operator_wide
 
 from cskrylov import core_la
 from cskrylov.bench_cli import (
+    _build_parser,
     format_report_csv,
     format_report_md,
     main,
     parse_report_csv,
 )
-from cskrylov.solvers import SOLVERS
+from cskrylov.oracle import ProblemSpec
+from cskrylov.solvers import SOLVERS, SolverConfig
 
 GEN_ARGS = ["--gen", "diagdominant", "--n", "30", "--p", "2", "--seed", "3"]
 
@@ -183,6 +185,12 @@ class TestSolveCommand:
         code, _ = _solve(tmp_path, extra=["--solvers", "bl_cocg"])
         assert code == 0
         assert seen == [1]
+
+
+def test_defaults_are_the_config_types_defaults():
+    args = _build_parser().parse_args(["solve", "--gen", "diagdominant"])
+    assert args.tol == SolverConfig.tol and args.maxit == SolverConfig.max_iter
+    assert args.density == ProblemSpec.density and args.seed == ProblemSpec.seed
 
 
 class TestExitCodes:

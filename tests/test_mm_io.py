@@ -271,6 +271,10 @@ LINE_READER_CASES = {
     "array-general": f"{ARRAY} complex general\n2 2\n1 0\n2 1\n3 0\n4 -1\n",
     "array-symmetric": f"{ARRAY} real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n",
     "array-hermitian": f"{ARRAY} complex hermitian\n2 2\n1 0\n2 1\n3 0\n",
+    # k = 1: three values below the diagonal of a 3 x 3 array; no part is
+    # zero, whose mirror image's sign the line reader does not keep
+    "array-skew-symmetric": f"{ARRAY} complex skew-symmetric\n3 3\n1 4\n2 -5\n3 6\n",
+    "array-skew-symmetric-too-many": f"{ARRAY} real skew-symmetric\n3 3\n1\n2\n3\n4\n",
     "array-negative-order": f"{ARRAY} real general\n-1 -1\n1\n",
     "array-too-many": f"{ARRAY} real general\n1 1\n1\n2\n",
     "array-two-values-in-real": f"{ARRAY} real general\n1 1\n1 2\n",

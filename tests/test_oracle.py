@@ -1,5 +1,8 @@
 """Problem generators and the direct-solve oracle."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,46 @@ class TestProblemSpec:
             ProblemSpec(n=10, p=1, kind="diagdominant", density=0.0)
         with pytest.raises(ValueError, match="n >= p >= 1"):
             ProblemSpec(n=10, p=11, kind="diagdominant")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("density", True, "density must be a real number, got True"),
+            ("density", "0.1", "density must be a real number, got '0.1'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", -1, "seed must be >= 0"),
+            ("n", 6.0, "n must be an integer, got 6.0"),
+            ("n", "6", "n must be an integer, got '6'"),
+            ("n", 0, "n must be >= 1"),
+            ("p", np.float64(1.0), "p must be an integer, got {!r}"),
+            ("p", 0, "p must be >= 1"),
+        ],
+    )
+    def test_numbers_pass_the_integer_and_real_rules(self, field, value, message):
+        fields = {"n": 6, "p": 1, "kind": "diagdominant", field: value}
+        # numpy's repr of its scalars differs between versions
+        message = message.format(value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemSpec(**fields)
+
+    @pytest.mark.parametrize("n", [np.int64(6), np.uint8(6)])
+    def test_numpy_integers_taken(self, n):
+        a, b = gen_problem(ProblemSpec(n=n, p=np.int32(2), kind="diagdominant"))
+        ref, ref_b = gen_problem(ProblemSpec(n=6, p=2, kind="diagdominant"))
+        assert a.n == 6 and b.shape == (6, 2)
+        np.testing.assert_array_equal(a.values, ref.values)
+        np.testing.assert_array_equal(b, ref_b)
+
+    def test_frozen(self):
+        spec = ProblemSpec(n=6, p=1, kind="diagdominant")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.density = True
+        with pytest.raises(ValueError, match="^density must be a real number"):
+            dataclasses.replace(spec, density=True)
+        assert dataclasses.replace(spec, seed=1) == ProblemSpec(
+            n=6, p=1, kind="diagdominant", seed=1
+        )
 
     def test_kind_names(self):
         assert KINDS == ("diagdominant", "realspd", "diagonal")

@@ -76,6 +76,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="^observer must be callable or None, got 5$"):
             SolverConfig(observer=5)
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("tol", "1e-3", "tol must be a real number, got '1e-3'"),
+            ("max_iter", 0, "max_iter must be >= 1"),
+            ("observer", 5, "observer must be callable or None, got 5"),
+        ],
+    )
+    def test_frozen_fields_pass_the_checks_on_replace(self, name, value, message):
+        # construction is the only way in: a field cannot be assigned, and
+        # dataclasses.replace builds a new config, which runs the checks
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg == SolverConfig()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(cfg, **{name: value})
+
     def test_numpy_integer_max_iter(self):
         a, b = _problem(seed=0)
         res = bl_cocg(a, b, cfg=SolverConfig(max_iter=np.int64(2)))
