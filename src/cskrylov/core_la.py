@@ -183,10 +183,13 @@ class ComplexSymmetricMatrix:
     Use `from_coo` or `from_dense` to construct. The finiteness and the
     symmetry of the stored entries are verified lazily and cached;
     matrices that fail either check can still be held (file parsers
-    accept general input) but the solvers refuse them. At its first
-    solve a matrix also caches which row order it is solved in, and a
-    wide one its locality copy (see `solve_operator`). Like the checks,
-    none of these caches sees later writes to the arrays.
+    accept general input) but the solvers refuse them. A matrix built
+    by mirroring a stored triangle (a symmetric Matrix Market file, a
+    generated problem) has its symmetry verdict known from the build
+    and cached then. At its first solve a matrix also caches which row
+    order it is solved in, and a wide one its locality copy (see
+    `solve_operator`). Like the checks, none of these caches sees later
+    writes to the arrays.
 
     Attributes
     ----------
@@ -286,7 +289,9 @@ class ComplexSymmetricMatrix:
 
         Explicit zeros are dropped from both sides. Storage is sorted by
         the key row * n + col, so sorting the entries by col * n + row
-        must give back the same keys and the same values.
+        must give back the same keys and the same values. A matrix built
+        by `_mirrored` with the identity mirror and no NaN value holds
+        this verdict from its build, True, and sorts nothing here.
         """
         if self._symmetric is None:
             rows, cols, vals = self._csr_rows(), self.col_idx, self.values
@@ -348,6 +353,32 @@ class ComplexSymmetricMatrix:
 
     def __repr__(self):
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
+
+
+def _mirrored(n, rows, cols, vals, mirror=None):
+    """The matrix of a stored triangle's entries (row >= col, diagonal
+    included) mirrored to full storage: each off-diagonal entry
+    (i, j, v) gains its image (j, i, mirror(v)), or (j, i, v) where
+    mirror is None. `from_coo` sorts the entries and names a duplicate,
+    as for any build.
+
+    With the identity mirror the matrix is symmetric by construction, so
+    its symmetry verdict is cached as True and `is_symmetric` sorts
+    nothing; a NaN value, which the check reads as unequal to itself,
+    leaves the verdict to the check, as do the other mirrors.
+    """
+    off = rows != cols
+    # formed before the concatenations: after them, it raised mm1e5-p1's
+    # peak RSS 0.8 MB
+    image = vals[off] if mirror is None else mirror(vals[off])
+    rows, cols = (
+        np.concatenate([rows, cols[off]]),
+        np.concatenate([cols, rows[off]]),
+    )
+    a = ComplexSymmetricMatrix.from_coo(n, rows, cols, np.concatenate([vals, image]))
+    if mirror is None and not np.isnan(vals).any():
+        a._symmetric = True
+    return a
 
 
 def solve_operator(a):

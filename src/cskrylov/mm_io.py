@@ -7,7 +7,9 @@ comments, a size line, then whitespace-delimited entries with 1-based
 indices. Both formats load into CSR storage; an array file keeps only
 its nonzero entries, so a matrix reads to the same arrays from either
 format. Symmetric, skew-symmetric and hermitian files are expanded to
-full storage on read, by one mirror step for both formats; the writer
+full storage on read, by one mirror step for both formats
+(`core_la._mirrored`, which the generator shares), and a symmetric
+file's matrix comes back stating its symmetry verdict; the writer
 emits coordinate complex symmetric (lower triangle only) with 17
 significant digits so a write/read cycle reproduces the matrix exactly.
 
@@ -50,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_la import ComplexSymmetricMatrix
+from .core_la import ComplexSymmetricMatrix, _mirrored
 
 __all__ = [
     "MatrixMarketHeader",
@@ -62,10 +64,11 @@ _FORMATS = ("coordinate", "array")
 _FIELDS = ("real", "complex", "integer", "pattern")
 # each symmetry's storage: None (general: every entry is stored), or
 # (k, mirror): the stored triangle keeps row - col >= k, and mirror maps a
-# stored value to its image across the diagonal
+# stored value to its image across the diagonal (None: the value itself,
+# whose matrix `_mirrored` states symmetric)
 _STORAGE = {
     "general": None,
-    "symmetric": (0, lambda v: v),
+    "symmetric": (0, None),
     "skew-symmetric": (1, np.negative),
     "hermitian": (0, np.conj),
 }
@@ -180,9 +183,11 @@ def read_matrix_market(source):
         The parsed banner and the matrix in CSR storage, which for an
         array file holds its nonzero entries. Symmetric variants are
         expanded to full storage; real and integer fields are promoted
-        to complex.
-        General and hermitian inputs parse fine but will fail the
-        matrix's symmetry check, which is how solvers reject them.
+        to complex. A symmetric file's matrix is symmetric by
+        construction and holds that verdict from the read, unless a
+        value is NaN; the symmetry check of any other matrix sorts its
+        entries. General and hermitian inputs parse fine but may fail
+        the matrix's symmetry check, which is how solvers reject them.
 
     Raises
     ------
@@ -241,6 +246,9 @@ def _size(line, header):
     if n != ncols:
         raise ValueError(f"only square matrices are supported, got {n}x{ncols}")
     if nnz:
+        if nnz[0] < 0:
+            # numpy's message for the entry arrays the line reader sized by it
+            raise ValueError("negative dimensions are not allowed")
         return n, nnz[0]
     storage = _STORAGE[header.symmetry]
     if storage is None:
@@ -251,27 +259,24 @@ def _size(line, header):
 
 
 def _expanded(n, storage, rows, cols, vals):
-    """CSR storage of the stored triangle mirrored to full storage, by
-    the symmetry's storage (an entry of `_STORAGE`).
+    """CSR storage of the entries, by the symmetry's storage (an entry of
+    `_STORAGE`): as they are for general storage, else the stored
+    triangle mirrored to full storage by `core_la._mirrored`, which
+    states a symmetric file's matrix symmetric as it builds it (unless a
+    value is NaN), so that its symmetry check sorts nothing.
 
     from_coo sorts the entries and rejects duplicates. On that error the
     duplicate is named as the file gives it: 1-based, and the smallest
     (row, col) of the stored entries, not of their mirror images.
     """
-    stored = rows, cols
-    if storage is not None:
-        off = rows != cols
-        # formed after the concatenations, it raised mm1e5-p1's peak RSS 0.8 MB
-        mirror = storage[1](vals[off])
-        rows, cols = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-        )
-        vals = np.concatenate([vals, mirror])
     try:
-        return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+        if storage is None:
+            return ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+        return _mirrored(n, rows, cols, vals, storage[1])
     except ValueError:
-        pairs, counts = np.unique(np.column_stack(stored), axis=0, return_counts=True)
+        pairs, counts = np.unique(
+            np.column_stack((rows, cols)), axis=0, return_counts=True
+        )
         if np.any(counts > 1):
             i, j = pairs[np.argmax(counts > 1)] + 1
             raise ValueError(f"duplicate entry at ({i}, {j})") from None
@@ -286,9 +291,6 @@ def _entries(data, pos, first_line, header, n, count):
     loadtxt fails or an entry breaks a rule, _diagnose raises the line
     scan's message.
     """
-    # one entry per line at most: a size line may declare any count, and
-    # the line scan reports a count the section cannot hold
-    values = np.empty(min(count, data.count(b"\n", pos) + 1), dtype=np.complex128)
     fields = [("i", np.int64), ("j", np.int64)] if header.format == "coordinate" else []
     fields.append(("re", np.float64))
     if header.field == "complex":
@@ -296,6 +298,8 @@ def _entries(data, pos, first_line, header, n, count):
     try:
         table = _loadtxt(data, pos, np.dtype(fields))
         if _entries_hold(table, header, n, count):
+            # sized by the entries parsed, never by the size line's count
+            values = np.empty(len(table), dtype=np.complex128)
             values.real = table["re"]
             values.imag = table["im"] if header.field == "complex" else 0.0
             return table, values

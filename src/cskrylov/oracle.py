@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_la import ComplexSymmetricMatrix, _count, _real
+from .core_la import _count, _mirrored, _real
 
 __all__ = [
     "KINDS",
@@ -99,10 +99,12 @@ def gen_problem(spec):
     """Generate a seeded matrix and right-hand side.
 
     The matrix is symmetric by construction: the strictly lower
-    triangle is sampled and mirrored entry for entry, so the symmetry
-    check passes exactly. The diagonally dominant kinds set each
-    diagonal entry to 2 plus the absolute row sum, which bounds the
-    condition number and keeps iteration counts small.
+    triangle is sampled and, with the diagonal, mirrored entry for entry
+    by `core_la._mirrored`, so the matrix holds its symmetry verdict,
+    True, from the build and its symmetry check sorts nothing. The
+    diagonally dominant kinds set each diagonal entry to 2 plus the
+    absolute row sum, which bounds the condition number and keeps
+    iteration counts small.
 
     Parameters
     ----------
@@ -138,10 +140,10 @@ def gen_problem(spec):
             diag = (2.0 + abs_row) + 1j
         else:
             diag = (2.0 + abs_row).astype(np.complex128)
-        rows = np.concatenate([li, lj, np.arange(n, dtype=np.int64)])
-        cols = np.concatenate([lj, li, np.arange(n, dtype=np.int64)])
-        vals = np.concatenate([off, off, diag])
-    a = ComplexSymmetricMatrix.from_coo(n, rows, cols, vals)
+        rows = np.concatenate([li, np.arange(n, dtype=np.int64)])
+        cols = np.concatenate([lj, np.arange(n, dtype=np.int64)])
+        vals = np.concatenate([off, diag])
+    a = _mirrored(n, rows, cols, vals)
     b = np.asfortranarray(rng.random((n, spec.p)), dtype=np.complex128)
     return a, b
 
@@ -152,9 +154,9 @@ def gen_rhs(n, p, seed, complex_values=False):
     Parameters
     ----------
     n, p : int
-        Shape of the block.
+        Shape of the block, integers >= 1 (`core_la._count`).
     seed : int
-        Generator seed.
+        Generator seed, an integer >= 0.
     complex_values : bool
         Default draws real uniform [0, 1) entries promoted to complex;
         True draws uniform [-1, 1) real and imaginary parts instead
@@ -165,7 +167,8 @@ def gen_rhs(n, p, seed, complex_values=False):
     ndarray
         (n, p) complex128, Fortran order.
     """
-    rng = np.random.default_rng(seed)
+    n, p = _count(n, "n"), _count(p, "p")
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     if complex_values:
         b = rng.uniform(-1.0, 1.0, (n, p)) + 1j * rng.uniform(-1.0, 1.0, (n, p))
     else:

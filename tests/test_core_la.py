@@ -24,7 +24,7 @@ from cskrylov.core_la import (
     thin_qr,
 )
 from cskrylov.mm_io import read_matrix_market
-from cskrylov.oracle import ProblemSpec, gen_problem
+from cskrylov.oracle import KINDS, ProblemSpec, gen_problem
 
 
 def _rand_block(n, p, seed):
@@ -404,6 +404,128 @@ class TestAgainstLexsortReference:
         )
 
 
+# value tokens (real and imaginary part) placed first in a file's lower
+# triangle: explicit zeros of both signs, infinities, and NaN on and off
+# the diagonal, which the stated verdict must read as the check does
+_MM_PALETTES = {
+    "plain": ("1 2", "3 -4", "5 6"),
+    "zeros": ("0 0", "2 1", "-0 -0", "3 0", "-0 5"),
+    "inf": ("inf 0", "1 1", "2 -inf", "-inf inf"),
+    "nan-diagonal": ("nan 0", "1 1"),
+    "nan-off-diagonal": ("1 1", "nan 0", "2 2", "3 nan"),
+}
+_MM_SYMMETRIES = ("general", "symmetric", "skew-symmetric", "hermitian")
+
+
+def _mm_file(fmt, field, symmetry, palette, n=3):
+    """A Matrix Market file of order n holding every position its storage
+    keeps. Position (i, j) and its mirror carry the same token: the
+    palette's, in the row-major order of the lower triangle, then
+    nonzero fillers; a real file takes the real part."""
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    tokens = list(palette) + [f"{t + 1} {t - 2}" for t in range(len(lower))]
+    k = 1 if symmetry == "skew-symmetric" else 0
+    # array files run down columns
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if fmt == "array":
+        cells = [(i, j) for j, i in cells]
+    cells = [(i, j) for i, j in cells if symmetry == "general" or i - j >= k]
+    values = [tokens[lower.index((max(i, j), min(i, j)))] for i, j in cells]
+    if field == "real":
+        values = [v.split()[0] for v in values]
+    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}"]
+    if fmt == "coordinate":
+        lines.append(f"{n} {n} {len(cells)}")
+        lines += [f"{i + 1} {j + 1} {v}" for (i, j), v in zip(cells, values)]
+    else:
+        lines.append(f"{n} {n}")
+        lines += values
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _verdicts(m):
+    """m's symmetry verdict, then those of a fresh matrix and of the
+    lexsort reference on copies of its arrays."""
+    row_ptr, col_idx, values = m.row_ptr.copy(), m.col_idx.copy(), m.values.copy()
+    fresh = ComplexSymmetricMatrix(
+        m.n, row_ptr=row_ptr, col_idx=col_idx, values=values
+    )
+    return (
+        m.is_symmetric,
+        fresh.is_symmetric,
+        coo_reference.is_symmetric(m.n, row_ptr, col_idx, values),
+    )
+
+
+@pytest.fixture
+def argsort_calls(monkeypatch):
+    """The size of each array np.argsort is called on, while the test runs."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+class TestStatedVerdict:
+    """Matrices built by mirroring a stored triangle state their symmetry
+    verdict; it must be the verdict the sort gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_as_a_fresh_check(self, kind, seed):
+        a, _ = gen_problem(ProblemSpec(n=40, p=2, kind=kind, density=0.2, seed=seed))
+        assert _verdicts(a) == (True, True, True)
+
+    @pytest.mark.parametrize("palette", _MM_PALETTES)
+    @pytest.mark.parametrize("symmetry", _MM_SYMMETRIES)
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("fmt", ["coordinate", "array"])
+    def test_read_as_a_fresh_check(self, fmt, field, symmetry, palette):
+        text = _mm_file(fmt, field, symmetry, _MM_PALETTES[palette])
+        _, m = read_matrix_market(text)
+        verdict = _verdicts(m)
+        assert verdict[1:] == verdict[:1] * 2
+        same_image = symmetry in ("general", "symmetric") or (
+            symmetry == "hermitian" and field == "real"
+        )
+        if same_image:
+            # every value also sits at its mirror position; NaN never
+            # equals itself
+            assert verdict[0] is not palette.startswith("nan")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_matrix_sorts_once(self, kind, argsort_calls):
+        a, _ = gen_problem(ProblemSpec(n=40, p=2, kind=kind, density=0.2, seed=1))
+        assert a.is_symmetric
+        assert argsort_calls == [a.nnz]
+
+    @pytest.mark.parametrize(
+        "symmetry,palette,sorts",
+        [
+            ("symmetric", "plain", 1),
+            ("symmetric", "zeros", 1),
+            ("symmetric", "inf", 1),
+            # NaN is unequal to itself: the check decides, and says False
+            ("symmetric", "nan-diagonal", 2),
+            ("symmetric", "nan-off-diagonal", 2),
+            ("general", "plain", 2),
+            ("skew-symmetric", "plain", 2),
+            ("hermitian", "plain", 2),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["coordinate", "array"])
+    def test_read_matrix_sorts(self, fmt, symmetry, palette, sorts, argsort_calls):
+        text = _mm_file(fmt, "complex", symmetry, _MM_PALETTES[palette])
+        _, m = read_matrix_market(text)
+        m.is_symmetric
+        assert len(argsort_calls) == sorts
+
+
 # SHA-256 of the CSR arrays of the matrices the benchmark solves, so that
 # no change to the assembly can change the problem the benchmark times
 BENCHMARK_MATRIX_SHA256 = {
@@ -702,7 +824,8 @@ class TestBeyondInt32Keys:
         n = matrix.n
         assert (n - 1) * n > np.iinfo(np.int32).max
         assert matrix.row_ptr.dtype == matrix.col_idx.dtype == np.int64
-        assert matrix.is_symmetric
+        # the generator states its verdict; a fresh matrix sorts the keys
+        assert matrix.is_symmetric and _fresh(matrix).is_symmetric
         rows = np.repeat(np.arange(n), np.diff(matrix.row_ptr))
         # the last stored off-diagonal entry sits in one of the last rows
         k = np.flatnonzero(rows != matrix.col_idx)[-1]

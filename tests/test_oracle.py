@@ -158,6 +158,27 @@ class TestGenRhs:
     def test_seed_determinism(self):
         np.testing.assert_array_equal(gen_rhs(10, 2, seed=7), gen_rhs(10, 2, seed=7))
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((5, 2, True), "seed must be an integer, got True"),
+            ((5, True, 0), "p must be an integer, got True"),
+            ((5, 2.0, 0), "p must be an integer, got 2.0"),
+            ((5.0, 2, 0), "n must be an integer, got 5.0"),
+            ((5, 2, 1.5), "seed must be an integer, got 1.5"),
+            ((5, 2, -1), "seed must be >= 0"),
+            ((0, 2, 0), "n must be >= 1"),
+            ((5, 0, 0), "p must be >= 1"),
+        ],
+    )
+    def test_numbers_pass_the_integer_rule(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_rhs(*args)
+
+    def test_numpy_integers_taken(self):
+        b = gen_rhs(np.int64(6), np.uint8(2), np.int32(3))
+        np.testing.assert_array_equal(b, gen_rhs(6, 2, 3))
+
 
 class TestDirectSolve:
     def test_identity(self):
