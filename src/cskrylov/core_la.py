@@ -18,14 +18,17 @@ column is both layouts. The CSR product and the thin QR copy a block in
 any other layout to row-major once and return row-major blocks: the
 product is one pass of scipy's multi-vector kernel for p >= 2, its
 one-vector kernel for a single column, with the same bits. The block
-update X <- X + Y C is made in place by one ``zgemm`` call, so X must be
-row-major; Y is copied to row-major where it is not.
-The thin QR forms its Hermitian Grams by ``zgemm`` on the block's own
-memory. Each BLAS and LAPACK call is handed its buffers' addresses by
-`_address`. Every kernel but `axpy_block` returns a new array, except
-that the product and the thin QR take an ``out=`` block to write into
-(the thin QR then uses its input as scratch), which lets a solve run
-in blocks it allocates once; `axpy_block` updates and returns X.
+update X <- X + Y C is made in place, so X must be row-major; Y is
+copied to row-major where it is not. Every kernel but `axpy_block`
+returns a new array, except that the product and the thin QR take an
+``out=`` block to write into (the thin QR then uses its input as
+scratch), which lets a solve run in blocks it allocates once.
+
+Dense products are numpy's, but where a BLAS or LAPACK call saves a
+block pass or exposes what numpy hides. Three calls are bound through
+``ctypes`` (`_routine`, `_address`): ``zgemm`` for `axpy_block`'s
+in-place update, ``zgemm`` for the thin QR's Hermitian Gram without a
+conjugate copy, and ``zgesv`` for `solve_small`'s pivots.
 
 A matrix's public arrays and its `matvec` stay in file order, the order
 the matrix was built in. `solve_operator` decides once per matrix what
@@ -188,17 +191,18 @@ class ComplexSymmetricMatrix:
     generated problem) has its symmetry verdict known from the build
     and cached then. At its first solve a matrix also caches which row
     order it is solved in, and a wide one its locality copy (see
-    `solve_operator`). Like the checks, none of these caches sees later
-    writes to the arrays.
+    `solve_operator`). The CSR arrays are read-only views, so no write
+    through the matrix can leave these caches stale; a caller's array
+    taken without a copy stays writeable, and its writes go unseen.
 
     Attributes
     ----------
     n : int
         Order of the matrix.
     row_ptr, col_idx, values : ndarray
-        CSR arrays: int64 row offsets of length n + 1, and the int64
-        column and complex128 value of each stored entry, in (row, col)
-        order with columns strictly increasing within a row.
+        Read-only CSR arrays: int64 row offsets of length n + 1, and the
+        int64 column and complex128 value of each stored entry, in
+        (row, col) order with columns strictly increasing within a row.
     nnz : int
         Stored entry count.
     """
@@ -232,9 +236,9 @@ class ComplexSymmetricMatrix:
             raise ValueError(
                 f"column indices must increase strictly within row {row}"
             )
-        self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.values = values
+        self.row_ptr = _read_only(row_ptr)
+        self.col_idx = _read_only(col_idx)
+        self.values = _read_only(values)
         self.nnz = int(values.shape[0])
 
     @classmethod
@@ -355,6 +359,13 @@ class ComplexSymmetricMatrix:
         return f"ComplexSymmetricMatrix(n={self.n}, csr, nnz={self.nnz})"
 
 
+def _read_only(arr):
+    """A read-only view of arr; arr itself keeps its flag."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def _mirrored(n, rows, cols, vals, mirror=None):
     """The matrix of a stored triangle's entries (row >= col, diagonal
     included) mirrored to full storage: each off-diagonal entry
@@ -459,7 +470,7 @@ def _locality_copy(a):
     # own arrays, above them, raised a gen1e5-p8 solving process's peak
     # RSS from 275 to 283 MB
     copy.row_ptr, copy.col_idx, copy.values = (
-        copy.row_ptr.copy(), copy.col_idx.copy(), copy.values.copy()
+        _read_only(arr.copy()) for arr in (copy.row_ptr, copy.col_idx, copy.values)
     )
     return perm, copy
 
@@ -564,14 +575,8 @@ def t_gram(v, w):
     This is the bilinear form of the method, not an inner product: it
     applies no complex conjugation and can vanish on nonzero inputs.
 
-    A block of p >= 2 columns and more than `_ROW_CHUNK` rows is one
-    ``zgemm`` call on the row-major buffers in the library numpy links
-    (see `_routine`), with the bits of numpy's ``v.T @ w`` for distinct
-    blocks; for v is w numpy would call ``zsyrk``, which is slower there
-    and rounds differently at some (n, p). Single columns, shorter
-    blocks and every block where numpy exposes no such symbol take
-    ``v.T @ w``. The gate is on rows, not entries: young1c's n = 841,
-    p = 32 self-Grams taken by ``zgemm`` moved its solves' bits.
+    numpy's ``v.T @ w`` on row-major blocks: ``zgemm`` for distinct
+    blocks, ``zsyrk`` for one block as both, so V^T V is exactly symmetric.
 
     Parameters
     ----------
@@ -587,18 +592,7 @@ def t_gram(v, w):
     w = _as_block(w, "w")
     if v.shape != w.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
-    n, p = v.shape
-    gemm = _routine("zgemm") if p >= 2 and n > _ROW_CHUNK else None
-    if gemm is None:
-        return v.T @ w
-    fn, int_t = gemm
-    g = np.empty((p, p), dtype=np.complex128)
-    width = int_t(p)
-    # to a column-major routine the buffers of w and v are W^T and V^T, and
-    # g's is G^T = W^T V: the call numpy's product makes for distinct blocks
-    fn(b"N", b"T", width, width, int_t(n), _ONE_ADDRESS, _address(w), width,
-       _address(v), width, _ZERO_ADDRESS, _address(g), width)
-    return g
+    return v.T @ w
 
 
 def thin_qr(w, out=None):
@@ -656,7 +650,7 @@ def thin_qr(w, out=None):
         q = out
     xi = np.zeros((p, p), dtype=np.complex128)
     if p == 0:
-        # an empty block has no address to hand the Gram's zgemm
+        # an empty block has no Gram to factor
         return QrFactors(q, xi)
     if p == 1:
         # a norm below _NORM_MIN, whose squares have lost digits to
@@ -707,7 +701,7 @@ _CHOLQR_MAX_DEFECT = 0.1
 _CHOLQR_MIN_DIAG_RATIO = 1e-8
 # rows per chunk of the Gram products W^H W: the chunks' products are
 # summed in row order, so the chunk size fixes the summation order and
-# with it the bits. A t_gram of more rows takes zgemm
+# with it the bits
 _ROW_CHUNK = 4096
 
 
@@ -826,10 +820,9 @@ def solve_small(m, rhs):
     The Gram matrices this solves are complex symmetric, not Hermitian,
     so Cholesky is unsound and partial-pivoted LU is used instead. A
     1-by-1 system is one complex division, its scale the modulus of its
-    one entry as a Python scalar. Larger systems go to LAPACK ``zgesv``
-    in the library numpy itself links (see `_routine`), which picks each
-    pivot by the largest |re| + |im| in its column, as LAPACK's
-    ``izamax`` does. Where numpy exposes no such symbol, a
+    one entry as a Python scalar. Larger systems go to LAPACK ``zgesv``,
+    which picks each pivot by the largest |re| + |im| in its column, as
+    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, a
     Python LU that picks each pivot by the largest modulus runs instead.
     The two rules can choose different rows, so their results may differ
     in the last bits. An M whose largest modulus is below `_SCALE_MIN`
@@ -987,10 +980,10 @@ def _address(arr):
 
     A writeable array is read through ctypes' buffer protocol, ~3 times
     cheaper than ``arr.ctypes.data`` (0.8 against 2.0-2.6 us at n = 841,
-    2-core guest); a read-only one, which that protocol refuses, takes
-    ``arr.ctypes.data``.
+    2-core guest); a read-only or empty one, which that protocol refuses,
+    takes ``arr.ctypes.data``.
     """
-    if arr.flags.writeable:
+    if arr.flags.writeable and arr.size:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
     return arr.ctypes.data
 
@@ -1103,16 +1096,15 @@ def axpy_block(x, y, c):
     matrix C.
 
     X is row-major, and Y is copied to row-major where it is not. Every
-    non-empty block is updated by one ``zgemm`` call with beta = 1 in
-    the library numpy links (see `_routine`), handed the buffers'
-    addresses by `_address`: a block of p >= 2 columns as
-    X^T <- X^T + C^T Y^T, which is how a column-major routine reads the
-    row-major buffers, and a single column by the column-major call
-    itself. An empty block, which has no address, and every block where
-    numpy exposes no such symbol take ``x += y @ c``. Both give the bits
-    of X + Y @ C formed in a new row-major block, except in the last
-    n mod 4 rows of a single column, which OpenBLAS's ``zgemm`` and
-    numpy's product round differently.
+    non-empty block is updated by one ``zgemm`` call with beta = 1: a
+    block of p >= 2 columns as X^T <- X^T + C^T Y^T, which is how a
+    column-major routine reads the row-major buffers, and a single
+    column by the column-major call itself. An empty block, whose
+    leading dimension of 0 BLAS can refuse, and every block where numpy
+    exposes no such symbol take ``x += y @ c``. Both give the bits of
+    X + Y @ C formed in a new row-major block, except in the last n mod
+    4 rows of a single column, which OpenBLAS's ``zgemm`` and numpy's
+    product round differently.
 
     Parameters
     ----------

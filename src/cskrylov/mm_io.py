@@ -85,8 +85,10 @@ class MatrixMarketHeader:
     symmetry: str
 
 
+# every byte a line may hold
+_LINE_TEXT = bytes([0x09, *range(0x20, 0x7F)])
 # every byte the grammar allows; a carriage return only before a line feed
-_TEXT = bytes([0x09, 0x0A, 0x0D, *range(0x20, 0x7F)])
+_TEXT = _LINE_TEXT + b"\n\r"
 _EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
 
 
@@ -390,15 +392,17 @@ def write_matrix_market(m, dest, comments=()):
     dest : str, Path or text file object
         Where to write.
     comments : iterable of str
-        Extra %-comment lines placed after the banner.
+        Extra %-comment lines placed after the banner: tabs and bytes
+        0x20-0x7E only.
 
     Raises
     ------
     ValueError
         If the matrix has NaN or infinite entries, or is not complex
         symmetric (the lower-triangle encoding would silently drop
-        information otherwise). Finiteness is checked first: NaN never
-        equals itself, so the symmetry check would misreport it.
+        information otherwise), or if a comment holds another byte.
+        Finiteness is checked first: NaN never equals itself, so the
+        symmetry check would misreport it. Nothing is written then.
     """
     if not m.is_finite:
         raise ValueError(
@@ -412,6 +416,9 @@ def write_matrix_market(m, dest, comments=()):
     rows, cols, vals = rows[keep], m.col_idx[keep], m.values[keep]
     out = ["%%MatrixMarket matrix coordinate complex symmetric"]
     out.extend(f"% {c}" if c else "%" for c in comments)
+    bad = "".join(out[1:]).encode("utf-8", "surrogatepass").translate(None, _LINE_TEXT)
+    if bad:
+        raise ValueError(f"comment holds byte 0x{bad[0]:02x}, not tab or 0x20-0x7E")
     out.append(f"{m.n} {m.n} {len(vals)}")
     # one format over the flattened entry columns; indices pass through
     # float64 exactly, being far below 2**53

@@ -812,6 +812,39 @@ class TestLocalityCopy:
 _N_BEYOND_INT32_KEYS = 50_000
 
 
+class TestReadOnlyArrays:
+    """A matrix's CSR arrays are read-only views, so no write through them
+    can leave its cached verdicts or locality copy stale."""
+
+    @staticmethod
+    def _built(how):
+        if how == "generated":
+            spec = ProblemSpec(n=40, p=1, kind="diagdominant", density=0.2, seed=0)
+            return gen_problem(spec)[0]
+        if how == "read":
+            text = _mm_file("coordinate", "complex", "symmetric", _MM_PALETTES["plain"])
+            return read_matrix_market(text)[1]
+        if how == "dense":
+            return ComplexSymmetricMatrix.from_dense([[2, 1j], [1j, 3]])
+        return core_la._locality_copy(LOCALITY_CASES["random"])[1]
+
+    @pytest.mark.parametrize("how", ["generated", "read", "dense", "locality copy"])
+    def test_in_place_write_raises(self, how):
+        a = self._built(how)
+        for name in ("row_ptr", "col_idx", "values"):
+            arr = getattr(a, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+
+    def test_callers_arrays_keep_their_flag(self):
+        row_ptr, col_idx = np.array([0, 1, 2]), np.array([0, 1])
+        values = np.array([1.0, 2.0], dtype=np.complex128)
+        a = ComplexSymmetricMatrix(2, row_ptr=row_ptr, col_idx=col_idx, values=values)
+        assert not a.values.flags.writeable
+        assert row_ptr.flags.writeable and col_idx.flags.writeable
+        assert values.flags.writeable
+
+
 class TestBeyondInt32Keys:
     @pytest.fixture(scope="class")
     def matrix(self):
@@ -1223,9 +1256,10 @@ class TestSolveSmall:
             solve_small(m, rhs), np.linalg.solve(m, rhs), rtol=0, atol=1e-15
         )
 
-    @pytest.mark.parametrize("rhs_shape", [(0, 3), (0, 1), (0,)])
+    @pytest.mark.parametrize("rhs_shape", [(0, 3), (0, 1), (0,), (2, 0)])
     def test_empty_system(self, rhs_shape):
-        m = np.empty((0, 0), dtype=complex)
+        # no unknowns, or no right-hand sides to a 2 x 2 system
+        m = np.eye(rhs_shape[0], dtype=complex)
         rhs = np.empty(rhs_shape, dtype=complex)
         z = solve_small(m, rhs)
         assert z.shape == np.linalg.solve(m, rhs).shape == rhs_shape
@@ -1237,11 +1271,13 @@ class TestSolveSmall:
         np.testing.assert_array_equal(z, [1.0, 2.0j])
 
     def test_singular_raises_breakdown(self):
+        # with right-hand sides or none: the pivots are checked either way
         m = np.array([[1, 1], [1, 1]], dtype=complex)
-        with pytest.raises(BreakdownError) as exc:
-            solve_small(m, np.ones(2, dtype=complex))
-        assert exc.value.pivot_index == 1
-        assert exc.value.pivot_magnitude == 0.0
+        for rhs_shape in ((2,), (2, 0)):
+            with pytest.raises(BreakdownError) as exc:
+                solve_small(m, np.ones(rhs_shape, dtype=complex))
+            assert exc.value.pivot_index == 1
+            assert exc.value.pivot_magnitude == 0.0
 
     @pytest.mark.parametrize(
         "m,index",
@@ -1512,27 +1548,21 @@ class TestBlockOps:
         monkeypatch.setattr(core_la, "_routine", spy)
         return asked
 
-    def test_t_gram_above_the_gate_keeps_numpys_bits(self, monkeypatch):
-        # more than _ROW_CHUNK rows and p >= 2: one zgemm, with numpy's bits
-        # for distinct blocks at every p, and with zsyrk's for v^T v where
-        # they agree, at p a multiple of 4 on this n
-        n = 20_000
-        assert n > core_la._ROW_CHUNK
+    @pytest.mark.parametrize(
+        "n,p",
+        [(20_000, p) for p in range(2, 34)]
+        + [(841, 2), (841, 8), (841, 32), (20_000, 1), (20_001, 6), (4_097, 3)],
+    )
+    def test_t_gram_is_numpys_product(self, n, p, monkeypatch):
+        # at every shape, young1c's order and a single column among them:
+        # numpy's zgemm for distinct blocks and its zsyrk for v^T v, which
+        # is exactly symmetric, with no routine of the package's own
         asked = self._gram_routes(monkeypatch)
-        for p in range(2, 34):
-            v, w = (np.ascontiguousarray(_rand_block(n, p, seed)) for seed in (p, p + 100))
-            assert t_gram(v, w).tobytes() == (v.T @ w).tobytes(), p
-            if p in (4, 8, 32):
-                assert t_gram(v, v).tobytes() == (v.T @ v).tobytes(), p
-        assert asked and set(asked) == {"zgemm"}
-
-    @pytest.mark.parametrize("n,p", [(841, 2), (841, 8), (841, 32), (20_000, 1)])
-    def test_t_gram_below_the_gate_is_numpys_product(self, n, p, monkeypatch):
-        # young1c's order, and a single column at any order
-        asked = self._gram_routes(monkeypatch)
-        v, w = (np.ascontiguousarray(_rand_block(n, p, seed)) for seed in (1, 2))
+        v, w = (np.ascontiguousarray(_rand_block(n, p, seed)) for seed in (p, p + 100))
         assert t_gram(v, w).tobytes() == (v.T @ w).tobytes()
-        assert t_gram(v, v).tobytes() == (v.T @ v).tobytes()
+        g = t_gram(v, v)
+        assert g.tobytes() == (v.T @ v).tobytes()
+        assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
         assert asked == []
 
     def test_axpy_block_shape_errors(self):

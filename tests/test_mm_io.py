@@ -449,6 +449,20 @@ class TestWriter:
         assert lines[4] == "1 1 1 0"
         assert lines[5] == "2 1 0 1"
 
+    @pytest.mark.parametrize(
+        "comment,byte",
+        [("two\nlines", "0x0a"), ("caf\u00e9", "0xc3")],
+        ids=["lf", "utf8"],
+    )
+    def test_refuses_comments_the_reader_rejects(self, comment, byte):
+        # a line end would split the comment, and a non-ASCII byte is not
+        # Matrix Market text: either file would fail its own read
+        _, m = _read(f"{BANNER}\n1 1 1\n1 1 0.5 -0.5\n")
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"comment holds byte {byte}, not tab"):
+            write_matrix_market(m, buf, comments=("fine", comment))
+        assert buf.getvalue() == ""
+
     def test_round_trip_generated_csr(self):
         m, _ = gen_problem(ProblemSpec(n=50, p=1, kind="diagdominant", seed=12))
         buf = io.StringIO()
