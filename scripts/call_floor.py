@@ -10,8 +10,8 @@ p x p right-hand side. The kernel and its bare expression alternate,
 round after round, so that a drift in the machine's speed moves both.
 A kernel with two branches is set beside the branch it takes at that
 shape: `axpy_block` beside the ``zgemm`` call itself (its arguments made
-before the clock starts), or beside ``x += y @ c`` where numpy exposes
-no ``zgemm``, and `solve_small` of order 1 beside the division.
+before the clock starts), or beside ``x += y @ c`` where no ``zgemm``
+is bound (any numpy build but its OpenBLAS wheels), and `solve_small` of order 1 beside the division.
 `fro_norm` is timed on an n x p block and on a p x p one (the xi of a
 factored solve), beside both ``np.einsum`` of its one pass and
 ``np.linalg.norm``.
@@ -101,16 +101,15 @@ def _lines(core_la, young):
 
         gemm = core_la._routine("zgemm")
         if gemm is not None:
-            fn, int_t = gemm
-            rows, cols = int_t(n), int_t(p)
+            rows, cols = core_la._INT(n), core_la._INT(p)
             one = core_la._ONE_ADDRESS
             ax, ay, ac = (arr.ctypes.data for arr in (x, y, c))
             if p == 1:
                 def bare_axpy():
-                    fn(b"N", b"T", rows, cols, cols, one, ay, rows, ac, cols, one, ax, rows)
+                    gemm(b"N", b"T", rows, cols, cols, one, ay, rows, ac, cols, one, ax, rows)
             else:
                 def bare_axpy():
-                    fn(b"N", b"N", cols, rows, cols, one, ac, cols, ay, cols, one, ax, cols)
+                    gemm(b"N", b"N", cols, rows, cols, one, ac, cols, ay, cols, one, ax, cols)
             yield "axpy_block", shape, axpy, "zgemm, arguments made once", bare_axpy
         else:
             def bare_axpy(x=x, y=y, c=c):

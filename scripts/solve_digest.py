@@ -2,6 +2,11 @@
 """Print a digest of the benchmark's solves, to show that a change keeps
 their bits.
 
+The first line names the BLAS and LAPACK routines the package binds in
+this numpy build, ``blas: zgemm zgesv`` on numpy 2's OpenBLAS wheels and
+``blas: none (numpy fallbacks)`` elsewhere, so that a digest diff
+between two builds explains itself.
+
 For each case and solver one line gives the iteration count, the
 status, ``repr(trr)``, and the first 16 hex digits of the SHA-256 of
 the residual history (as float64) and of X. The cases:
@@ -68,14 +73,27 @@ def _cases(ck):
         yield f"tridiag1e5-p{p}", tridiagonal, ck.gen_rhs(n, p, 0)
 
 
-def run_cases():
+def _import_package():
+    """The cskrylov package from the ``src/`` of this tree."""
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-
     import cskrylov as ck
 
     if Path(ck.__file__).resolve().parent != ROOT / "src" / "cskrylov":
         raise SystemExit(f"imported cskrylov from {ck.__file__}, not {ROOT / 'src'}")
+    return ck
+
+
+def _blas_line():
+    """The first line: the routines that `core_la._routine` binds."""
+    core_la = _import_package().core_la
+    bound = sorted(n for n in core_la._SIGNATURES if core_la._routine(n) is not None)
+    return "blas: " + (" ".join(bound) if bound else "none (numpy fallbacks)")
+
+
+def run_cases():
+    import numpy as np
+
+    ck = _import_package()
     threads = os.environ["OPENBLAS_NUM_THREADS"]
     for case, a, b in _cases(ck):
         for name, solver in ck.SOLVERS.items():
@@ -96,6 +114,7 @@ def main(argv=None):
     if args.child:
         run_cases()
         return 0
+    print(_blas_line(), flush=True)
     passes = []
     for threads in THREADS:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))

@@ -105,7 +105,7 @@ def run_benchmark(args):
 
     Solvers run one after another, so each row's cpu time (the solve's
     wall time) is its own.
-    The report destination and the history directory are checked before
+    The report destination and every history file are checked before
     the first solver runs, so a run whose output cannot be written
     solves nothing.
 
@@ -134,6 +134,8 @@ def run_benchmark(args):
     hist_dir = None if args.history_dir is None else Path(args.history_dir)
     if hist_dir is not None:
         hist_dir.mkdir(parents=True, exist_ok=True)
+        for s in solver_names:
+            _check_writable(hist_dir / f"{s}.csv")
     # one untimed product imports scipy.sparse and resolves its CSR
     # kernel, and the matrix's row order is decided here (a wide matrix's
     # locality copy built), so no solver's cpu time is charged for either

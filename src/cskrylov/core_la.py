@@ -28,7 +28,12 @@ Dense products are numpy's, but where a BLAS or LAPACK call saves a
 block pass or exposes what numpy hides. Three calls are bound through
 ``ctypes`` (`_routine`, `_address`): ``zgemm`` for `axpy_block`'s
 in-place update, ``zgemm`` for the thin QR's Hermitian Gram without a
-conjugate copy, and ``zgesv`` for `solve_small`'s pivots.
+conjugate copy, and ``zgesv`` for `solve_small`'s pivots. They are bound
+from one library only, the scipy-openblas64 that numpy 2's OpenBLAS
+wheels link, by its ``scipy_<name>_64_`` names, which state the library
+(OpenBLAS) and the integer width (64 bits; a wrong width would make
+``zgesv`` write its pivots past their array). Any other numpy build
+binds nothing and takes the fallbacks: numpy's products, a Python LU.
 
 A matrix's public arrays and its `matvec` stay in file order, the order
 the matrix was built in. `solve_operator` decides once per matrix what
@@ -576,7 +581,8 @@ def t_gram(v, w):
     applies no complex conjugation and can vanish on nonzero inputs.
 
     numpy's ``v.T @ w`` on row-major blocks: ``zgemm`` for distinct
-    blocks, ``zsyrk`` for one block as both, so V^T V is exactly symmetric.
+    blocks, ``zsyrk`` for one block as both, so V^T V is exactly
+    symmetric; one block passed as both is converted once, in any layout.
 
     Parameters
     ----------
@@ -588,8 +594,9 @@ def t_gram(v, w):
     ndarray
         V^T W, shape (p, p).
     """
+    same = w is v
     v = _as_block(v, "v")
-    w = _as_block(w, "w")
+    w = v if same else _as_block(w, "w")
     if v.shape != w.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
     return v.T @ w
@@ -756,29 +763,28 @@ def _gram_h(v):
     Each chunk's product is one ``zgemm('R', 'T')`` call on v's own
     memory (see `_routine`), which a column-major routine reads as v^T,
     so no conjugate copy is made; 'R' (conjugate, not transposed) is an
-    OpenBLAS extension, and ``zgemm('N', 'C')``, the other way to read a
-    row-major chunk, rounds differently. Where numpy exposes no such
-    symbol, or the library is not OpenBLAS, each chunk's conjugate copy
-    goes to numpy's product instead.
+    OpenBLAS extension, which the one library bound has, and
+    ``zgemm('N', 'C')``, the other way to read a row-major chunk, rounds
+    differently. Where `_routine` binds no ``zgemm``, each chunk's
+    conjugate copy goes to numpy's product instead.
     """
     n, p = v.shape
     g = np.zeros((p, p), dtype=np.complex128)
-    gemm = _routine("zgemm") if _is_openblas() else None
+    gemm = _routine("zgemm")
     if gemm is None:
         for i in range(0, n, _ROW_CHUNK):
             rows = v[i : i + _ROW_CHUNK]
             g += np.conjugate(rows).T @ rows
         return g
-    fn, int_t = gemm
     # the column-major chunk product lands in part's row-major buffer as
     # its transpose
     part = np.empty((p, p), dtype=np.complex128)
-    width = int_t(p)
+    width = _INT(p)
     start, out = _address(v), _address(part)
     for i in range(0, n, _ROW_CHUNK):
         rows = start + i * p * v.itemsize
-        fn(b"R", b"T", width, width, int_t(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
-           rows, width, rows, width, _ZERO_ADDRESS, out, width)
+        gemm(b"R", b"T", width, width, _INT(min(_ROW_CHUNK, n - i)), _ONE_ADDRESS,
+             rows, width, rows, width, _ZERO_ADDRESS, out, width)
         g += part.T
     return g
 
@@ -822,8 +828,9 @@ def solve_small(m, rhs):
     1-by-1 system is one complex division, its scale the modulus of its
     one entry as a Python scalar. Larger systems go to LAPACK ``zgesv``,
     which picks each pivot by the largest |re| + |im| in its column, as
-    LAPACK's ``izamax`` does. Where numpy exposes no such symbol, a
-    Python LU that picks each pivot by the largest modulus runs instead.
+    LAPACK's ``izamax`` does. Where `_routine` binds no ``zgesv``, a
+    Python LU that picks each pivot by the largest modulus runs instead,
+    some 20 times slower at p = 8 and 32.
     The two rules can choose different rows, so their results may differ
     in the last bits. An M whose largest modulus is below `_SCALE_MIN`
     is solved as M 2^-e, with e the binary exponent of max|M|, and Z
@@ -893,85 +900,35 @@ def _ldexp(x, e):
     return out
 
 
-# (symbol pattern, integer type) in the order tried: the scipy-openblas
-# wheels of numpy export 64-bit-integer BLAS and LAPACK under a prefix and
-# suffix. The unsuffixed name says nothing of its integer width, which is
-# taken from numpy's build report instead (None: ask the report)
-_SYMBOLS = (
-    ("scipy_{}_64_", ctypes.c_int64),
-    ("{}_64_", ctypes.c_int64),
-    ("{}_", None),
-)
+# numpy 2's OpenBLAS wheels link scipy-openblas64, which exports BLAS and
+# LAPACK with 64-bit integers as scipy_<name>_64_; the one integer type of
+# every call bound here
+_INT = ctypes.c_int64
 # ctypes argument types of each routine that is bound, one letter per
-# argument: i an integer of the library's width, v a data pointer, c a
-# character option
+# argument: i an integer, v a data pointer, c a character option
 _SIGNATURES = {"zgesv": "iiviivii", "zgemm": "cciiivvivivvi"}
 
 
 @functools.cache
 def _routine(name):
-    """BLAS or LAPACK routine `name` (a key of `_SIGNATURES`) and its
-    integer type, or None where it cannot be found.
+    """numpy's ``scipy_<name>_64_`` (name a key of `_SIGNATURES`), typed
+    for ctypes, or None where numpy's library does not export it.
 
     The symbol is looked up through numpy's own linear-algebra extension,
     whose dependencies include the library numpy links, so it adds no
-    library to the process and shares numpy's BLAS threads.
+    library to the process and shares numpy's BLAS threads. No other
+    name is tried (see the module docstring).
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
+        fn = ctypes.CDLL(_umath_linalg.__file__)[f"scipy_{name}_64_"]
+    except (ImportError, OSError, AttributeError):
         return None
-    return _bind(lib, name, _lapack_report())
-
-
-def _lapack_report():
-    """numpy's build report on the LAPACK it links, {} where it has none."""
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    except (TypeError, KeyError):
-        return {}
-
-
-@functools.cache
-def _is_openblas():
-    """Whether numpy's build report shows an OpenBLAS configuration."""
-    return _report_int_type(_lapack_report()) is not None
-
-
-def _report_int_type(lapack):
-    """The integer type of an OpenBLAS LAPACK as numpy's build report
-    gives it, or None where the report shows no OpenBLAS configuration
-    and so cannot confirm the width."""
-    config = lapack.get("openblas configuration", "")
-    if not config.startswith("OpenBLAS"):
-        return None
-    return ctypes.c_int64 if "USE64BITINT" in config.split() else ctypes.c_int32
-
-
-def _bind(lib, name, lapack):
-    """Routine `name` from `lib` and its integer type, typed for ctypes,
-    or None.
-
-    A symbol whose integer width is unknown is skipped: calling an
-    int64 library with int32 arguments would read past them, and zgesv
-    would write pivots past the end of their array.
-    """
-    for pattern, int_t in _SYMBOLS:
-        if int_t is None:
-            int_t = _report_int_type(lapack)
-            if int_t is None:
-                continue
-        try:
-            fn = lib[pattern.format(name)]
-        except AttributeError:
-            continue
-        types = {"i": ctypes.POINTER(int_t), "v": ctypes.c_void_p, "c": ctypes.c_char_p}
-        fn.argtypes = [types[t] for t in _SIGNATURES[name]]
-        fn.restype = None
-        return fn, int_t
-    return None
+    types = {"i": ctypes.POINTER(_INT), "v": ctypes.c_void_p, "c": ctypes.c_char_p}
+    fn.argtypes = [types[t] for t in _SIGNATURES[name]]
+    fn.restype = None
+    return fn
 
 
 def _address(arr):
@@ -990,15 +947,15 @@ def _address(arr):
 
 def _lapack_solve(a, b, floor):
     """Z for M Z = B by zgesv."""
-    fn, int_t = _routine("zgesv")
+    zgesv = _routine("zgesv")
     p, k = b.shape
     # row-major copies of the transposes: the column-major M and B that
     # zgesv overwrites with its LU factors and Z
     lu = a.T.copy()
     z = b.T.copy()
-    ipiv = (int_t * p)()
-    n, nrhs, info = int_t(p), int_t(k), int_t(0)
-    fn(n, nrhs, _address(lu), n, ipiv, _address(z), n, info)
+    ipiv = (_INT * p)()
+    n, nrhs, info = _INT(p), _INT(k), _INT(0)
+    zgesv(n, nrhs, _address(lu), n, ipiv, _address(z), n, info)
     for i, mag in enumerate(np.abs(lu.diagonal()).tolist()):
         if mag < floor:
             raise BreakdownError(i, mag)
@@ -1100,8 +1057,8 @@ def axpy_block(x, y, c):
     block of p >= 2 columns as X^T <- X^T + C^T Y^T, which is how a
     column-major routine reads the row-major buffers, and a single
     column by the column-major call itself. An empty block, whose
-    leading dimension of 0 BLAS can refuse, and every block where numpy
-    exposes no such symbol take ``x += y @ c``. Both give the bits of
+    leading dimension of 0 BLAS can refuse, and every block where
+    `_routine` binds no ``zgemm`` take ``x += y @ c``. Both give the bits of
     X + Y @ C formed in a new row-major block, except in the last n mod
     4 rows of a single column, which OpenBLAS's ``zgemm`` and numpy's
     product round differently.
@@ -1151,16 +1108,15 @@ def axpy_block(x, y, c):
     if gemm is None:
         x += y @ c
         return x
-    fn, int_t = gemm
-    n, p = int_t(x.shape[0]), int_t(x.shape[1])
+    n, p = _INT(x.shape[0]), _INT(x.shape[1])
     if x.shape[1] == 1:
         # the column-major call, whose bits are those of x + y @ c; the
         # swapped call below gives a single column those of x + y * c
-        fn(b"N", b"T", n, p, p, _ONE_ADDRESS, _address(y), n,
-           _address(c), p, _ONE_ADDRESS, _address(x), n)
+        gemm(b"N", b"T", n, p, p, _ONE_ADDRESS, _address(y), n,
+             _address(c), p, _ONE_ADDRESS, _address(x), n)
     else:
         # to a column-major routine the buffers of x, y and c are X^T,
         # Y^T and C^T
-        fn(b"N", b"N", p, n, p, _ONE_ADDRESS, _address(c), p,
-           _address(y), p, _ONE_ADDRESS, _address(x), p)
+        gemm(b"N", b"N", p, n, p, _ONE_ADDRESS, _address(c), p,
+             _address(y), p, _ONE_ADDRESS, _address(x), p)
     return x

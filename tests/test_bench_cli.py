@@ -240,20 +240,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert solver_calls == []
 
-    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("case", ["new", "existing", "history-file-is-a-directory"])
     def test_unusable_history_dir_runs_no_solver(
-        self, tmp_path, capsys, solver_calls, existing
+        self, tmp_path, capsys, solver_calls, case
     ):
-        # a history directory under a regular file cannot be made; the
-        # report destination checked before it is left as it was
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
+        # a history directory under a regular file cannot be made, and a
+        # history file where a directory stands cannot be opened; the
+        # report destination checked before them is left as it was
+        existing = case == "existing"
+        if case == "history-file-is-a-directory":
+            hist = tmp_path / "hist"
+            (hist / "bl_cocg.csv").mkdir(parents=True)
+        else:
+            blocker = tmp_path / "blocker"
+            blocker.write_text("")
+            hist = blocker / "hist"
         out = tmp_path / "r.csv"
         if existing:
             out.write_text("old report\n")
         code = main(
-            ["solve", *GEN_ARGS, "--out", str(out),
-             "--history-dir", str(blocker / "hist")]
+            ["solve", *GEN_ARGS, "--out", str(out), "--history-dir", str(hist)]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -1128,6 +1128,9 @@ class TestLayoutBits:
         v_rows, w_rows = np.ascontiguousarray(v), np.ascontiguousarray(w)
         c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
         assert t_gram(v, w).tobytes() == t_gram(v_rows, w_rows).tobytes()
+        # one block as both is copied once, so numpy sees one buffer and
+        # takes zsyrk, exactly symmetric, in either layout
+        assert t_gram(v, v).tobytes() == t_gram(v_rows, v_rows).tobytes()
         fac, fac_rows = core_la.thin_qr(v), core_la.thin_qr(v_rows)
         assert fac.q.flags.c_contiguous and fac_rows.q.flags.c_contiguous
         assert fac.q.tobytes() == fac_rows.q.tobytes()
@@ -1143,19 +1146,49 @@ class TestLayoutBits:
         assert x[:exact].tobytes() == expected[:exact].tobytes()
 
     @pytest.mark.parametrize("p", [3, 8])
-    def test_gram_without_zgemm_or_openblas_takes_numpy(self, p, monkeypatch):
-        # 'R' is an OpenBLAS option of zgemm: where the library is not
-        # OpenBLAS a row-major Gram is numpy's product of conjugate copies,
-        # which gives both layouts the same bits
+    def test_gram_without_zgemm_takes_numpy(self, p, monkeypatch):
+        # where no zgemm is bound a Hermitian Gram is numpy's product of
+        # conjugate copies, which gives both layouts the same bits
         rng = np.random.default_rng(p)
         v = np.asfortranarray(rng.standard_normal((841, p)) + 1j * rng.standard_normal((841, p)))
         v_rows = np.ascontiguousarray(v)
-        with monkeypatch.context() as patch:
-            patch.setattr(core_la, "_is_openblas", lambda: False)
-            other_blas = core_la._gram_h(v_rows)
         monkeypatch.setattr(core_la, "_routine", lambda name: None)
-        assert other_blas.tobytes() == core_la._gram_h(v_rows).tobytes()
         assert core_la._gram_h(v_rows).tobytes() == core_la._gram_h(v).tobytes()
+
+
+class TestSolvesWithNothingBound:
+    """Whole solves where `_routine` binds nothing, as on every numpy
+    build but its OpenBLAS wheels: numpy's block updates and
+    conjugate-copy Hermitian Grams, and the Python LU. Release criteria 01 and 04 of
+    `tests/test_acceptance.py` hold there too."""
+
+    @pytest.fixture(autouse=True)
+    def python_lu_calls(self, monkeypatch):
+        monkeypatch.setattr(core_la, "_routine", lambda name: None)
+        return _calls(monkeypatch, core_la, "_python_solve")
+
+    def test_oracle_equivalence_over_twenty_seeds(self, python_lu_calls):
+        for seed in range(20):
+            a, b = gen_problem(ProblemSpec(n=50, p=4, kind="diagdominant", seed=seed))
+            x_oracle = direct_solve(a.to_dense(), b)
+            ref = fro_norm(np.asfortranarray(x_oracle))
+            for name, solver in ALL:
+                res = solver(a, b)
+                assert res.converged, (seed, name, res.status)
+                err = fro_norm(res.x - x_oracle) / ref
+                assert err <= 1e-8, (seed, name, err)
+        assert python_lu_calls
+
+    def test_young1c_rq_bands(self, young1c, python_lu_calls):
+        b = gen_rhs(young1c.n, 8, 0)
+        for name, reference in (("bl_cocg_rq", 177), ("bl_cocr_rq", 180)):
+            res = SOLVERS[name](young1c, b)
+            assert res.converged, (name, res.status)
+            assert res.trr <= -10, (name, res.trr)
+            assert 0.75 * reference <= res.iterations <= 1.25 * reference, (
+                name, res.iterations
+            )
+        assert python_lu_calls
 
 
 class TestScaleInvariance:
