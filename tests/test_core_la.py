@@ -1446,20 +1446,52 @@ class _Library:
         return types.SimpleNamespace()
 
 
-@pytest.mark.parametrize("routine", ["zgesv", "zgemm"])
-def test_only_the_scipy_openblas64_name_binds(routine, monkeypatch):
-    # numpy 1.x wheels export zgemm_64_ and source builds against OpenBLAS
-    # zgemm_; neither name states both the library and its integer width,
-    # so a library that exports only those binds nothing. The uncached
-    # lookup leaves the binding the other tests use untouched
-    others = (f"{routine}_", f"{routine}_64_")
-    monkeypatch.setattr(core_la.ctypes, "CDLL", lambda path: _Library(*others))
-    assert core_la._routine.__wrapped__(routine) is None
-    with_scipy = _Library(*others, f"scipy_{routine}_64_")
-    monkeypatch.setattr(core_la.ctypes, "CDLL", lambda path: with_scipy)
+_OPENBLAS32 = {"openblas configuration": "OpenBLAS 0.3.27 DYNAMIC_ARCH NO_AFFINITY Haswell"}
+_OPENBLAS64 = {"openblas configuration": "OpenBLAS 0.3.27  USE64BITINT DYNAMIC_ARCH Haswell"}
+
+
+@pytest.mark.parametrize(
+    "routine,names,lapack,int_t",
+    [
+        # only numpy's scipy-openblas64 name binds, and always 64-bit
+        pytest.param("zgesv", ("scipy_zgesv_64_", "zgesv_"), {}, ctypes.c_int64, id="scipy-64"),
+        # numpy 1.x wheels export zgesv_64_ and source builds against
+        # OpenBLAS zgesv_; neither binds, whatever the build report says
+        pytest.param("zgesv", ("zgesv_64_",), _OPENBLAS32, None, id="suffix-64"),
+        pytest.param("zgesv", ("zgesv_",), _OPENBLAS32, None, id="openblas-32"),
+        pytest.param("zgesv", ("zgesv_",), _OPENBLAS64, None, id="openblas-64"),
+        pytest.param("zgesv", ("zgesv_",), {"name": "mkl"}, None, id="mkl"),
+        pytest.param("zgesv", ("zgesv_",), {}, None, id="no-report"),
+        pytest.param("zgesv", (), _OPENBLAS32, None, id="no-symbol"),
+        # zgemm follows the same rule
+        pytest.param("zgemm", ("scipy_zgemm_64_", "zgemm_"), {}, ctypes.c_int64,
+                     id="zgemm-scipy-64"),
+        pytest.param("zgemm", ("zgemm_64_",), _OPENBLAS32, None, id="zgemm-suffix-64"),
+        pytest.param("zgemm", ("zgemm_",), _OPENBLAS32, None, id="zgemm-openblas-32"),
+        pytest.param("zgemm", ("zgemm_",), _OPENBLAS64, None, id="zgemm-openblas-64"),
+        pytest.param("zgemm", ("zgemm_",), {"name": "mkl"}, None, id="zgemm-mkl"),
+        pytest.param("zgemm", ("zgemm_",), {}, None, id="zgemm-no-report"),
+        # one routine's symbol does not bind the other
+        pytest.param("zgemm", ("scipy_zgesv_64_", "zgesv_"), _OPENBLAS32, None,
+                     id="zgemm-no-symbol"),
+    ],
+)
+def test_zgesv_integer_width(routine, names, lapack, int_t, monkeypatch):
+    # the stand-in library and build report are patched in and the
+    # uncached lookup called, so the binding the other tests use is
+    # untouched; the report is offered only to show it is not read
+    monkeypatch.setattr(core_la.ctypes, "CDLL", lambda path: _Library(*names))
+    report = {"Build Dependencies": {"lapack": lapack, "blas": lapack}}
+    monkeypatch.setattr(np, "show_config", lambda mode=None: report)
     fn = core_la._routine.__wrapped__(routine)
-    assert fn is not None and fn.restype is None
-    assert len(fn.argtypes) == {"zgesv": 8, "zgemm": 13}[routine]
+    if int_t is None:
+        assert fn is None
+    else:
+        assert fn.restype is None
+        ip = ctypes.POINTER(int_t)
+        width = [t for t in fn.argtypes if t not in (ctypes.c_void_p, ctypes.c_char_p)]
+        assert width and all(t is ip for t in width)
+        assert len(fn.argtypes) == {"zgesv": 8, "zgemm": 13}[routine]
 
 
 class TestBlockOps:
