@@ -9,9 +9,11 @@ row-major complex128 blocks, and for `solve_small` a p x p Gram with a
 p x p right-hand side. The kernel and its bare expression alternate,
 round after round, so that a drift in the machine's speed moves both.
 A kernel with two branches is set beside the branch it takes at that
-shape: `axpy_block` beside the ``zgemm`` call itself (its arguments made
-before the clock starts), or beside ``x += y @ c`` where no ``zgemm``
-is bound (any numpy build but its OpenBLAS wheels), and `solve_small` of order 1 beside the division.
+shape: `axpy_block` beside the BLAS call itself, ``zaxpy`` for a single
+column and ``zgemm`` for p >= 2 (its arguments made before the clock
+starts), or beside ``x += y @ c`` where that routine is not bound (any
+numpy build but its OpenBLAS wheels), and `solve_small` of order 1
+beside the division.
 `fro_norm` is timed on an n x p block and on a p x p one (the xi of a
 factored solve), beside both ``np.einsum`` of its one pass and
 ``np.linalg.norm``.
@@ -99,18 +101,19 @@ def _lines(core_la, young):
         def axpy(x=x, y=y, c=c):
             return core_la.axpy_block(x, y, c)
 
-        gemm = core_la._routine("zgemm")
-        if gemm is not None:
+        name = "zaxpy" if p == 1 else "zgemm"
+        routine = core_la._routine(name)
+        if routine is not None:
             rows, cols = core_la._INT(n), core_la._INT(p)
             one = core_la._ONE_ADDRESS
             ax, ay, ac = (arr.ctypes.data for arr in (x, y, c))
             if p == 1:
-                def bare_axpy():
-                    gemm(b"N", b"T", rows, cols, cols, one, ay, rows, ac, cols, one, ax, rows)
+                def bare_axpy(unit=core_la._UNIT):
+                    routine(rows, ac, ay, unit, ax, unit)
             else:
                 def bare_axpy():
-                    gemm(b"N", b"N", cols, rows, cols, one, ac, cols, ay, cols, one, ax, cols)
-            yield "axpy_block", shape, axpy, "zgemm, arguments made once", bare_axpy
+                    routine(b"N", b"N", cols, rows, cols, one, ac, cols, ay, cols, one, ax, cols)
+            yield "axpy_block", shape, axpy, f"{name}, arguments made once", bare_axpy
         else:
             def bare_axpy(x=x, y=y, c=c):
                 x += y @ c

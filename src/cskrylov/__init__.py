@@ -7,17 +7,7 @@ generators and a benchmark CLI.
 # perfbench/worker.py reads `cskrylov.kernels.get_backend()` after a bare
 # `import cskrylov`; nothing inside the package imports the module
 from . import kernels
-from .core_la import (
-    BreakdownError,
-    ComplexSymmetricMatrix,
-    QrFactors,
-    axpy_block,
-    block_matvec,
-    fro_norm,
-    solve_small,
-    t_gram,
-    thin_qr,
-)
+from .core_la import ComplexSymmetricMatrix
 from .mm_io import MatrixMarketHeader, read_matrix_market, write_matrix_market
 from .oracle import KINDS, ProblemSpec, direct_solve, gen_problem, gen_rhs
 from .solvers import (
@@ -39,14 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ComplexSymmetricMatrix",
-    "QrFactors",
-    "BreakdownError",
-    "block_matvec",
-    "t_gram",
-    "thin_qr",
-    "solve_small",
-    "fro_norm",
-    "axpy_block",
     "MatrixMarketHeader",
     "read_matrix_market",
     "write_matrix_market",

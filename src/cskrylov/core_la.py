@@ -13,27 +13,44 @@ of standard libraries do not apply to them. The thin QR is the
 exception: its Q is orthonormal in the Hermitian sense (Q^H Q = I), so
 it may factor the Hermitian Gram W^H W.
 
-The block kernels compute on row-major (C-order) blocks only; a single
-column is both layouts. The CSR product and the thin QR copy a block in
-any other layout to row-major once and return row-major blocks: the
-product is one pass of scipy's multi-vector kernel for p >= 2, its
+The block kernels (`block_matvec`, `t_gram`, `axpy_block`, `thin_qr`,
+`solve_small`, `fro_norm`) are private to the solvers' iteration loop,
+and take its blocks as given: row-major (C-order) complex128 n x p
+blocks with n >= p >= 1, and p x p complex128 matrices, of conforming
+shapes. They convert and check nothing, but that `axpy_block` takes C
+in either layout, as `solve_small` returns it. The checks stay at the
+public edges: `ComplexSymmetricMatrix.matvec`, which copies a block in
+any other layout to row-major once, and the solvers' input checks. The
+product is one pass of scipy's multi-vector CSR kernel for p >= 2, its
 one-vector kernel for a single column, with the same bits. The block
-update X <- X + Y C is made in place, so X must be row-major; Y is
-copied to row-major where it is not. Every kernel but `axpy_block`
+update X <- X + Y C is made in place. Every kernel but `axpy_block`
 returns a new array, except that the product and the thin QR take an
 ``out=`` block to write into (the thin QR then uses its input as
 scratch), which lets a solve run in blocks it allocates once.
 
 Dense products are numpy's, but where a BLAS or LAPACK call saves a
-block pass or exposes what numpy hides. Three calls are bound through
+block pass or exposes what numpy hides. Four calls are bound through
 ``ctypes`` (`_routine`, `_address`): ``zgemm`` for `axpy_block`'s
-in-place update, ``zgemm`` for the thin QR's Hermitian Gram without a
-conjugate copy, and ``zgesv`` for `solve_small`'s pivots. They are bound
-from one library only, the scipy-openblas64 that numpy 2's OpenBLAS
-wheels link, by its ``scipy_<name>_64_`` names, which state the library
-(OpenBLAS) and the integer width (64 bits; a wrong width would make
-``zgesv`` write its pivots past their array). Any other numpy build
-binds nothing and takes the fallbacks: numpy's products, a Python LU.
+in-place update of p >= 2 columns; ``zaxpy`` for its single column,
+which spares ``zgemm``'s packing pass (per bare call, against the
+single-column ``zgemm``, medians of 15 rounds, 2 threads, 2-core
+guest: 2.1 against 5.0 us at n = 841, 44 against 88 us at n = 1e5);
+``zgemm`` for the thin QR's Hermitian Gram without a conjugate copy;
+and ``zgesv`` for `solve_small`'s pivots. They are
+bound from one library only, the scipy-openblas64 that numpy 2's
+OpenBLAS wheels link, by its ``scipy_<name>_64_`` names, which state
+the library (OpenBLAS) and the integer width (64 bits; a wrong width
+would make ``zgesv`` write its pivots past their array). Any other
+numpy build binds nothing and takes the fallbacks: numpy's products, a
+Python LU.
+
+Two single-column products depend on the BLAS thread count at large n.
+``zaxpy`` is threaded above OpenBLAS's level-1 threshold, and its bits
+then differ between 1 and 2 threads at some odd orders (n = 100,001,
+100,003 and 250,001; not at 841, 4,097, 99,999 or 100,000). `t_gram`'s
+p = 1 Gram is a threaded dot of length n, which already makes the
+n = 1e5, p = 1 solves differ between 1 and 2 threads. The update at
+n = 841 and 1e5, and young1c's p = 1 solves, keep their bits under both.
 
 A matrix's public arrays and its `matvec` stay in file order, the order
 the matrix was built in. `solve_operator` decides once per matrix what
@@ -62,18 +79,9 @@ try:
 except ImportError:
     _einsum = np.einsum
 
-__all__ = [
-    "ComplexSymmetricMatrix",
-    "QrFactors",
-    "BreakdownError",
-    "block_matvec",
-    "t_gram",
-    "thin_qr",
-    "solve_small",
-    "fro_norm",
-    "axpy_block",
-    "solve_operator",
-]
+# the kernels, QrFactors and BreakdownError keep their names here, where
+# the solvers import them, but are not part of the package's API
+__all__ = ["ComplexSymmetricMatrix"]
 
 
 class BreakdownError(Exception):
@@ -105,7 +113,7 @@ def _as_block(v, name="block vector"):
 
 
 def _check_out(out, v):
-    """Refuse an out= block that cannot take a kernel's result for v in
+    """Refuse an out= block that cannot take `matvec`'s result for v in
     place: it must be a writeable row-major complex128 array of v's
     shape, sharing no memory with v."""
     if not (
@@ -120,13 +128,6 @@ def _check_out(out, v):
         )
     if np.shares_memory(out, v):
         raise ValueError("out shares memory with the input block")
-
-
-def _as_small(c, name="coefficient matrix"):
-    arr = np.ascontiguousarray(c, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {arr.shape}")
-    return arr
 
 
 # largest order n for which the sort key row * n + col, at most
@@ -341,11 +342,19 @@ class ComplexSymmetricMatrix:
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"block vector has shape {v.shape}"
             )
+        if out is not None:
+            _check_out(out, v)
+        return self._product(v, out)
+
+    def _product(self, v, out=None):
+        """`matvec` of a row-major complex128 (n, p) block v, into out (a
+        row-major complex128 block of v's shape that shares no memory
+        with v) or a new block; nothing is checked. The one product
+        implementation, behind `matvec` and `block_matvec`."""
         # the kernels add each row's sum to what the output holds
         if out is None:
             out = np.zeros(v.shape, dtype=np.complex128)
         else:
-            _check_out(out, v)
             out.fill(0.0)
         args = (self.row_ptr, self.col_idx, self.values, v.ravel(), out.ravel())
         if v.shape[1] == 1:
@@ -540,125 +549,65 @@ class QrFactors(NamedTuple):
 
 
 def block_matvec(a, v, out=None):
-    """Compute A @ V into a new block, or into out.
+    """A @ V for the solvers' row-major block v, into a new block, or into
+    out (a row-major block of v's shape that shares no memory with v).
 
-    The product is the operator's own: for a matrix, a row-major block
-    (see `ComplexSymmetricMatrix.matvec`). With out given, a matrix
-    writes its product there; an operator whose ``matvec`` is not the
-    matrix's own (a subclass that replaces it, say) is still called as
-    ``matvec(v)``, and its result copied into out.
-
-    Parameters
-    ----------
-    a : ComplexSymmetricMatrix
-        The operator (a matrix, the locality copy the solvers run a
-        wide matrix on, or anything with a conforming ``matvec``).
-    v : ndarray
-        Block vector of shape (a.n, p), in any memory order; the solvers
-        hand it row-major blocks.
-    out : ndarray or None
-        A writeable row-major complex128 block of v's shape, sharing no
-        memory with v, overwritten with the product.
-
-    Returns
-    -------
-    ndarray
-        A @ V, shape (a.n, p), complex128: out itself where given.
+    A matrix's product is its own (`ComplexSymmetricMatrix._product`),
+    taken without `matvec`'s checks. An operator whose ``matvec`` is not
+    the matrix's own (a subclass that replaces it, so that it sees every
+    product) is called as ``matvec(v)``, and its result copied into out
+    where out is given.
     """
+    if _has_own_product(a):
+        return a._product(v, out)
     if out is None:
         return a.matvec(v)
-    if _has_own_product(a):
-        return a.matvec(v, out=out)
-    _check_out(out, v)
     np.copyto(out, a.matvec(v))
     return out
 
 
 def t_gram(v, w):
-    """Unconjugated Gram product V^T W.
+    """Unconjugated Gram product V^T W of two (n, p) blocks, (p, p).
 
     This is the bilinear form of the method, not an inner product: it
     applies no complex conjugation and can vanish on nonzero inputs.
-
-    numpy's ``v.T @ w`` on row-major blocks: ``zgemm`` for distinct
+    numpy's ``v.T @ w`` on the row-major blocks: ``zgemm`` for distinct
     blocks, ``zsyrk`` for one block as both, so V^T V is exactly
-    symmetric; one block passed as both is converted once, in any layout.
-
-    Parameters
-    ----------
-    v, w : ndarray
-        Block vectors of identical shape (n, p).
-
-    Returns
-    -------
-    ndarray
-        V^T W, shape (p, p).
+    symmetric.
     """
-    same = w is v
-    v = _as_block(v, "v")
-    w = v if same else _as_block(w, "w")
-    if v.shape != w.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
     return v.T @ w
 
 
 def thin_qr(w, out=None):
-    """Economy QR of an (n, p) block with n >= p.
+    """Economy QR of a row-major (n, p) block with n >= p >= 1, as
+    `QrFactors`: q of shape (n, p), row-major, and xi of shape (p, p).
 
-    A single column is normalized, and a block of no columns gives an
-    (n, 0) q and a 0 x 0 xi. A wider block is factored by one pass of
-    CholeskyQR where its first Cholesky factor R1 shows the block, with
-    its columns scaled to unit norm, well conditioned (||D R1^{-1}||_F
-    <= 11, D = sqrt(diag(W^H W)) the column norms), since that pass
-    loses orthogonality like u kappa^2; otherwise a second pass makes
-    CholeskyQR2, and a block too ill-conditioned or too near rank
-    deficiency for that, or with a column norm below `_NORM_MIN`, goes
-    to Householder QR (see `_cholesky_qr`). Both gate norms, that one
-    and the second pass's ||Q1^H Q1 - I||_F, are `fro_norm`'s; a single
-    column's norm stays numpy's, whose bits its normalization keeps.
-    Either way xi has a real nonnegative diagonal, which makes the
-    factors unique for full-rank input and factorizations reproducible.
-    Rank deficiency is not deflated; it shows up as (near) zero
-    diagonal entries of xi for consumers to act on.
+    A single column is normalized. A wider block is factored by one
+    pass of CholeskyQR where its first Cholesky factor R1 shows the
+    block, with its columns scaled to unit norm, well conditioned
+    (||D R1^{-1}||_F <= 11, D = sqrt(diag(W^H W)) the column norms),
+    since that pass loses orthogonality like u kappa^2; otherwise a
+    second pass makes CholeskyQR2, and a block too ill-conditioned or
+    too near rank deficiency for that, or with a column norm below
+    `_NORM_MIN`, goes to Householder QR (see `_cholesky_qr`). Both gate
+    norms, that one and the second pass's ||Q1^H Q1 - I||_F, are
+    `fro_norm`'s; a single column's norm stays numpy's, whose bits its
+    normalization keeps. Either way xi has a real nonnegative diagonal,
+    which makes the factors unique for full-rank input and
+    factorizations reproducible. Rank deficiency is not deflated; it
+    shows up as (near) zero diagonal entries of xi for consumers to act
+    on.
 
-    With out given, CholeskyQR allocates no n x p block: Q, or the
-    first pass Q1 of CholeskyQR2, is written into out, and the second
-    pass writes Q over w, whose block it no longer needs. So w is
-    scratch then, and q is whichever of out and w holds Q. The bits are
-    those of the allocating form either way.
-
-    Parameters
-    ----------
-    w : ndarray
-        Block vector of shape (n, p), n >= p. With out given, a
-        row-major complex128 w is overwritten (any other is copied
-        first), so it must be writeable.
-    out : ndarray or None
-        A writeable row-major complex128 block of w's shape, sharing no
-        memory with w.
-
-    Returns
-    -------
-    QrFactors
-        q of shape (n, p), row-major whatever w's layout (w is copied to
-        row-major first where it is not), and xi of shape (p, p). With
-        out given, q is out or w (w's row-major copy where w was copied).
+    With out given (a row-major block of w's shape that shares no
+    memory with w), CholeskyQR allocates no n x p block: Q, or the first
+    pass Q1 of CholeskyQR2, is written into out, and the second pass
+    writes Q over w, whose block it no longer needs. So w is scratch
+    then, and q is whichever of out and w holds Q. The bits are those
+    of the allocating form either way.
     """
-    w = _as_block(w, "w")
     n, p = w.shape
-    if n < p:
-        raise ValueError(f"thin_qr needs n >= p, got shape {w.shape}")
-    if out is None:
-        q = np.empty((n, p), dtype=np.complex128)
-    else:
-        _check_out(out, w)
-        if not w.flags.writeable:
-            raise ValueError("w must be writeable: with out given it is scratch")
-        q = out
+    q = np.empty((n, p), dtype=np.complex128) if out is None else out
     xi = np.zeros((p, p), dtype=np.complex128)
-    if p == 0:
-        # an empty block has no Gram to factor
-        return QrFactors(q, xi)
     if p == 1:
         # a norm below _NORM_MIN, whose squares have lost digits to
         # underflow, or one that overflows goes to Householder, whose norm
@@ -837,59 +786,32 @@ def solve_small(m, rhs):
     scaled back: the scaling is exact, and it keeps every pivot that
     passes the floor out of the subnormal range.
 
-    Parameters
-    ----------
-    m : ndarray
-        Square (p, p) system matrix.
-    rhs : ndarray
-        Right-hand sides, shape (p, k).
-
-    Returns
-    -------
-    ndarray
-        Z with M @ Z = RHS, shape (p, k), or (p,) for a 1-D RHS; empty
-        for a 0 x 0 M. All NaN when M has a NaN or
-        infinite entry, and non-finite when RHS has one; neither raises
-        `BreakdownError`.
-
-    Raises
-    ------
-    BreakdownError
-        If a pivot, a diagonal entry of U in elimination order, has a
-        magnitude below `_PIVOT_FLOOR` * max|M|. An exact zero pivot is
-        always one.
+    M is a p x p complex128 matrix and RHS a (p, k) complex128 block.
+    Z, of RHS's shape, is all NaN when M has a NaN or infinite entry,
+    and non-finite when RHS has one; neither raises `BreakdownError`.
+    A pivot, a diagonal entry of U in elimination order, with a
+    magnitude below `_PIVOT_FLOOR` * max|M| raises `BreakdownError`; an
+    exact zero pivot is always one.
     """
-    a = _as_small(m, "m")
-    b = np.asarray(rhs, dtype=np.complex128)
-    squeeze = b.ndim == 1
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs shape {b.shape} does not match order {a.shape[0]}")
-    if not a.size:
-        # a 0 x 0 system has the empty solution, as in np.linalg.solve
-        return np.empty_like(b)
-    if squeeze:
-        b = b[:, None]
     # max|M|; a Python scalar's modulus spares a 1-by-1 system the array
     # calls
-    scale = abs(complex(a[0, 0])) if a.shape[0] == 1 else float(np.abs(a).max())
+    scale = abs(complex(m[0, 0])) if len(m) == 1 else float(np.abs(m).max())
     if not math.isfinite(scale):
-        z = np.full(b.shape, np.nan, dtype=np.complex128)
-    elif scale == 0.0:
+        return np.full(rhs.shape, np.nan, dtype=np.complex128)
+    if scale == 0.0:
         raise BreakdownError(0, 0.0)
-    elif scale < _SCALE_MIN:
+    if scale < _SCALE_MIN:
         e = math.frexp(scale)[1]
         try:
-            z = _ldexp(solve_small(_ldexp(a, -e), b), -e)
+            return _ldexp(solve_small(_ldexp(m, -e), rhs), -e)
         except BreakdownError as err:
             mag = math.ldexp(err.pivot_magnitude, e)
             raise BreakdownError(err.pivot_index, mag) from None
-    elif a.shape[0] == 1:
-        z = b / a[0, 0]
-    elif _routine("zgesv") is not None:
-        z = _lapack_solve(a, b, _PIVOT_FLOOR * scale)
-    else:
-        z = _python_solve(a, b, _PIVOT_FLOOR * scale)
-    return z[:, 0] if squeeze else z
+    if len(m) == 1:
+        return rhs / m[0, 0]
+    if _routine("zgesv") is not None:
+        return _lapack_solve(m, rhs, _PIVOT_FLOOR * scale)
+    return _python_solve(m, rhs, _PIVOT_FLOOR * scale)
 
 
 def _ldexp(x, e):
@@ -906,7 +828,9 @@ def _ldexp(x, e):
 _INT = ctypes.c_int64
 # ctypes argument types of each routine that is bound, one letter per
 # argument: i an integer, v a data pointer, c a character option
-_SIGNATURES = {"zgesv": "iiviivii", "zgemm": "cciiivvivivvi"}
+_SIGNATURES = {"zgesv": "iiviivii", "zgemm": "cciiivvivivvi", "zaxpy": "ivvivi"}
+# the unit stride of every zaxpy call
+_UNIT = _INT(1)
 
 
 @functools.cache
@@ -994,36 +918,25 @@ _NORM_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 
 def fro_norm(v):
-    """Frobenius norm of a block vector or small matrix.
+    """Frobenius norm of a complex128 block vector or small matrix.
 
     The one place that decides a norm's summation order: the squares of
-    the real and imaginary parts of the block, taken row-major (copied
-    where it is not), are summed in memory order by one pass of numpy's
-    compiled ``einsum`` loop (`_einsum`), which calls no BLAS and makes
-    no temporary, so the bits depend on neither the block's layout nor
-    the BLAS thread count.
+    the real and imaginary parts of the block, taken row-major (raveled
+    in row order where it is not), are summed in memory order by one
+    pass of numpy's compiled ``einsum`` loop (`_einsum`), which calls no
+    BLAS and makes no temporary, so the bits depend on neither the
+    block's layout nor the BLAS thread count.
 
     Where that plain sum overflows on finite entries, or gives a nonzero
     block a norm below `_NORM_MIN` (~1.5e-146), the norm is taken again
     on the block scaled by 2^-e, with e the binary exponent of its
     largest real or imaginary part, and scaled back: the scaling is
     exact, so only such blocks change their result.
-
-    Parameters
-    ----------
-    v : ndarray
-        Any 2-D complex or real array.
-
-    Returns
-    -------
-    float
-        sqrt of the sum of squared entry moduli.
     """
-    arr = _as_block(v, "v")
-    x = arr.ravel().view(np.float64)
+    x = v.ravel().view(np.float64)
     nrm = math.sqrt(_einsum("i,i->", x, x))
     if nrm < _NORM_MIN or nrm == math.inf:
-        nrm = _scaled_norm(arr, nrm)
+        nrm = _scaled_norm(v, nrm)
     return nrm
 
 
@@ -1049,74 +962,37 @@ _ZERO_ADDRESS = _ZERO.ctypes.data
 
 
 def axpy_block(x, y, c):
-    """Update X <- X + Y @ C in place, for block vectors X, Y and a small
-    matrix C.
+    """Update X <- X + Y @ C in place, for the solvers' row-major (n, p)
+    blocks X and Y, which share no memory, and a p x p C; returns x.
 
-    X is row-major, and Y is copied to row-major where it is not. Every
-    non-empty block is updated by one ``zgemm`` call with beta = 1: a
-    block of p >= 2 columns as X^T <- X^T + C^T Y^T, which is how a
-    column-major routine reads the row-major buffers, and a single
-    column by the column-major call itself. An empty block, whose
-    leading dimension of 0 BLAS can refuse, and every block where
-    `_routine` binds no ``zgemm`` take ``x += y @ c``. Both give the bits of
-    X + Y @ C formed in a new row-major block, except in the last n mod
-    4 rows of a single column, which OpenBLAS's ``zgemm`` and numpy's
-    product round differently.
-
-    Parameters
-    ----------
-    x : ndarray
-        Block vector of shape (n, p): a writeable row-major complex128
-        array (a single column is both layouts), overwritten with the
-        result.
-    y : ndarray
-        Block vector of shape (n, p) in any layout, sharing no memory
-        with x.
-    c : ndarray
-        Coefficient matrix of shape (p, p), sharing no memory with x.
-
-    Returns
-    -------
-    ndarray
-        x itself, holding X + Y @ C.
-
-    Raises
-    ------
-    ValueError
-        If the shapes do not conform, if x cannot be updated in place,
-        or if y or c shares memory with x.
+    C may come in either layout (`solve_small` returns a column-major Z
+    for p >= 2) and is copied to row-major where it is not. A block of
+    p >= 2 columns is updated by one ``zgemm`` call with beta = 1, as
+    X^T <- X^T + C^T Y^T, which is how a column-major routine reads the
+    row-major buffers: the bits of X + Y @ C formed in a new row-major
+    block. A single column is updated by one ``zaxpy`` call, x <- x +
+    c[0, 0] y, which spares ``zgemm``'s packing pass: its bits are
+    ``zaxpy``'s own, within rounding of X + Y @ C but not equal to it
+    (611 of 841 entries differ on one seeded update), and they depend on
+    the BLAS thread count at some odd n above OpenBLAS's level-1
+    threading threshold (see the module docstring). Where `_routine`
+    binds no such routine, the block takes ``x += y @ c``.
     """
-    if not (
-        isinstance(x, np.ndarray)
-        and x.dtype == np.complex128
-        and x.flags.c_contiguous
-        and x.flags.writeable
-    ):
-        raise ValueError(
-            "x must be a writeable row-major complex128 array: "
-            "it is updated in place"
-        )
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    c = _as_small(c, "c")
-    if x.ndim != 2 or x.shape != y.shape or y.shape[1] != c.shape[0]:
-        raise ValueError(
-            f"nonconformable shapes: x {x.shape}, y {y.shape}, c {c.shape}"
-        )
-    if np.shares_memory(x, y) or np.shares_memory(x, c):
-        raise ValueError("x shares memory with y or c: it is updated in place")
-    gemm = _routine("zgemm") if x.size else None
-    if gemm is None:
-        x += y @ c
-        return x
-    n, p = _INT(x.shape[0]), _INT(x.shape[1])
-    if x.shape[1] == 1:
-        # the column-major call, whose bits are those of x + y @ c; the
-        # swapped call below gives a single column those of x + y * c
-        gemm(b"N", b"T", n, p, p, _ONE_ADDRESS, _address(y), n,
-             _address(c), p, _ONE_ADDRESS, _address(x), n)
+    n, p = x.shape
+    if p == 1:
+        axpy = _routine("zaxpy")
+        if axpy is not None:
+            axpy(_INT(n), _address(c), _address(y), _UNIT, _address(x), _UNIT)
+            return x
     else:
-        # to a column-major routine the buffers of x, y and c are X^T,
-        # Y^T and C^T
-        gemm(b"N", b"N", p, n, p, _ONE_ADDRESS, _address(c), p,
-             _address(y), p, _ONE_ADDRESS, _address(x), p)
+        gemm = _routine("zgemm")
+        if gemm is not None:
+            # to a column-major routine the buffers of x, y and c are X^T,
+            # Y^T and C^T
+            c = np.ascontiguousarray(c)
+            width = _INT(p)
+            gemm(b"N", b"N", width, _INT(n), width, _ONE_ADDRESS, _address(c), width,
+                 _address(y), width, _ONE_ADDRESS, _address(x), width)
+            return x
+    x += y @ c
     return x

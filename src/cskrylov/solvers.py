@@ -215,17 +215,19 @@ def true_relative_residual(a, b, x):
     """log10(||B - AX||_F / ||B||_F) from a fresh operator application.
 
     Independent of any solver recurrence; this is the honest exit
-    metric. An exact solve returns -inf. B - AX is formed in the new
-    block of the product, and both norms are `fro_norm`'s, so the
-    layouts of B and X do not change the result.
+    metric. An exact solve returns -inf. A X is the operator's
+    ``matvec``, which takes X in any layout, and B - AX is formed in its
+    new block; both norms are `fro_norm`'s, so the layouts of B and X do
+    not change the result.
 
     Raises
     ------
     ValueError
-        If B is not 2-D, if X does not have B's shape, or if ||B||_F is
-        zero, where the ratio is undefined.
+        If B is not 2-D, if X does not have B's shape, if B's rows do not
+        match the operator's order, or if ||B||_F is zero, where the
+        ratio is undefined.
     """
-    return _relative_residual(a, _as_block(_as_rhs(b, x, "x")), x, None)
+    return _relative_residual(_as_block(_as_rhs(b, x, "x")), a.matvec(x))
 
 
 def _as_rhs(b, x, name):
@@ -240,13 +242,12 @@ def _as_rhs(b, x, name):
     return b
 
 
-def _relative_residual(a, b, x, out):
-    """`true_relative_residual` of a row-major B, with A X and then
-    B - A X formed in out, a row-major block, or in a new one."""
+def _relative_residual(b, r):
+    """`true_relative_residual` of a row-major B, with r the block of
+    A X, which B - A X overwrites."""
     norm_b = fro_norm(b)
     if norm_b == 0.0:
         raise ValueError("relative residual undefined for a zero right-hand side")
-    r = block_matvec(a, x, out=out)
     np.subtract(b, r, out=r)
     with np.errstate(divide="ignore"):
         return float(np.log10(fro_norm(r) / norm_b))
@@ -323,7 +324,7 @@ def _solve(a, b, x0, cfg, factored, cocr):
     # the scaled pair gives the same ratio
     b_rows = free.pop()
     np.copyto(b_rows, b)
-    trr = _relative_residual(a, b_rows, x, free.pop())
+    trr = _relative_residual(b_rows, block_matvec(a, x, out=free.pop()))
     if shift:
         x = _ldexp(x, -shift)
     return SolveResult(

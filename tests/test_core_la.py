@@ -34,6 +34,12 @@ def _rand_block(n, p, seed):
     )
 
 
+def _rows(v):
+    """v's row-major copy: the block the solvers hand a kernel, which
+    takes blocks as given."""
+    return np.ascontiguousarray(v)
+
+
 class TestComplexSymmetricMatrix:
     def test_from_coo_builds_expected_dense(self):
         m = ComplexSymmetricMatrix.from_coo(
@@ -901,13 +907,9 @@ class TestTGram:
         assert g[0, 0] == 0.0
 
     def test_matches_matmul(self):
-        v = _rand_block(20, 3, 1)
-        w = _rand_block(20, 3, 2)
+        v = _rows(_rand_block(20, 3, 1))
+        w = _rows(_rand_block(20, 3, 2))
         np.testing.assert_allclose(t_gram(v, w), v.T @ w, rtol=0, atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            t_gram(np.ones((3, 1), dtype=complex), np.ones((4, 1), dtype=complex))
 
 
 def _qr_draws():
@@ -939,7 +941,7 @@ class TestThinQr:
     @pytest.mark.parametrize("draw", QR_DRAWS.values(), ids=QR_DRAWS)
     def test_factor_properties(self, draw, householder_calls):
         n, p, seed = draw
-        w = _rand_block(n, p, seed)
+        w = _rows(_rand_block(n, p, seed))
         fac = thin_qr(w)
         np.testing.assert_allclose(fac.q @ fac.xi, w, rtol=0, atol=1e-13)
         np.testing.assert_allclose(
@@ -952,7 +954,7 @@ class TestThinQr:
 
     @pytest.mark.parametrize("block", ["cond_1e10", "dependent"])
     def test_householder_fallback(self, block, householder_calls):
-        w = _rand_block(30, 2, 9)
+        w = _rows(_rand_block(30, 2, 9))
         if block == "cond_1e10":
             w[:, 1] *= 1e-10
         else:
@@ -987,25 +989,10 @@ class TestThinQr:
 
     def test_rank_deficient_input(self):
         w = _rand_block(10, 1, 3)
-        w2 = np.asfortranarray(np.hstack([w, w]))
+        w2 = np.hstack([w, w])
         fac = thin_qr(w2)
         np.testing.assert_allclose(fac.q @ fac.xi, w2, rtol=0, atol=1e-13)
         assert abs(fac.xi[1, 1]) <= 1e-13 * abs(fac.xi[0, 0])
-
-    def test_wide_input_rejected(self):
-        with pytest.raises(ValueError, match="n >= p"):
-            thin_qr(np.ones((2, 3), dtype=complex))
-
-    @pytest.mark.parametrize("n", [0, 5, 5000])
-    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
-    def test_block_of_no_columns(self, n, with_out):
-        # t_gram, axpy_block and fro_norm take such blocks too
-        w = np.empty((n, 0), dtype=complex)
-        out = np.empty((n, 0), dtype=complex) if with_out else None
-        fac = thin_qr(w, out=out)
-        assert fac.q.shape == (n, 0) and fac.q.dtype == np.complex128
-        assert fac.xi.shape == (0, 0) and fac.xi.dtype == np.complex128
-        assert fac.q is out if with_out else fac.q is not w
 
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_orthonormal_at_every_power_of_2_scale(self, p):
@@ -1077,7 +1064,7 @@ class TestAgainstQrReference:
         # the pin
         w = _rand_block(n, p, n + p)
         ref = _two_pass(w) if n % 4 else qr_reference.thin_qr(w)
-        assert _qr_bits(thin_qr(w)) == _qr_bits(ref)
+        assert _qr_bits(thin_qr(_rows(w))) == _qr_bits(ref)
 
     @pytest.mark.parametrize("n", [841, 5000, 100_000])
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1086,7 +1073,7 @@ class TestAgainstQrReference:
         # product in OpenBLAS's edge tiles, the rows and columns left
         # over when p is not a multiple of the micro-kernel's 4
         w = _rand_block(n, p, n + p)
-        live, ref = thin_qr(w), qr_reference.thin_qr(w)
+        live, ref = thin_qr(_rows(w)), qr_reference.thin_qr(w)
         for a, b in ((live.q, ref.q), (live.xi, ref.xi)):
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
 
@@ -1098,12 +1085,12 @@ class TestAgainstQrReference:
         for n in (841, 5000):
             for p in range(1, 34):
                 w = _rand_block(n, p, n + p)
-                assert _qr_bits(thin_qr(w)) == _qr_bits(_two_pass(w)), (n, p)
+                assert _qr_bits(thin_qr(_rows(w))) == _qr_bits(_two_pass(w)), (n, p)
 
     def test_householder_fallback_same_bits(self, householder_calls):
         w = _rand_block(5000, 8, 9)
         w[:, 3] *= 1e-10
-        assert _qr_bits(thin_qr(w)) == _qr_bits(qr_reference.thin_qr(w))
+        assert _qr_bits(thin_qr(_rows(w))) == _qr_bits(qr_reference.thin_qr(w))
         assert householder_calls == [(5000, 8)]
 
 
@@ -1159,7 +1146,7 @@ class TestOnePass:
         w = _rand_block(n, p, n + p)
         grams = _gram_calls(monkeypatch)
         q, xi = _first_pass(w)
-        assert _qr_bits(thin_qr(w)) == (q.tobytes(), xi.tobytes())
+        assert _qr_bits(thin_qr(_rows(w))) == (q.tobytes(), xi.tobytes())
         assert grams == [n]
 
     def test_numpy_fallback_first_pass_bits_at_every_width(self, monkeypatch):
@@ -1173,14 +1160,12 @@ class TestOnePass:
                 w = _rand_block(n, p, n + p)
                 q, xi = _first_pass(w)
                 grams.clear()
-                assert _qr_bits(thin_qr(w)) == (q.tobytes(), xi.tobytes()), (n, p)
+                assert _qr_bits(thin_qr(_rows(w))) == (q.tobytes(), xi.tobytes()), (n, p)
                 assert grams == [n], (n, p)
 
     def test_gaussian_block_takes_one_pass(self, monkeypatch, householder_calls):
         rng = np.random.default_rng(8)
-        w = np.asfortranarray(
-            rng.standard_normal((5000, 8)) + 1j * rng.standard_normal((5000, 8))
-        )
+        w = rng.standard_normal((5000, 8)) + 1j * rng.standard_normal((5000, 8))
         grams = _gram_calls(monkeypatch)
         fac = thin_qr(w)
         assert grams == [5000] and householder_calls == []
@@ -1190,7 +1175,7 @@ class TestOnePass:
     def test_scaled_columns_take_one_pass(self, monkeypatch, householder_calls):
         # the gate reads W with its columns scaled to unit norm, as the
         # Gram's rounding does: scaling a column moves neither
-        w = _rand_block(5000, 8, 3)
+        w = _rows(_rand_block(5000, 8, 3))
         w[:, 5] *= 1e-3
         grams = _gram_calls(monkeypatch)
         fac = thin_qr(w)
@@ -1201,7 +1186,7 @@ class TestOnePass:
     def test_above_the_gate_takes_the_second_pass(self, monkeypatch, householder_calls):
         # two nearly parallel columns: e is far above the gate, and the
         # diagonal of xi spans ~1e3, well inside the 1e8 Householder rule
-        w = _rand_block(5000, 8, 3)
+        w = _rows(_rand_block(5000, 8, 3))
         w[:, 5] = w[:, 4] + 1e-3 * w[:, 5]
         r1 = _first_pass(w)[1]
         e = np.linalg.norm(np.linalg.norm(r1, axis=0)[:, None] * np.linalg.inv(r1))
@@ -1241,8 +1226,8 @@ class TestSolveSmall:
     def test_needs_pivoting(self):
         # zero leading pivot, solvable only by row exchange
         m = np.array([[0, 1], [1, 0]], dtype=complex)
-        rhs = np.array([2.0, 3.0], dtype=complex)
-        np.testing.assert_allclose(solve_small(m, rhs), [3.0, 2.0], atol=1e-15)
+        rhs = np.array([[2.0], [3.0]], dtype=complex)
+        np.testing.assert_allclose(solve_small(m, rhs), [[3.0], [2.0]], atol=1e-15)
 
     def test_pivot_rules_disagree(self):
         # the largest modulus in column 0 is in row 0 (3 > |2 + 2i|), the
@@ -1256,24 +1241,10 @@ class TestSolveSmall:
             solve_small(m, rhs), np.linalg.solve(m, rhs), rtol=0, atol=1e-15
         )
 
-    @pytest.mark.parametrize("rhs_shape", [(0, 3), (0, 1), (0,), (2, 0)])
-    def test_empty_system(self, rhs_shape):
-        # no unknowns, or no right-hand sides to a 2 x 2 system
-        m = np.eye(rhs_shape[0], dtype=complex)
-        rhs = np.empty(rhs_shape, dtype=complex)
-        z = solve_small(m, rhs)
-        assert z.shape == np.linalg.solve(m, rhs).shape == rhs_shape
-        assert z.dtype == np.complex128
-
-    def test_one_dimensional_rhs_round_trips(self):
-        z = solve_small(np.eye(2, dtype=complex), np.array([1.0, 2.0j]))
-        assert z.shape == (2,)
-        np.testing.assert_array_equal(z, [1.0, 2.0j])
-
     def test_singular_raises_breakdown(self):
         # with right-hand sides or none: the pivots are checked either way
         m = np.array([[1, 1], [1, 1]], dtype=complex)
-        for rhs_shape in ((2,), (2, 0)):
+        for rhs_shape in ((2, 1), (2, 0)):
             with pytest.raises(BreakdownError) as exc:
                 solve_small(m, np.ones(rhs_shape, dtype=complex))
             assert exc.value.pivot_index == 1
@@ -1359,7 +1330,7 @@ class TestSolveSmall:
 
     def test_zero_matrix_raises_breakdown(self):
         with pytest.raises(BreakdownError) as exc:
-            solve_small(np.zeros((2, 2), dtype=complex), np.ones(2, dtype=complex))
+            solve_small(np.zeros((2, 2), dtype=complex), np.ones((2, 1), dtype=complex))
         assert exc.value.pivot_index == 0
         assert exc.value.pivot_magnitude == 0.0
 
@@ -1380,7 +1351,7 @@ class TestSolveSmall:
     )
     def test_nan_matrix_gives_non_finite_solution(self, m):
         m = np.array(m, dtype=complex)
-        z = solve_small(m, np.ones(m.shape[0], dtype=complex))
+        z = solve_small(m, np.ones((m.shape[0], 1), dtype=complex))
         assert np.isnan(z).all()
 
     def test_one_by_one_is_the_lu_division(self):
@@ -1392,17 +1363,12 @@ class TestSolveSmall:
             solve_small(m, rhs), core_la._python_solve(m, rhs, 0.0)
         )
 
-    def test_rhs_shape_mismatch(self):
-        for rhs in (np.ones(3, dtype=complex), [1, 2, 3], [[1, 2, 3]]):
-            with pytest.raises(ValueError, match="does not match"):
-                solve_small(np.eye(2, dtype=complex), rhs)
-
     def test_inputs_not_mutated(self):
-        # complex128 C-order M and RHS of either order pass the conversions
-        # uncopied, so the solve itself must copy before LAPACK writes
+        # M and RHS are taken as given, so the solve itself must copy
+        # before LAPACK writes
         for order in ("C", "F"):
             m = np.array([[2, 1j, 0], [1j, 2, 1], [0, 1, 3]], dtype=complex, order=order)
-            for rhs in (np.ones(3, dtype=complex), np.ones((3, 2), dtype=complex, order=order)):
+            for rhs in (np.ones((3, 1), dtype=complex), np.ones((3, 2), dtype=complex, order=order)):
                 m0, rhs0 = m.copy(), rhs.copy()
                 solve_small(m, rhs)
                 np.testing.assert_array_equal(m, m0)
@@ -1419,14 +1385,14 @@ class TestSolveSmallPythonLU(TestSolveSmall):
 
 
 def test_lapack_binding_resolves_under_scipy_openblas():
-    # a build that names scipy-openblas as its LAPACK exports zgesv and
-    # zgemm; if the lookup failed there, every solve would quietly take
+    # a build that names scipy-openblas as its LAPACK exports zgesv, zgemm
+    # and zaxpy; if the lookup failed there, every solve would quietly take
     # the Python LU and every block update numpy's product
     lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
     ip = ctypes.POINTER(ctypes.c_int64)
-    for routine, count in (("zgesv", 8), ("zgemm", 13)):
+    for routine, count in (("zgesv", 8), ("zgemm", 13), ("zaxpy", 6)):
         fn = core_la._routine(routine)
         assert fn is not None, routine
         assert len(fn.argtypes) == count
@@ -1538,11 +1504,10 @@ class TestBlockOps:
 
     def test_axpy_block(self):
         x = np.ascontiguousarray(_rand_block(10, 2, 1))
-        y = _rand_block(10, 2, 2)
+        y = _rows(_rand_block(10, 2, 2))
         c = np.array([[1, 2], [3j, 4]], dtype=complex)
         expected = x + y @ c
         np.testing.assert_allclose(axpy_block(x, y, c), expected, atol=1e-14)
-
     @staticmethod
     def _gram_routes(monkeypatch):
         """The routine names `t_gram` asks `_routine` for, call by call."""
@@ -1572,21 +1537,14 @@ class TestBlockOps:
         assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
         assert asked == []
 
-    def test_axpy_block_shape_errors(self):
-        x = np.ones((4, 2), dtype=complex)
-        with pytest.raises(ValueError, match="nonconformable"):
-            axpy_block(x, np.ones((5, 2), dtype=complex), np.eye(2, dtype=complex))
-        with pytest.raises(ValueError, match="nonconformable"):
-            axpy_block(x, x, np.eye(3, dtype=complex))
-
 
 def _run_all_kernels(seed, n=40, p=3):
-    """Every kernel once on seeded inputs: (the inputs, the outputs by
-    kernel)."""
+    """Every kernel once on seeded row-major inputs: (the inputs, the
+    outputs by kernel)."""
     rng = np.random.default_rng(seed)
     dense = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     sparse = np.where(np.abs(dense) < 1.0, 0.0, dense)
-    v, w = _rand_block(n, p, seed + 1), _rand_block(n, p, seed + 2)
+    v, w = _rows(_rand_block(n, p, seed + 1)), _rows(_rand_block(n, p, seed + 2))
     c = np.ascontiguousarray(_rand_block(p, p, seed + 3))
     fac = thin_qr(v)
     out = {
@@ -1605,17 +1563,17 @@ def _run_all_kernels(seed, n=40, p=3):
 
 _KERNELS = ("block_matvec", "t_gram", "axpy_block", "thin_qr", "solve_small", "fro_norm")
 
-# the forms in which a caller may hand a kernel the same values
-_FORMS = {
-    "row-major": np.ascontiguousarray,
-    "fortran": np.asfortranarray,
-    "read-only": lambda a: _read_only(np.ascontiguousarray(a)),
-    "list": lambda a: np.asarray(a).tolist(),
+# the forms of a row-major block that a kernel takes as given: a
+# writeable one, a read-only one (a caller's B, or the copies an observer
+# is handed) and rows of a larger block, at an offset into its buffer
+_KERNEL_FORMS = {
+    "row-major": np.array,
+    "read-only": lambda a: _read_only_view(np.array(a)),
+    "row slice": lambda a: _row_slice(a),
 }
-# a real-valued block may come as a float64 array as well
-_REAL_FORMS = {**_FORMS, "float64": lambda a: np.ascontiguousarray(np.asarray(a).real)}
-_REFUSED = ("block_matvec", "t_gram", "axpy_block y", "axpy_block c", "thin_qr",
-            "solve_small m", "solve_small rhs", "fro_norm")
+
+# the forms in which a public caller may hand `matvec` the same values
+_FORMS = ("row-major", "fortran", "read-only", "list")
 
 
 class TestEveryKernel:
@@ -1633,68 +1591,50 @@ class TestEveryKernel:
         for key in first:
             np.testing.assert_array_equal(first[key], second[key])
 
-    # every kernel in every form a caller may hand it: a row-major block
-    # is taken as it is, and every other form converted as before. At
-    # n = 5000 the Grams and the block update take zgemm, so a read-only
-    # block there is read through `_address`'s fallback
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("case", ["matvec v views out"])
+    def test_every_form_of_a_view_of_the_output(self, case, form):
+        # a row-major view, writeable or not, is taken as it is, so
+        # `matvec` refuses it; a Fortran-order copy or a list of it is a
+        # new block, so it gives the bits of a call on a copy
+        n, p = 40, 3
+        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(n, "random", seed=4))
+        out = np.ascontiguousarray(_rand_block(n, p, 23))
+        view = {"row-major": out, "read-only": _read_only_view(out),
+                "fortran": np.asfortranarray(out), "list": out.tolist()}[form]
+        if form in ("row-major", "read-only"):
+            before = out.copy()
+            with pytest.raises(ValueError, match="out shares memory"):
+                a.matvec(view, out=out)
+            np.testing.assert_array_equal(out, before)
+        else:
+            expected = a.matvec(out.copy()).tobytes()
+            assert a.matvec(view, out=out).tobytes() == expected
+
+    # every kernel in every row-major form the solvers may hand it: the
+    # blocks are taken as given, so at n = 5000, where the Grams and the
+    # block update take zgemm, a read-only block is read through
+    # `_address`'s fallback and a row slice from its own first byte
     @pytest.mark.parametrize("n", [40, 5000])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("kernel", _KERNELS)
     def test_every_form_gives_the_same_bits(self, kernel, real, n):
         call, args = _kernel_cases(n, real)[kernel]
         expected = _bits(call(*args))
-        forms = _REAL_FORMS if real else _FORMS
-        for form, make in forms.items():
+        for form, make in _KERNEL_FORMS.items():
             given = [make(arg) for arg in args]
-            before = [np.array(arg, copy=True) for arg in given]
+            assert all(arg.flags.c_contiguous for arg in given), form
+            before = [arg.copy() for arg in given]
             assert _bits(call(*given)) == expected, form
             for arg, old in zip(given, before):
-                np.testing.assert_array_equal(np.asarray(arg), old)
+                np.testing.assert_array_equal(arg, old)
 
-    @pytest.mark.parametrize("case", _REFUSED)
-    def test_every_form_raises_the_same_error(self, case):
-        call, args, text = _refused_case(case)
-        messages = set()
-        for form, make in _FORMS.items():
-            with pytest.raises(ValueError, match=text) as exc:
-                call(*[make(arg) for arg in args])
-            messages.add(str(exc.value))
-        assert len(messages) == 1
 
-    @pytest.mark.parametrize("form", _FORMS)
-    @pytest.mark.parametrize("case", ["y views x", "c views x", "matvec v views out",
-                                      "thin_qr w views out"])
-    def test_every_form_of_a_view_of_the_output(self, case, form):
-        # a row-major view, writeable or not, is taken as it is, so the
-        # kernel refuses it; a Fortran-order copy or a list of it is a
-        # new block, so the kernel gives the bits of a call on a copy
-        call, output, shared, text = _shared_case(case)
-        view = {"row-major": shared, "read-only": _read_only_view(shared),
-                "fortran": np.asfortranarray(shared), "list": shared.tolist()}[form]
-        if form in ("row-major", "read-only"):
-            before = output.copy()
-            with pytest.raises(ValueError, match=text):
-                call(view)
-            np.testing.assert_array_equal(output, before)
-        else:
-            fresh = _shared_case(case)
-            expected = _bits(fresh[0](fresh[2].copy()))
-            assert _bits(call(view)) == expected
-
-    @pytest.mark.parametrize("form", _FORMS)
-    @pytest.mark.parametrize("kernel", ["block_matvec", "thin_qr"])
-    def test_out_in_every_form(self, kernel, form):
-        # only a writeable row-major complex128 block takes the result
-        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
-        v = np.ascontiguousarray(_rand_block(60, 4, 0))
-        call = {"block_matvec": lambda out: block_matvec(a, v.copy(), out=out),
-                "thin_qr": lambda out: thin_qr(v.copy(), out=out)}[kernel]
-        out = _FORMS[form](_garbage((60, 4)))
-        if form == "row-major":
-            assert _bits(call(out)) == _bits(call(None))
-        else:
-            with pytest.raises(ValueError, match="out must be a writeable row-major"):
-                call(out)
+def _row_slice(a):
+    """a's values as rows 1 to len(a) of a larger row-major block."""
+    block = np.full((len(a) + 2, *a.shape[1:]), np.nan + 1j * np.nan)
+    block[1:-1] = a
+    return block[1:-1]
 
 
 def _drawer(seed, real=False):
@@ -1712,7 +1652,7 @@ def _drawer(seed, real=False):
 
 def _kernel_cases(n, real, p=3):
     """{kernel: (call, its block arguments)}: call(*args) runs the kernel
-    on seeded inputs, whatever form they are in."""
+    on seeded row-major inputs."""
     draw = _drawer(21, real)
     a = ComplexSymmetricMatrix.from_dense(_dense_pattern(40, "random", seed=4))
     # the same product on the larger block, through a tridiagonal matrix
@@ -1733,44 +1673,6 @@ def _kernel_cases(n, real, p=3):
         "solve_small": (solve_small, (m, draw(p, 2))),
         "fro_norm": (fro_norm, (draw(n, p),)),
     }
-
-
-def _refused_case(case, n=40, p=3):
-    """(call, block arguments of shapes the kernel refuses, the error's
-    text)."""
-    draw = _drawer(22)
-    a = ComplexSymmetricMatrix.from_dense(_dense_pattern(n, "random", seed=4))
-    x = draw(n, p)
-    return {
-        "block_matvec": (lambda v: block_matvec(a, v), (draw(n + 1, p),), "dimension mismatch"),
-        "t_gram": (t_gram, (draw(n, p), draw(n, p + 1)), "shape mismatch"),
-        "axpy_block y": (lambda y, c: axpy_block(x, y, c), (draw(n + 1, p), draw(p, p)),
-                         "nonconformable"),
-        "axpy_block c": (lambda y, c: axpy_block(x, y, c), (draw(n, p), draw(p, p + 1)),
-                         "must be square"),
-        "thin_qr": (thin_qr, (draw(p - 1, p),), "n >= p"),
-        "solve_small m": (solve_small, (draw(p, p + 1), draw(p, 1)), "must be square"),
-        "solve_small rhs": (solve_small, (draw(p, p), draw(p + 1, 1)), "does not match"),
-        "fro_norm": (fro_norm, (draw(2, 3, 4),), "must be 2-D"),
-    }[case]
-
-
-def _shared_case(case, n=40, p=3):
-    """(call, the block a kernel writes, the row-major view of it that
-    call's one argument is made from, the error's text)."""
-    draw = _drawer(23)
-    if case == "y views x":
-        block, c = draw(n + 1, p), draw(p, p)
-        x = block[:n]
-        return lambda y: axpy_block(x, y, c), x, block[1:], "x shares memory with y or c"
-    if case == "c views x":
-        x, y = draw(n, p), draw(n, p)
-        return lambda c: axpy_block(x, y, c), x, x[:p], "x shares memory with y or c"
-    out = draw(n, p)
-    if case == "matvec v views out":
-        a = ComplexSymmetricMatrix.from_dense(_dense_pattern(n, "random", seed=4))
-        return lambda v: a.matvec(v, out=out), out, out, "out shares memory"
-    return lambda w: thin_qr(w, out=out), out, out, "out shares memory"
 
 
 def _bits(result):
@@ -1823,7 +1725,7 @@ class TestOutForms:
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_matvec_into_out(self, p):
         a = ComplexSymmetricMatrix.from_dense(_dense_pattern(60, "random", seed=3))
-        v = _rand_block(60, p, p)
+        v = _rows(_rand_block(60, p, p))
         out = _garbage((60, p))
         assert a.matvec(v, out=out) is out
         assert out.tobytes() == a.matvec(v).tobytes()
@@ -1858,14 +1760,6 @@ class TestOutForms:
         out.flags.writeable = bad != "read-only"
         with pytest.raises(ValueError, match="out"):
             a.matvec(v, out=out)
-        with pytest.raises(ValueError, match="out"):
-            thin_qr(v, out=out)
-
-    def test_thin_qr_into_out_refuses_a_read_only_w(self):
-        # with out given, w is scratch
-        w = _read_only(np.ascontiguousarray(_rand_block(60, 4, 0)))
-        with pytest.raises(ValueError, match="w must be writeable"):
-            thin_qr(w, out=_garbage((60, 4)))
 
     @pytest.mark.parametrize("case", ["p=1", *_QR_CASES])
     def test_thin_qr_into_out(self, case, monkeypatch, householder_calls):
@@ -1891,27 +1785,40 @@ def _parent_axpy(x, y, c):
 
 
 class TestAxpyBlockInPlace:
-    """`axpy_block` updates a row-major x in place: by one zgemm call at
-    every size, by numpy's product without zgemm or on an empty block."""
+    """`axpy_block` updates a row-major x in place: by one zgemm call for
+    p >= 2, by one zaxpy call for a single column, by numpy's product
+    where neither is bound."""
 
     @staticmethod
     def _operands(n, p, seed):
         return tuple(np.ascontiguousarray(_rand_block(*shape, seed + i))
                      for i, shape in enumerate([(n, p), (n, p), (p, p)]))
 
-    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("p", [2, 8, 32])
     def test_zgemm_updates_x_in_place(self, p):
-        # p = 1 takes the column-major call: the swapped one of p >= 2
-        # would give a single column the bits of x + y * c. 2,048 rows are
-        # a multiple of 4, so every row keeps numpy's bits
         x, y, c = self._operands(2048, p, 1)
         expected = _parent_axpy(x, y, c)
         assert axpy_block(x, y, c) is x
         np.testing.assert_array_equal(x, expected)
 
+    @pytest.mark.parametrize("n", [1, 841, 2048, 100_001])
+    def test_single_column_is_one_zaxpy(self, n):
+        # the bits of one direct zaxpy call, x <- x + c[0, 0] y, which
+        # agree with x + y @ c to rounding only
+        zaxpy = core_la._routine("zaxpy")
+        if zaxpy is None:
+            pytest.skip("numpy's library exports no scipy_zaxpy_64_")
+        x, y, c = self._operands(n, 1, 2)
+        expected = x.copy()
+        ints = ctypes.c_int64
+        zaxpy(ints(n), c.ctypes.data, y.ctypes.data, ints(1), expected.ctypes.data, ints(1))
+        reference = x + y @ c
+        assert axpy_block(x, y, c) is x
+        assert x.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(x, reference, rtol=0, atol=4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("p", [1, 2, 8, 32])
-    @pytest.mark.parametrize("zgemm", ["no-symbol"])
-    def test_numpy_product_keeps_the_parent_bits(self, p, zgemm, monkeypatch):
+    def test_numpy_product_keeps_the_parent_bits(self, p, monkeypatch):
         monkeypatch.setattr(core_la, "_routine", lambda name: None)
         x, y, c = self._operands(2048, p, 4)
         expected = _parent_axpy(x, y, c)
@@ -1920,11 +1827,8 @@ class TestAxpyBlockInPlace:
         np.testing.assert_array_equal(x, expected)
         np.testing.assert_allclose(x, reference, rtol=1e-15, atol=1e-15)
 
-    @pytest.mark.parametrize("n,p,asked", [
-        (841, 1, ["zgemm"]), (40, 3, ["zgemm"]), (0, 3, []), (841, 0, []),
-    ])
-    def test_every_nonempty_block_takes_zgemm(self, n, p, asked, monkeypatch):
-        # an empty block has no buffer address to hand zgemm
+    @pytest.mark.parametrize("n,p,asked", [(841, 1, ["zaxpy"]), (40, 3, ["zgemm"])])
+    def test_every_block_takes_one_routine(self, n, p, asked, monkeypatch):
         seen = []
         routine = core_la._routine
 
@@ -1937,53 +1841,17 @@ class TestAxpyBlockInPlace:
         assert axpy_block(x, y, c) is x
         assert seen == asked
 
-    def test_any_layout_of_y_and_c(self):
+    def test_c_in_either_layout(self):
+        # solve_small returns a column-major Z for p >= 2, which the update
+        # copies to row-major first
         x = np.ascontiguousarray(_rand_block(40, 3, 7))
-        y = _rand_block(40, 6, 8)[:, ::2]
+        y = _rows(_rand_block(40, 6, 8)[:, ::2])
         c = _rand_block(3, 3, 9)
-        expected = x + y @ c
-        axpy_block(x, np.ascontiguousarray(y), c)
-        np.testing.assert_allclose(x, expected, rtol=1e-15, atol=1e-15)
-
-    @pytest.mark.parametrize(
-        "make_x",
-        [
-            pytest.param(lambda x: x.tolist(), id="list"),
-            pytest.param(lambda x: np.ascontiguousarray(x, dtype=np.complex64), id="complex64"),
-            pytest.param(lambda x: np.ascontiguousarray(x.real), id="float64"),
-            pytest.param(lambda x: np.hstack([x, x])[:, ::2], id="strided"),
-            pytest.param(lambda x: np.asfortranarray(x), id="fortran-order"),
-            pytest.param(lambda x: _read_only(x), id="read-only"),
-        ],
-    )
-    def test_rejects_x_it_cannot_update(self, make_x):
-        # each of these would be updated through a copy, and the update lost
-        x = make_x(np.ascontiguousarray(_rand_block(6, 2, 10)))
-        before = np.array(x, copy=True)
-        with pytest.raises(ValueError, match="updated in place"):
-            axpy_block(x, _rand_block(6, 2, 11), np.eye(2, dtype=complex))
-        np.testing.assert_array_equal(np.asarray(x), before)
-
-    @pytest.mark.parametrize("case", ["y-is-x", "y-overlaps-x", "c-views-x"])
-    def test_rejects_y_or_c_sharing_memory_with_x(self, case):
-        # zgemm's output may not alias its inputs
-        block = np.ascontiguousarray(_rand_block(3, 2, 12))
-        x = block[:2]
-        y, c = {
-            "y-is-x": (x, np.eye(2, dtype=complex)),
-            "y-overlaps-x": (block[1:], np.eye(2, dtype=complex)),
-            "c-views-x": (_rand_block(2, 2, 13), x[:]),
-        }[case]
-        before = x.copy()
-        with pytest.raises(ValueError, match="shares memory"):
-            axpy_block(x, y, c)
-        np.testing.assert_array_equal(x, before)
-
-
-def _read_only(x):
-    x = x.copy()
-    x.flags.writeable = False
-    return x
+        assert not c.flags.c_contiguous
+        expected = x.copy()
+        axpy_block(expected, y, _rows(c))
+        axpy_block(x, y, c)
+        assert x.tobytes() == expected.tobytes()
 
 
 def _read_only_view(x):

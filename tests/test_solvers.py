@@ -152,6 +152,105 @@ class TestInputValidation:
             bl_cocg(a, b, x0=np.ones((2, 2), dtype=complex))
 
 
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+# the forms in which a public caller may hand a solver, `matvec` or
+# `true_relative_residual` the same real values; the kernels take only
+# row-major complex128 blocks as given, so each public edge converts
+# every other form, and every form gives the bits of the row-major one
+_PUBLIC_FORMS = {
+    "row-major": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "read-only": _read_only,
+    "list": lambda a: np.asarray(a).tolist(),
+    # every other column, or entry, of a larger block
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "float64": lambda a: np.ascontiguousarray(np.asarray(a).real),
+}
+
+
+def _real_problem(p, n=40):
+    """A seeded problem whose B, and a nonzero X0 for it, hold real values
+    in complex128 blocks, so that every public form holds them exactly."""
+    a, b = _problem(n=n, p=p)
+    x0 = np.random.default_rng(p).uniform(-0.1, 0.1, (n, p)).astype(complex)
+    return a, b.real.astype(complex), x0
+
+
+def _same_result(res, ref):
+    assert (res.iterations, res.status) == (ref.iterations, ref.status)
+    assert res.history == ref.history and res.trr == ref.trr
+    assert res.x.flags.c_contiguous
+    assert res.x.tobytes() == ref.x.tobytes()
+
+
+class TestPublicForms:
+    """The public edges keep the checks and conversions that the kernels
+    dropped: every form of a block gives the bits of its row-major
+    complex128 copy, and every form of a refused block the same error."""
+
+    @pytest.mark.parametrize("form", _PUBLIC_FORMS)
+    @pytest.mark.parametrize("name,solver", ALL)
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_every_form_of_b_gives_the_same_bits(self, p, name, solver, form):
+        a, b, _ = _real_problem(p)
+        given = _PUBLIC_FORMS[form](b)
+        before = np.array(given, copy=True)
+        _same_result(solver(a, given), solver(a, b))
+        np.testing.assert_array_equal(np.asarray(given), before)
+
+    @pytest.mark.parametrize("form", _PUBLIC_FORMS)
+    @pytest.mark.parametrize("name,solver", ALL)
+    def test_every_form_of_x0_gives_the_same_bits(self, name, solver, form):
+        a, b, x0 = _real_problem(3)
+        given = _PUBLIC_FORMS[form](x0)
+        before = np.array(given, copy=True)
+        _same_result(solver(a, b, x0=given), solver(a, b, x0=x0))
+        np.testing.assert_array_equal(np.asarray(given), before)
+
+    @pytest.mark.parametrize("form", _PUBLIC_FORMS)
+    def test_true_relative_residual_in_every_form(self, form):
+        a, b, x0 = _real_problem(3)
+        make = _PUBLIC_FORMS[form]
+        expected = true_relative_residual(a, b, x0)
+        assert math.isfinite(expected)
+        assert true_relative_residual(a, make(b), make(x0)) == expected
+
+    @pytest.mark.parametrize("form", _PUBLIC_FORMS)
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matvec_in_every_form(self, p, form):
+        a, b, _ = _real_problem(p)
+        given = _PUBLIC_FORMS[form](b)
+        product = a.matvec(given)
+        assert product.flags.c_contiguous and product.dtype == np.complex128
+        assert product.tobytes() == a.matvec(b).tobytes()
+
+    @pytest.mark.parametrize("case", ["rhs rows", "one-dimensional rhs", "too many columns",
+                                      "x0 shape", "residual x shape", "matvec rows"])
+    def test_every_form_raises_the_same_error(self, case):
+        a, b, x0 = _real_problem(3)
+        args, call, text = {
+            "rhs rows": ((b[:-1],), lambda b: bl_cocg(a, b), "does not match"),
+            "one-dimensional rhs": ((b[:, 0],), lambda b: bl_cocg(a, b), "2-D"),
+            "too many columns": ((np.ones((40, 41)),), lambda b: bl_cocg(a, b),
+                                 "1 <= p <= n"),
+            "x0 shape": ((b, x0[:, :2]), lambda b, x: bl_cocg(a, b, x0=x), "x0 shape"),
+            "residual x shape": ((b, x0[:-1]), lambda b, x: true_relative_residual(a, b, x),
+                                 "x shape"),
+            "matvec rows": ((b[:-1],), a.matvec, "dimension mismatch"),
+        }[case]
+        messages = set()
+        for make in _PUBLIC_FORMS.values():
+            with pytest.raises(ValueError, match=text) as exc:
+                call(*[make(arg) for arg in args])
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
 class TestBasicConvergence:
     @pytest.mark.parametrize("name,solver", ALL)
     def test_identity_converges_in_one_iteration(self, name, solver):
@@ -670,6 +769,7 @@ class TestDeterminism:
         child = textwrap.dedent(
             """
             import hashlib, json
+            import numpy as np
             from cskrylov import SOLVERS, ProblemSpec, gen_problem
             from cskrylov.core_la import thin_qr
             a, b = gen_problem(ProblemSpec(
@@ -680,7 +780,8 @@ class TestDeterminism:
                 return h.hexdigest()
             def qr_digest(fac):
                 return hashlib.sha256(fac.q.tobytes() + fac.xi.tobytes()).hexdigest()
-            runs = {"thin_qr": [qr_digest(thin_qr(b)) for _ in range(2)]}
+            b_rows = np.ascontiguousarray(b)
+            runs = {"thin_qr": [qr_digest(thin_qr(b_rows)) for _ in range(2)]}
             for name in ("bl_cocg_rq", "bl_cocr_rq"):
                 runs[name] = [digest(SOLVERS[name](a, b)) for _ in range(2)]
             print(json.dumps(runs))
@@ -734,6 +835,43 @@ class TestDeterminism:
         assert len(digests[0]) == 9
         for name, first in digests[0].items():
             assert first == digests[1][name], f"{name}: 1 and 2 BLAS threads differ"
+
+    def test_single_columns_keep_their_bits_under_one_and_two_blas_threads(self):
+        # a single column is updated by one zaxpy call, which OpenBLAS
+        # threads above its level-1 threshold and whose bits then depend
+        # on the thread count at some odd orders; the update at n = 841
+        # and 1e5, and young1c's four p = 1 solves, give the same bytes
+        # under 1 and 2 threads
+        child = textwrap.dedent(
+            """
+            import hashlib, json, sys
+            import numpy as np
+            from cskrylov import SOLVERS, gen_rhs, read_matrix_market
+            from cskrylov.core_la import _routine, axpy_block
+            runs = {"zaxpy bound": _routine("zaxpy") is not None}
+            for n in (841, 100_000):
+                rng = np.random.default_rng(n)
+                x, y, c = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                           for s in ((n, 1), (n, 1), (1, 1)))
+                axpy_block(x, y, c)
+                runs[f"update n={n}"] = hashlib.sha256(x.tobytes()).hexdigest()
+            _, a = read_matrix_market(sys.argv[1])
+            b = gen_rhs(a.n, 1, 0)
+            for name, fn in SOLVERS.items():
+                res = fn(a, b)
+                h = hashlib.sha256(np.asarray(res.history).tobytes())
+                h.update(np.float64(res.trr).tobytes())
+                h.update(res.x.tobytes())
+                runs[f"young1c p=1 {name}"] = [res.iterations, h.hexdigest()]
+            print(json.dumps(runs))
+            """
+        )
+        young1c = Path(__file__).parent / "fixtures" / "young1c.mtx"
+        one, two = (run_child(child, young1c, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert len(one) == 7 and one["zaxpy bound"]
+        for name, first in one.items():
+            assert first == two[name], f"{name}: 1 and 2 BLAS threads differ"
 
 
 def _csr_array_matvec(self, v, out=None):
@@ -1120,30 +1258,36 @@ class TestLayoutBits:
     @pytest.mark.parametrize("n", [40, 841, 5000])
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_kernels_compute_on_row_major_blocks(self, n, p):
+        # the kernels take the solvers' row-major blocks as given
         rng = np.random.default_rng(p)
         v, w = (
-            np.asfortranarray(rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+            np.ascontiguousarray(rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
             for _ in range(2)
         )
-        v_rows, w_rows = np.ascontiguousarray(v), np.ascontiguousarray(w)
         c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        assert t_gram(v, w).tobytes() == t_gram(v_rows, w_rows).tobytes()
-        # one block as both is copied once, so numpy sees one buffer and
-        # takes zsyrk, exactly symmetric, in either layout
-        assert t_gram(v, v).tobytes() == t_gram(v_rows, v_rows).tobytes()
-        fac, fac_rows = core_la.thin_qr(v), core_la.thin_qr(v_rows)
-        assert fac.q.flags.c_contiguous and fac_rows.q.flags.c_contiguous
-        assert fac.q.tobytes() == fac_rows.q.tobytes()
-        assert fac.xi.tobytes() == fac_rows.xi.tobytes()
-        # zgemm keeps the bits of numpy's product, but in the last n mod 4
-        # rows of a single column
-        x, x_rows = v_rows.copy(), v_rows.copy()
-        expected = x_rows + w_rows @ c
-        core_la.axpy_block(x, w, c)
-        core_la.axpy_block(x_rows, w_rows, c)
-        assert x.tobytes() == x_rows.tobytes()
-        exact = n - n % 4 if p == 1 else n
-        assert x[:exact].tobytes() == expected[:exact].tobytes()
+        assert t_gram(v, w).tobytes() == (v.T @ w).tobytes()
+        # one block as both is one buffer to numpy, which takes zsyrk,
+        # exactly symmetric
+        g = t_gram(v, v)
+        assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
+        fac = core_la.thin_qr(v)
+        assert fac.q.flags.c_contiguous
+        np.testing.assert_allclose(fac.q @ fac.xi, v, rtol=0, atol=1e-12)
+        # zgemm keeps the bits of numpy's product; a single column takes
+        # zaxpy's, within rounding of it
+        x = v.copy()
+        expected = v + w @ c
+        assert core_la.axpy_block(x, w, c) is x
+        if p == 1:
+            zaxpy = core_la._routine("zaxpy")
+            if zaxpy is not None:
+                direct, ints = v.copy(), core_la._INT
+                zaxpy(ints(n), c.ctypes.data, w.ctypes.data, ints(1), direct.ctypes.data,
+                      ints(1))
+                assert x.tobytes() == direct.tobytes()
+            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-14)
+        else:
+            assert x.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("p", [3, 8])
     def test_gram_without_zgemm_takes_numpy(self, p, monkeypatch):
